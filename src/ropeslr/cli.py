@@ -1,25 +1,24 @@
 """Command-line front end: one subcommand per experiment, flat key=value
 configs, seeded reproducibility, full-precision CSV output.
 
-Exit codes: 0 success, 1 property violation, 2 configuration error.
-Set ROPESLR_THREADS to parallelize independent sweep points; output order and
-bytes are identical either way because every point derives its own seed.
+Each value, from the defaults, a --config file or a --key flag, is parsed
+once by the parser PARSERS names for its key (a positive integer otherwise).
+
+Exit codes: 0 success, 1 a checked property is violated, 2 bad input (a value
+that does not parse or is out of range, an unknown key, an unreadable config
+file).  Any other error is a library fault and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from . import analysis, decomposition, flops, lowrank, mechanism, rope3d
-
-THREADS_ENV = "ROPESLR_THREADS"
 
 
 class ConfigError(Exception):
@@ -27,7 +26,80 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Config parsing
+
+
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite real")
+    return value
+
+
+def _bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError("must be true or false")
+
+
+def _triple(text: str) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError("must be three comma-separated integers")
+    return tuple(int(p) for p in parts)
+
+
+def _grid(text: str) -> rope3d.GridShape:
+    return rope3d.GridShape(*_triple(text))
+
+
+def _grids(text: str) -> list:
+    grids = [_grid(chunk) for chunk in text.split(";") if chunk.strip()]
+    if not grids:
+        raise ValueError("must list at least one grid")
+    sizes = [g.size for g in grids]
+    if sizes != sorted(sizes):
+        raise ValueError("grids must be sorted ascending in token count")
+    if sizes[-1] > decomposition.DESK_CAP:
+        raise ValueError(f"largest grid exceeds the desk cap {decomposition.DESK_CAP}")
+    return grids
+
+
+def _favor_rs(text: str) -> list:
+    values = [int(p) for p in text.split(",") if p.strip()]
+    if not values or min(values) < 1:
+        raise ValueError("must list one or more positive integers")
+    return values
+
+
+def _checked(parse, ok, what: str):
+    """`parse`, then reject a value for which `ok` is false."""
+
+    def run(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}")
+        return value
+
+    return run
+
+
+_NON_NEGATIVE = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_COUNT = _checked(int, lambda n: n >= 1, "a positive integer")
+
+PARSERS = {
+    "grid": _grid, "grids": _grids, "rope": _triple, "block": _triple,
+    "favor_r": _favor_rs, "corrupt_freq": _bool, "use_pe": _bool, "modes_out": str,
+    "base": _real, "c": _real, "tau": _real, "e_tol": _real, "keep": _real, "s": _real,
+    "lr": _checked(_real, lambda x: x >= 0.0, "a non-negative real"),
+    "tol": _checked(_real, lambda x: x > 0.0, "a positive real"),
+    "energy": _checked(_real, lambda x: 0.0 < x < 1.0, "in (0, 1)"),
+    "epsilon": _checked(_real, lambda x: 1e-7 <= x <= 1e-4, "in [1e-7, 1e-4]"),
+    "seed": _NON_NEGATIVE, "steps": _NON_NEGATIVE,
+}
 
 
 def _load_config_file(path: str) -> Dict[str, str]:
@@ -48,7 +120,8 @@ def _load_config_file(path: str) -> Dict[str, str]:
     return out
 
 
-def _merge(defaults: Dict[str, str], args: argparse.Namespace) -> Dict[str, str]:
+def _config(defaults: Dict[str, str], args: argparse.Namespace) -> Dict[str, object]:
+    """Defaults, then the config file, then flags, each value parsed once."""
     cfg = dict(defaults)
     if args.config:
         file_cfg = _load_config_file(args.config)
@@ -60,82 +133,25 @@ def _merge(defaults: Dict[str, str], args: argparse.Namespace) -> Dict[str, str]
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = str(value)
-    return cfg
-
-
-def _as_int(cfg: Dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from exc
-
-
-def _as_float(cfg: Dict[str, str], key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a real number, got {cfg[key]!r}") from exc
-
-
-def _as_bool(cfg: Dict[str, str], key: str) -> bool:
-    text = cfg[key].lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
-
-
-def _as_triple(text: str, what: str) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{what} must be three comma-separated integers, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be integers, got {text!r}") from exc
-
-
-def _as_grid(cfg: Dict[str, str], key: str = "grid") -> rope3d.GridShape:
-    t, h, w = _as_triple(cfg[key], key)
-    try:
-        return rope3d.GridShape(t, h, w)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _as_grids(cfg: Dict[str, str], key: str = "grids") -> List[rope3d.GridShape]:
-    grids = []
-    for chunk in cfg[key].split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        t, h, w = _as_triple(chunk, key)
+    values = {}
+    for key, text in cfg.items():
         try:
-            grids.append(rope3d.GridShape(t, h, w))
+            values[key] = PARSERS.get(key, _COUNT)(text)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if not grids:
-        raise ConfigError(f"{key} must list at least one grid")
-    return grids
+            raise ConfigError(f"{key}={text!r}: {exc}") from exc
+    return values
 
 
-def _as_rope(cfg: Dict[str, str]) -> rope3d.RopeConfig:
-    d_t, d_x, d_y = _as_triple(cfg["rope"], "rope")
+def _make(ctor, *args, **kwargs):
+    """Build a value object from config values; its ValueError is bad input."""
     try:
-        return rope3d.RopeConfig(d_t, d_x, d_y, base=_as_float(cfg, "base"))
+        return ctor(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _as_int_list(cfg: Dict[str, str], key: str) -> List[int]:
-    try:
-        values = [int(p) for p in cfg[key].split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be comma-separated integers") from exc
-    if not values:
-        raise ConfigError(f"{key} must list at least one value")
-    return values
+def _rope(v) -> rope3d.RopeConfig:
+    return _make(rope3d.RopeConfig, *v["rope"], base=v["base"])
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +159,8 @@ def _as_int_list(cfg: Dict[str, str], key: str) -> List[int]:
 
 
 def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -161,49 +179,27 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: Sequence[Sequenc
             fh.write(text)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV} must be at least 1")
-    return n
-
-
-def _pmap(fn: Callable, items: Sequence) -> List:
-    """Order-preserving map, threaded when ROPESLR_THREADS > 1. Every item
-    carries its own derived seed, so scheduling cannot change results."""
-    n = _thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
-
-FOURIER_DEFAULTS = {
-    "grid": "4,4,4", "rope": "4,4,4", "base": "10000", "seed": "0",
-    "pairs": "4096", "tol": "1e-9", "corrupt_freq": "false",
-}
+# subcommand name -> (defaults of its config keys, handler)
+_COMMANDS: Dict[str, tuple] = {}
 
 
-def cmd_fourier_verify(cfg: Dict[str, str], out: Optional[str]) -> int:
-    grid = _as_grid(cfg)
-    rope_cfg = _as_rope(cfg)
-    seed = _as_int(cfg, "seed")
-    n_pairs = _as_int(cfg, "pairs")
-    tol = _as_float(cfg, "tol")
-    if n_pairs < 1 or tol <= 0:
-        raise ConfigError("pairs must be positive and tol must be > 0")
-    # test hook: evaluates the trig expansion on a perturbed schedule, which
-    # must trip the exactness check
-    corrupt = _as_bool(cfg, "corrupt_freq")
+def _command(name: str, **defaults: str):
+    """Register a subcommand with the default of every config key it takes."""
 
+    def register(handler):
+        _COMMANDS[name] = (defaults, handler)
+        return handler
+
+    return register
+
+
+@_command("fourier-verify", grid="4,4,4", rope="4,4,4", base="10000", seed="0",
+          pairs="4096", tol="1e-9", corrupt_freq="false")
+def cmd_fourier_verify(v, out: Optional[str]) -> int:
+    grid, rope_cfg, seed, n_pairs = v["grid"], _rope(v), v["seed"], v["pairs"]
     q_mat, k_mat = decomposition.synthetic_qk(grid, rope_cfg, seed)
     ell = grid.size
     if ell * ell <= n_pairs:
@@ -220,71 +216,44 @@ def cmd_fourier_verify(cfg: Dict[str, str], out: Optional[str]) -> int:
         direct = rope3d.logit_direct(q_mat[p], k_mat[qpos], p, qpos, grid, rope_cfg)
         coeffs = rope3d.fourier_coeffs(q_mat[p], k_mat[qpos], rope_cfg)
         delta = coords[p] - coords[qpos]
-        if corrupt:
+        # test hook: evaluates the trig expansion on a perturbed schedule,
+        # which must trip the exactness check
+        if v["corrupt_freq"]:
             delta = delta * (1.0 + 1e-3)
         four = rope3d.logit_fourier(coeffs, tuple(delta), rope_cfg)
         err = abs(direct - four)
         max_err = max(max_err, err)
         rows.append((f"{p}-{qpos}", direct, four, err))
-    _write_csv(out, ["pair", "direct", "fourier", "abs_err"],
-               [(lbl, d, f, e) for lbl, d, f, e in rows])
-    return 0 if max_err <= tol else 1
+    _write_csv(out, ["pair", "direct", "fourier", "abs_err"], rows)
+    return 0 if max_err <= v["tol"] else 1
 
 
-DECOMPOSE_DEFAULTS = {
-    "grids": "4,4,4;8,8,8;12,12,12", "rope": "4,4,4", "base": "10000",
-    "c": "0.5", "seed": "0",
-}
-
-
-def cmd_decompose_sweep(cfg: Dict[str, str], out: Optional[str]) -> int:
-    grids = _as_grids(cfg)
-    rope_cfg = _as_rope(cfg)
-    c = _as_float(cfg, "c")
-    seed = _as_int(cfg, "seed")
-    sizes = [g.size for g in grids]
-    if sizes != sorted(sizes):
-        raise ConfigError("grids must be sorted ascending in token count")
-    if max(sizes) > decomposition.DESK_CAP:
-        raise ConfigError(f"largest grid exceeds the desk cap {decomposition.DESK_CAP}")
-    if not (0.0 < c < math.sqrt(sizes[0])):
-        raise ConfigError(f"c={c} must satisfy 0 < c < sqrt(L_min)={math.sqrt(sizes[0]):.4f}")
-
-    points = _pmap(
-        lambda item: decomposition.scaling_sweep_point(item[1], rope_cfg, c, seed + item[0]),
-        list(enumerate(grids)))
+@_command("decompose-sweep", grids="4,4,4;8,8,8;12,12,12", rope="4,4,4", base="10000",
+          c="0.5", seed="0")
+def cmd_decompose_sweep(v, out: Optional[str]) -> int:
+    grids, c = v["grids"], v["c"]
+    l_min = grids[0].size
+    if not (0.0 < c < math.sqrt(l_min)):
+        raise ConfigError(f"c={c} must satisfy 0 < c < sqrt(L_min)={math.sqrt(l_min):.4f}")
+    points = decomposition.theorem_scaling_sweep(grids, _rope(v), c, v["seed"])
     rows = [(r["L"], r["tau"], r["nnz"], r["nnz_bound"], r["bg_inf_norm"], r["holds"])
             for r in points]
     _write_csv(out, ["L", "tau", "nnz", "nnz_bound", "bg_inf_norm", "holds"], rows)
     return 0 if all(r["holds"] for r in points) else 1
 
 
-RECONSTRUCT_DEFAULTS = {
-    "grid": "6,6,6", "rope": "4,4,4", "base": "10000", "tau": "0.05",
-    "e_tol": "0.02", "favor_r": "1024", "seed": "0",
-}
-
-
-def cmd_reconstruct(cfg: Dict[str, str], out: Optional[str]) -> int:
-    grid = _as_grid(cfg)
-    rope_cfg = _as_rope(cfg)
-    tau = _as_float(cfg, "tau")
-    e_tol = _as_float(cfg, "e_tol")
-    favor_rs = _as_int_list(cfg, "favor_r")
-    seed = _as_int(cfg, "seed")
+@_command("reconstruct", grid="6,6,6", rope="4,4,4", base="10000", tau="0.05",
+          e_tol="0.02", favor_r="1024", seed="0")
+def cmd_reconstruct(v, out: Optional[str]) -> int:
+    grid, rope_cfg, tau, e_tol, seed = v["grid"], _rope(v), v["tau"], v["e_tol"], v["seed"]
     if not (e_tol > 0 and 2.0 * e_tol <= tau < 1.0):
         raise ConfigError(f"need 0 < 2*e_tol <= tau < 1, got tau={tau}, e_tol={e_tol}")
     if grid.size > decomposition.DESK_CAP:
         raise ConfigError(f"grid exceeds the desk cap {decomposition.DESK_CAP}")
-    if min(favor_rs) < 1:
-        raise ConfigError("favor_r values must be positive")
 
     q_mat, k_mat = decomposition.synthetic_qk(grid, rope_cfg, seed)
-
-    def run(r_dim: int) -> lowrank.Reconstruction:
-        return lowrank.reconstruct(q_mat, k_mat, grid, rope_cfg, tau, e_tol, r_dim, seed)
-
-    recs = _pmap(run, favor_rs)
+    recs = [lowrank.reconstruct(q_mat, k_mat, grid, rope_cfg, tau, e_tol, r_dim, seed)
+            for r_dim in v["favor_r"]]
     rows = [(grid.size, rec.tau, rec.e_tol, rec.favor_dim, rec.rank_lowrank,
              rec.nnz_sparse, rec.max_err_spike, rec.max_err_bg) for rec in recs]
     _write_csv(out, ["L", "tau", "E_tol", "favor_R", "rank", "nnz",
@@ -293,54 +262,23 @@ def cmd_reconstruct(cfg: Dict[str, str], out: Optional[str]) -> int:
     return 0 if ok else 1
 
 
-SPECTRAL_DEFAULTS = {
-    "grid": "4,4,4", "rope": "4,4,4", "base": "10000", "pairs": "10000", "seed": "0",
-}
-
-
-def cmd_spectral(cfg: Dict[str, str], out: Optional[str]) -> int:
-    grid = _as_grid(cfg)
-    rope_cfg = _as_rope(cfg)
-    pairs = _as_int(cfg, "pairs")
-    seed = _as_int(cfg, "seed")
+@_command("spectral", grid="4,4,4", rope="4,4,4", base="10000", pairs="10000", seed="0")
+def cmd_spectral(v, out: Optional[str]) -> int:
+    grid, rope_cfg, pairs, seed = v["grid"], _rope(v), v["pairs"], v["seed"]
     if pairs < 100:
         raise ConfigError("pairs must be at least 100")
     q_mat, k_mat = decomposition.synthetic_qk(grid, rope_cfg, seed)
     report = analysis.spectral_decay_report(q_mat, k_mat, grid, rope_cfg, pairs, seed)
-    rows = []
-    for axis in rope3d.AXES:
-        for m in range(1, rope_cfg.n_freqs(axis) + 1):
-            rows.append((axis, m, report.magnitude[axis][m - 1], report.tail[axis][m - 1]))
-    _write_csv(out, ["axis", "m", "magnitude", "tail"],
-               [(a, m, mag, tail) for a, m, mag, tail in rows])
+    rows = [(axis, m, report.magnitude[axis][m - 1], report.tail[axis][m - 1])
+            for axis in rope3d.AXES for m in range(1, rope_cfg.n_freqs(axis) + 1)]
+    _write_csv(out, ["axis", "m", "magnitude", "tail"], rows)
     return 0
 
 
-STABLE_RANK_DEFAULTS = {
-    "grids": "5,5,5;8,8,8;10,10,10", "rope": "4,4,4", "base": "10000",
-    "energy": "0.9", "seed": "0",
-}
-
-
-def cmd_stable_rank_sweep(cfg: Dict[str, str], out: Optional[str]) -> int:
-    grids = _as_grids(cfg)
-    rope_cfg = _as_rope(cfg)
-    energy = _as_float(cfg, "energy")
-    seed = _as_int(cfg, "seed")
-    if not (0.0 < energy < 1.0):
-        raise ConfigError(f"energy must lie in (0, 1), got {energy}")
-    sizes = [g.size for g in grids]
-    if sizes != sorted(sizes):
-        raise ConfigError("grids must be sorted ascending in token count")
-    if max(sizes) > decomposition.DESK_CAP:
-        raise ConfigError(f"largest grid exceeds the desk cap {decomposition.DESK_CAP}")
-
-    def run(item):
-        i, grid = item
-        rows = analysis.residual_stable_rank_sweep([grid], rope_cfg, energy, seed + i)
-        return rows[0]
-
-    points = _pmap(run, list(enumerate(grids)))
+@_command("stable-rank-sweep", grids="5,5,5;8,8,8;10,10,10", rope="4,4,4", base="10000",
+          energy="0.9", seed="0")
+def cmd_stable_rank_sweep(v, out: Optional[str]) -> int:
+    points = analysis.residual_stable_rank_sweep(v["grids"], _rope(v), v["energy"], v["seed"])
     _write_csv(out, ["L", "retained_fraction", "residual_stable_rank"],
                [(r["L"], r["retained_fraction"], r["residual_stable_rank"]) for r in points])
     return 0
@@ -352,28 +290,60 @@ TASK_DEFAULTS = {
 }
 
 
-def _task_pieces(cfg: Dict[str, str]):
-    grid = _as_grid(cfg)
-    rope_cfg = _as_rope(cfg)
-    heads = _as_int(cfg, "heads")
-    rank = _as_int(cfg, "rank")
-    samples = _as_int(cfg, "samples")
-    seed = _as_int(cfg, "seed")
-    if heads < 1 or rank < 1 or samples < 1:
-        raise ConfigError("heads, rank and samples must be positive")
-    block = _as_triple(cfg["block"], "block")
-    keep = _as_float(cfg, "keep")
-    try:
-        sparse = mechanism.SparseSettings(block=block, keep=keep)
-        task = mechanism.make_alignment_task(grid, rope_cfg, heads, samples, seed)
-        # fail fast on indivisible blocks before any training starts
-        mechanism._block_ids(grid, block)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return task, sparse, rank, seed
+def _sparse(v, grid: rope3d.GridShape) -> mechanism.SparseSettings:
+    sparse = _make(mechanism.SparseSettings, block=v["block"], keep=v["keep"])
+    # fail fast on indivisible blocks before any training starts
+    _make(mechanism._block_ids, grid, sparse.block)
+    return sparse
 
 
-TRAIN_DEFAULTS = dict(TASK_DEFAULTS, steps="500", lr="2.0")
+def _task(v):
+    """The alignment task and the sparse settings of a training command."""
+    grid, rope_cfg = v["grid"], _rope(v)
+    sparse = _sparse(v, grid)
+    task = mechanism.make_alignment_task(grid, rope_cfg, v["heads"], v["samples"], v["seed"])
+    return task, sparse
+
+
+def _trained_forward(v, **settings_kw):
+    """Train fresh parameters for `steps` steps, then run sample 0 forward."""
+    task, sparse = _task(v)
+    settings = mechanism.ForwardSettings(sparse=sparse, **settings_kw)
+    params = mechanism.init_params(v["heads"], task.cfg.d_h, v["rank"], v["seed"])
+    if v["steps"] > 0:
+        mechanism.train_stage1(task.dataset, task.grid, task.cfg, task.backbone,
+                               params, settings, v["lr"], v["steps"])
+    x = task.dataset[0][0]
+    return task, mechanism.forward(x, task.grid, task.cfg, task.backbone, params, settings)
+
+
+@_command("gram-spectral", **TASK_DEFAULTS, steps="0", lr="2.0", use_pe="true", modes="4",
+          modes_out="")
+def cmd_gram_spectral(v, out: Optional[str]) -> int:
+    task, trace = _trained_forward(v, use_pe=v["use_pe"])
+    spectrum = analysis.gram_spectral(trace.o_lowrank[0], task.grid, v["modes"])
+    rows = [(i + 1, spectrum.sigma[i], spectrum.ratio[i], spectrum.energy_fraction[i])
+            for i in range(spectrum.sigma.size)]
+    _write_csv(out, ["i", "sigma", "ratio", "energy_fraction"], rows)
+    if v["modes_out"]:
+        grid = task.grid
+        mode_rows = [(k + 1, t, x, y, spectrum.modes[k, t, x, y])
+                     for k in range(spectrum.modes.shape[0])
+                     for t in range(grid.t) for x in range(grid.h) for y in range(grid.w)]
+        _write_csv(v["modes_out"], ["mode", "t", "x", "y", "value"], mode_rows)
+    return 0
+
+
+@_command("gate-map", **TASK_DEFAULTS, steps="0", lr="2.0")
+def cmd_gate_map(v, out: Optional[str]) -> int:
+    task, trace = _trained_forward(v)
+    grid = task.grid
+    gmap = analysis.gate_map(trace.g, grid)
+    rows = [(t, x, y, gmap.values[t, x, y], gmap.frame_means[t])
+            for t in range(grid.t) for x in range(grid.h) for y in range(grid.w)]
+    _write_csv(out, ["t", "x", "y", "g", "frame_mean"], rows)
+    return 0
+
 
 TRAIN_VARIANTS = (
     ("lowrank_3dpe", "lowrank", True),
@@ -383,26 +353,16 @@ TRAIN_VARIANTS = (
 )
 
 
-def cmd_train_align(cfg: Dict[str, str], out: Optional[str]) -> int:
-    task, sparse, rank, seed = _task_pieces(cfg)
-    steps = _as_int(cfg, "steps")
-    lr = _as_float(cfg, "lr")
-    if steps < 0 or lr < 0:
-        raise ConfigError("steps and lr must be non-negative")
-
-    def run(variant):
-        name, compensator, use_pe = variant
+@_command("train-align", **TASK_DEFAULTS, steps="500", lr="2.0")
+def cmd_train_align(v, out: Optional[str]) -> int:
+    task, sparse = _task(v)
+    for name, compensator, use_pe in TRAIN_VARIANTS:
         settings = mechanism.ForwardSettings(sparse=sparse, compensator=compensator,
                                              use_pe=use_pe)
-        params = mechanism.init_params(task.backbone.n_heads, task.backbone.d_h,
-                                       rank, seed)
-        result = mechanism.train_stage1(task.dataset, task.grid, task.cfg,
-                                        task.backbone, params, settings, lr, steps)
-        return name, result
-
-    results = _pmap(run, TRAIN_VARIANTS)
-    for name, result in results:
-        rows = [(step, loss) for step, loss in enumerate(result.losses)]
+        params = mechanism.init_params(v["heads"], task.cfg.d_h, v["rank"], v["seed"])
+        result = mechanism.train_stage1(task.dataset, task.grid, task.cfg, task.backbone,
+                                        params, settings, v["lr"], v["steps"])
+        rows = list(enumerate(result.losses))
         if out is None:
             sys.stdout.write(f"# variant={name}\n")
             _write_csv(None, ["step", "loss"], rows)
@@ -411,119 +371,25 @@ def cmd_train_align(cfg: Dict[str, str], out: Optional[str]) -> int:
     return 0
 
 
-GRAM_DEFAULTS = dict(TASK_DEFAULTS, steps="0", lr="2.0", use_pe="true", modes="4")
-
-
-def cmd_gram_spectral(cfg: Dict[str, str], out: Optional[str],
-                      modes_out: Optional[str] = None) -> int:
-    task, sparse, rank, seed = _task_pieces(cfg)
-    steps = _as_int(cfg, "steps")
-    lr = _as_float(cfg, "lr")
-    n_modes = _as_int(cfg, "modes")
-    if steps < 0 or lr < 0 or n_modes < 1:
-        raise ConfigError("steps and lr must be non-negative and modes positive")
-    settings = mechanism.ForwardSettings(sparse=sparse, compensator="lowrank",
-                                         use_pe=_as_bool(cfg, "use_pe"))
-    params = mechanism.init_params(task.backbone.n_heads, task.backbone.d_h, rank, seed)
-    if steps > 0:
-        mechanism.train_stage1(task.dataset, task.grid, task.cfg, task.backbone,
-                               params, settings, lr, steps)
-    x = task.dataset[0][0]
-    trace = mechanism.forward(x, task.grid, task.cfg, task.backbone, params, settings)
-    spectrum = analysis.gram_spectral(trace.o_lowrank[0], task.grid, n_modes)
-    rows = [(i + 1, spectrum.sigma[i], spectrum.ratio[i], spectrum.energy_fraction[i])
-            for i in range(spectrum.sigma.size)]
-    _write_csv(out, ["i", "sigma", "ratio", "energy_fraction"], rows)
-    if modes_out is not None:
-        mode_rows = []
-        for k in range(spectrum.modes.shape[0]):
-            for t in range(task.grid.t):
-                for xx in range(task.grid.h):
-                    for yy in range(task.grid.w):
-                        mode_rows.append((k + 1, t, xx, yy, spectrum.modes[k, t, xx, yy]))
-        _write_csv(modes_out, ["mode", "t", "x", "y", "value"], mode_rows)
-    return 0
-
-
-GATE_MAP_DEFAULTS = dict(TASK_DEFAULTS, steps="0", lr="2.0")
-
-
-def cmd_gate_map(cfg: Dict[str, str], out: Optional[str]) -> int:
-    task, sparse, rank, seed = _task_pieces(cfg)
-    steps = _as_int(cfg, "steps")
-    lr = _as_float(cfg, "lr")
-    if steps < 0 or lr < 0:
-        raise ConfigError("steps and lr must be non-negative")
-    settings = mechanism.ForwardSettings(sparse=sparse)
-    params = mechanism.init_params(task.backbone.n_heads, task.backbone.d_h, rank, seed)
-    if steps > 0:
-        mechanism.train_stage1(task.dataset, task.grid, task.cfg, task.backbone,
-                               params, settings, lr, steps)
-    x = task.dataset[0][0]
-    trace = mechanism.forward(x, task.grid, task.cfg, task.backbone, params, settings)
-    gmap = analysis.gate_map(trace.g, task.grid)
-    rows = []
-    for t in range(task.grid.t):
-        for xx in range(task.grid.h):
-            for yy in range(task.grid.w):
-                rows.append((t, xx, yy, gmap.values[t, xx, yy], gmap.frame_means[t]))
-    _write_csv(out, ["t", "x", "y", "g", "frame_mean"], rows)
-    return 0
-
-
-GRAD_CHECK_DEFAULTS = {
-    "grid": "2,2,2", "rope": "2,2,0", "base": "10000", "heads": "2", "rank": "2",
-    "block": "1,2,2", "keep": "0.5", "instances": "20", "epsilon": "1e-5",
-    "tol": "1e-4", "seed": "0",
-}
-
-
-def cmd_grad_check(cfg: Dict[str, str], out: Optional[str]) -> int:
-    grid = _as_grid(cfg)
-    rope_cfg = _as_rope(cfg)
-    heads = _as_int(cfg, "heads")
-    rank = _as_int(cfg, "rank")
-    instances = _as_int(cfg, "instances")
-    epsilon = _as_float(cfg, "epsilon")
-    tol = _as_float(cfg, "tol")
-    seed = _as_int(cfg, "seed")
-    if heads < 1 or rank < 1 or instances < 1 or tol <= 0:
-        raise ConfigError("heads, rank, instances must be positive and tol > 0")
-    if not (1e-7 <= epsilon <= 1e-4):
-        raise ConfigError("epsilon must lie in [1e-7, 1e-4]")
-    block = _as_triple(cfg["block"], "block")
-    keep = _as_float(cfg, "keep")
-    try:
-        sparse = mechanism.SparseSettings(block=block, keep=keep)
-        mechanism._block_ids(grid, block)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    settings = mechanism.ForwardSettings(sparse=sparse)
-
-    def run(i: int) -> float:
+@_command("grad-check", grid="2,2,2", rope="2,2,0", base="10000", heads="2", rank="2",
+          block="1,2,2", keep="0.5", instances="20", epsilon="1e-5", tol="1e-4", seed="0")
+def cmd_grad_check(v, out: Optional[str]) -> int:
+    grid, rope_cfg, heads, seed = v["grid"], _rope(v), v["heads"], v["seed"]
+    settings = mechanism.ForwardSettings(sparse=_sparse(v, grid))
+    devs = []
+    for i in range(v["instances"]):
         task = mechanism.make_alignment_task(grid, rope_cfg, heads, 1, seed + i)
-        params = mechanism.init_params(heads, rope_cfg.d_h, rank, seed + 1000 + i)
+        params = mechanism.init_params(heads, rope_cfg.d_h, v["rank"], seed + 1000 + i)
         x, target = task.dataset[0]
-        return mechanism.grad_check(params, x, target, grid, rope_cfg, task.backbone,
-                                    settings, epsilon)
-
-    devs = _pmap(run, list(range(instances)))
-    _write_csv(out, ["instance", "deviation"], [(i, d) for i, d in enumerate(devs)])
-    return 0 if all(d <= tol for d in devs) else 1
+        devs.append(mechanism.grad_check(params, x, target, grid, rope_cfg, task.backbone,
+                                         settings, v["epsilon"]))
+    _write_csv(out, ["instance", "deviation"], list(enumerate(devs)))
+    return 0 if all(d <= v["tol"] for d in devs) else 1
 
 
-FLOPS_DEFAULTS = {
-    "b": "1", "h": "1", "l": "118800", "d_h": "128", "s": "0.9", "r": "64",
-}
-
-
-def cmd_flops(cfg: Dict[str, str], out: Optional[str]) -> int:
-    try:
-        fc = flops.FlopsConfig(b=_as_int(cfg, "b"), h=_as_int(cfg, "h"),
-                               l=_as_int(cfg, "l"), d_h=_as_int(cfg, "d_h"),
-                               s=_as_float(cfg, "s"), r=_as_int(cfg, "r"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+@_command("flops", b="1", h="1", l="118800", d_h="128", s="0.9", r="64")
+def cmd_flops(v, out: Optional[str]) -> int:
+    fc = _make(flops.FlopsConfig, **v)
     row = (fc.b, fc.h, fc.l, fc.d_h, fc.s, fc.r,
            flops.c_full(fc), flops.c_sparse(fc), flops.c_lowrank(fc),
            flops.c_fusion(fc), flops.c_linear_branch(fc), flops.total_ropeslr(fc),
@@ -538,20 +404,6 @@ def cmd_flops(cfg: Dict[str, str], out: Optional[str]) -> int:
 # Parser
 
 
-_COMMANDS = {
-    "fourier-verify": (FOURIER_DEFAULTS, cmd_fourier_verify),
-    "decompose-sweep": (DECOMPOSE_DEFAULTS, cmd_decompose_sweep),
-    "reconstruct": (RECONSTRUCT_DEFAULTS, cmd_reconstruct),
-    "spectral": (SPECTRAL_DEFAULTS, cmd_spectral),
-    "stable-rank-sweep": (STABLE_RANK_DEFAULTS, cmd_stable_rank_sweep),
-    "gram-spectral": (GRAM_DEFAULTS, cmd_gram_spectral),
-    "gate-map": (GATE_MAP_DEFAULTS, cmd_gate_map),
-    "train-align": (TRAIN_DEFAULTS, cmd_train_align),
-    "grad-check": (GRAD_CHECK_DEFAULTS, cmd_grad_check),
-    "flops": (FLOPS_DEFAULTS, cmd_flops),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ropeslr",
                                      description="sparse-plus-low-rank attention laboratory")
@@ -560,12 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="CSV output path (stdout when omitted)")
-        if name == "gram-spectral":
-            p.add_argument("--modes-out", dest="modes_out",
-                           help="optional CSV of the leading spatial modes")
-        for key in defaults:
+        for key, value in defaults.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           help=f"override {key} (default {defaults[key]})")
+                           help=f"override {key} (default {value or 'none'})")
     return parser
 
 
@@ -573,11 +422,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     defaults, handler = _COMMANDS[args.command]
     try:
-        cfg = _merge(defaults, args)
-        if args.command == "gram-spectral":
-            return handler(cfg, args.out, getattr(args, "modes_out", None))
-        return handler(cfg, args.out)
-    except (ConfigError, ValueError) as exc:
+        return handler(_config(defaults, args), args.out)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,37 +160,6 @@ def synthetic_qk(grid: GridShape, cfg: RopeConfig, seed: int,
     return draw(), draw()
 
 
-def synthetic_qk_concentrated(grid: GridShape, cfg: RopeConfig, seed: int,
-                              decay_alpha: float = 1.0, mix: float = 1.0):
-    """Gaussian query/key matrices whose per-frequency subspaces are damped
-    as base^(-decay_alpha*(m-1)/d_k), imitating the spectral concentration a
-    trained model shows. `mix` blends between flat noise (0, early denoising)
-    and fully concentrated (1, late denoising)."""
-    if not (0.0 <= mix <= 1.0):
-        raise ValueError(f"mix must lie in [0, 1], got {mix}")
-    if decay_alpha < 0.0:
-        raise ValueError("decay_alpha must be non-negative")
-    from .rope3d import AXES  # local import keeps module load order simple
-
-    weights = np.ones(cfg.d_h)
-    for axis in AXES:
-        d_k = cfg.axis_dim(axis)
-        off = cfg.axis_offset(axis)
-        for m in range(1, d_k // 2 + 1):
-            damp = cfg.base ** (-decay_alpha * (m - 1) / d_k)
-            w = mix * damp + (1.0 - mix)
-            weights[off + 2 * (m - 1)] = w
-            weights[off + 2 * m - 1] = w
-    rng = np.random.default_rng(seed)
-    target = math.sqrt(cfg.d_h)
-
-    def draw():
-        m = rng.standard_normal((grid.size, cfg.d_h)) * weights
-        return m * (target / np.linalg.norm(m, axis=1, keepdims=True))
-
-    return draw(), draw()
-
-
 def synthetic_attention(grid: GridShape, cfg: RopeConfig, seed: int) -> AttentionMatrix:
     if grid.size > DESK_CAP:
         raise ValueError(f"grid has {grid.size} tokens, above the desk cap {DESK_CAP}")

@@ -1,0 +1,190 @@
+"""Golden and exit-code tests of the `ropeslr` command line.
+
+The goldens under tests/golden/ hold, per case, the standard output
+(`<case>.stdout`) and every file the case wrote (`<case>.<file name>`).
+"""
+
+import contextlib
+import io
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ropeslr import cli, lowrank
+
+GOLDEN = Path(__file__).parent / "golden"
+REAL_RTOL = 1e-9
+CONFIG_NAME = "cfg.txt"
+
+# case -> (argv, exit code, config file text or None).  In argv, {dir} is the
+# case's own scratch directory, which holds the config file and every output.
+CASES = {
+    "fourier_verify": (["fourier-verify", "--pairs", "200"], 0, None),
+    "fourier_verify_corrupt": (["fourier-verify", "--pairs", "200", "--corrupt-freq", "true"],
+                               1, None),
+    "decompose_sweep": (["decompose-sweep", "--grids", "2,2,2;3,3,3;4,4,4"], 0, None),
+    "reconstruct": (["reconstruct", "--grid", "3,3,3", "--favor-r", "16,256"], 0, None),
+    "reconstruct_config": (["reconstruct", "--config", "{dir}/cfg.txt", "--seed", "3",
+                            "--out", "{dir}/rec.csv"], 0,
+                           "# a reconstruct run\ngrid = 2,3,4\n\nfavor_r=64\nseed=1\n"),
+    "spectral": (["spectral"], 0, None),
+    "spectral_sampled": (["spectral", "--grid", "3,5,5", "--pairs", "200", "--seed", "2"],
+                         0, None),
+    "stable_rank_sweep": (["stable-rank-sweep", "--grids", "2,2,2;3,3,3;4,4,4"], 0, None),
+    "gram_spectral": (["gram-spectral", "--grid", "2,5,5", "--steps", "2",
+                       "--modes-out", "{dir}/modes.csv"], 0, None),
+    "gram_spectral_nope": (["gram-spectral", "--grid", "2,5,5", "--use-pe", "false",
+                            "--modes", "2", "--out", "{dir}/sigma.csv"], 0, None),
+    "gate_map": (["gate-map", "--grid", "2,5,5", "--steps", "2"], 0, None),
+    "train_align": (["train-align", "--steps", "3"], 0, None),
+    "train_align_out": (["train-align", "--grid", "2,5,5", "--steps", "2",
+                         "--out", "{dir}/loss"], 0, None),
+    "grad_check": (["grad-check", "--instances", "3"], 0, None),
+    "flops": (["flops"], 0, None),
+    "flops_config": (["flops", "--config", "{dir}/cfg.txt", "--r", "32"], 0,
+                     "l=4096\ns = 0.5\nd_h=64\n"),
+}
+
+SUBCOMMANDS = ("fourier-verify", "decompose-sweep", "reconstruct", "spectral",
+               "stable-rank-sweep", "gram-spectral", "gate-map", "train-align",
+               "grad-check", "flops")
+
+
+def run_cli(argv):
+    """Run `cli.main` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def run_case(name, work: Path):
+    """Run one case in the empty directory `work`: (exit code, outputs), where
+    outputs maps `stdout` and each written file's name to its text."""
+    argv, _, config = CASES[name]
+    if config is not None:
+        (work / CONFIG_NAME).write_text(config, encoding="utf-8")
+    rc, stdout, _ = run_cli([a.replace("{dir}", str(work)) for a in argv])
+    outputs = {"stdout": stdout}
+    for path in sorted(work.iterdir()):
+        if path.name != CONFIG_NAME:
+            outputs[path.name] = path.read_text(encoding="utf-8")
+    return rc, outputs
+
+
+def _real(cell):
+    """The value of a cell written as a real, else None (ints, bools, labels)."""
+    if cell.lstrip("-").isdigit():
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def assert_same_csv(got: str, want: str, what: str):
+    got_rows = [line.split(",") for line in got.splitlines()]
+    want_rows = [line.split(",") for line in want.splitlines()]
+    assert got_rows[:1] == want_rows[:1], f"{what}: header"
+    assert len(got_rows) == len(want_rows), f"{what}: row count"
+    for r, (g_row, w_row) in enumerate(zip(got_rows, want_rows)):
+        assert len(g_row) == len(w_row), f"{what} row {r}: cell count"
+        for g, w in zip(g_row, w_row):
+            want_real, got_real = _real(w), _real(g)
+            if want_real is None:
+                assert g == w, f"{what} row {r}: {g} != {w}"
+            else:
+                assert got_real is not None and math.isfinite(got_real), f"{what} row {r}: {g}"
+                assert abs(got_real - want_real) <= REAL_RTOL * abs(want_real), \
+                    f"{what} row {r}: {g} vs golden {w}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    first, second = tmp_path / "1", tmp_path / "2"
+    first.mkdir()
+    second.mkdir()
+    rc, outputs = run_case(name, first)
+    assert rc == CASES[name][1]
+    want = {p.name[len(name) + 1:]: p.read_text(encoding="utf-8")
+            for p in GOLDEN.glob(f"{name}.*")}
+    assert sorted(outputs) == sorted(want)
+    for key, text in outputs.items():
+        assert_same_csv(text, want[key], f"{name} {key}")
+    # a second run in the same process writes the same bytes
+    assert run_case(name, second) == (rc, outputs)
+
+
+def test_every_subcommand_has_a_golden():
+    assert {argv[0] for argv, _, _ in CASES.values()} == set(SUBCOMMANDS) == set(cli._COMMANDS)
+
+
+# Each of these is bad input: exit 2 with a config error.  {dir} holds the
+# config file of the last two.
+BAD_INPUT = [
+    ["train-align", "--lr", "nan"],
+    ["train-align", "--lr", "inf"],
+    ["decompose-sweep", "--c", "nan"],
+    ["decompose-sweep", "--grids", "3,3,3;2,2,2"],
+    ["stable-rank-sweep", "--grids", "3,3,3;2,2,2"],
+    ["reconstruct", "--grid", "17,17,17"],
+    ["decompose-sweep", "--grids", "4,4,4;17,17,17"],
+    ["stable-rank-sweep", "--energy", "1"],
+    ["reconstruct", "--favor-r", "1,0"],
+    ["reconstruct", "--tau", "0.01"],
+    ["gram-spectral", "--modes", "0"],
+    ["train-align", "--block", "2,2,2"],
+    ["gate-map", "--block", "2,2,2"],
+    ["grad-check", "--epsilon", "1"],
+    ["flops", "--s", "1.5"],
+    ["spectral", "--pairs", "10"],
+    ["fourier-verify", "--pairs", "0"],
+    ["fourier-verify", "--grid", "0,4,4"],
+    ["spectral", "--rope", "3,4,4"],
+    ["train-align", "--keep", "0"],
+    ["train-align", "--heads", "0"],
+    ["gate-map", "--samples", "0"],
+    ["grad-check", "--rank", "0"],
+    ["train-align", "--steps", "-1"],
+    ["reconstruct", "--base", "-1"],
+    ["decompose-sweep", "--seed", "x"],
+    ["stable-rank-sweep", "--grids", ""],
+    ["reconstruct", "--favor-r", ""],
+    ["gram-spectral", "--use-pe", "maybe"],
+    ["flops", "--config", "{dir}/cfg.txt"],
+    ["flops", "--config", "{dir}/missing.txt"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=[" ".join(a) for a in BAD_INPUT])
+def test_bad_input_exits_2(argv, tmp_path):
+    (tmp_path / CONFIG_NAME).write_text("l=64\nwidth=3\n", encoding="utf-8")
+    rc, stdout, stderr = run_cli([a.replace("{dir}", str(tmp_path)) for a in argv])
+    assert rc == 2
+    assert stderr.startswith("config error: ")
+    assert stdout == ""
+
+
+def test_library_error_is_not_a_config_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("library fault")
+
+    monkeypatch.setattr(lowrank, "reconstruct", broken)
+    with pytest.raises(ValueError, match="library fault"):
+        cli.main(["reconstruct", "--grid", "2,2,2"])
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_module_help_lists_every_subcommand():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "ropeslr.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    for name in SUBCOMMANDS:
+        assert name in done.stdout
