@@ -41,7 +41,6 @@ from .flops import (
 )
 from .linalg import (
     SvdResult,
-    matmul,
     numerical_rank,
     percentile,
     stable_rank,
@@ -65,21 +64,15 @@ from .mechanism import (
     MechanismParams,
     SparseSettings,
     TrainResult,
-    align_loss,
     block_sparse_attention,
     build_pe3d,
     forward,
     full_attention_reference,
-    gate,
     grad_check,
     init_params,
-    inject_pe,
-    linear_attention_baseline,
     load_params,
-    lowrank_compensator,
     make_alignment_task,
     random_backbone,
-    rms_norm,
     save_params,
     train_stage1,
 )

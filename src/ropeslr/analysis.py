@@ -11,6 +11,7 @@ import numpy as np
 from .decomposition import (
     DESK_CAP,
     AttentionMatrix,
+    RowEnergySplit,
     row_energy_split,
     synthetic_attention,
 )
@@ -84,13 +85,15 @@ def spectral_decay_report(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
     return SpectralReport(magnitude=magnitude, tail=tail)
 
 
+def _split_stable_rank(split: RowEnergySplit) -> float:
+    """Stable rank of a split's residual; an all-zero residual reports 0 by
+    convention."""
+    return stable_rank(split.residual) if np.any(split.residual) else 0.0
+
+
 def residual_stable_rank(attn: AttentionMatrix, energy: float) -> float:
-    """Stable rank of the low-energy residual after the per-row energy split;
-    an all-zero residual reports 0 by convention."""
-    split = row_energy_split(attn, energy)
-    if not np.any(split.residual):
-        return 0.0
-    return stable_rank(split.residual)
+    """Stable rank of the low-energy residual after the per-row energy split."""
+    return _split_stable_rank(row_energy_split(attn, energy))
 
 
 def residual_stable_rank_sweep(grids: Sequence[GridShape], cfg: RopeConfig,
@@ -108,11 +111,10 @@ def residual_stable_rank_sweep(grids: Sequence[GridShape], cfg: RopeConfig,
     for i, grid in enumerate(grids):
         attn = synthetic_attention(grid, cfg, seed + i)
         split = row_energy_split(attn, energy)
-        rsr = 0.0 if not np.any(split.residual) else stable_rank(split.residual)
         rows.append({
             "L": grid.size,
             "retained_fraction": split.retained_count / grid.size ** 2,
-            "residual_stable_rank": rsr,
+            "residual_stable_rank": _split_stable_rank(split),
         })
     return rows
 

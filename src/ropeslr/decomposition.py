@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,16 +40,22 @@ class AttentionMatrix:
         return self.a.shape[0]
 
 
-def softmax_attention(s) -> AttentionMatrix:
-    """Row softmax with per-row max subtraction for overflow safety."""
-    s = as_matrix(s)
-    if s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square logit matrix, got {s.shape}")
+def row_softmax(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Softmax of each row of a 2-D float array and the rows' log partition
+    values, with per-row max subtraction for overflow safety.  The one row
+    softmax of the package; it does no validation."""
     row_max = s.max(axis=1, keepdims=True)
     e = np.exp(s - row_max)
     denom = e.sum(axis=1, keepdims=True)
-    a = e / denom
-    log_z = row_max[:, 0] + np.log(denom[:, 0])
+    return e / denom, row_max[:, 0] + np.log(denom[:, 0])
+
+
+def softmax_attention(s) -> AttentionMatrix:
+    """`row_softmax` of a square, finite logit matrix."""
+    s = as_matrix(s)
+    if s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected a square logit matrix, got {s.shape}")
+    a, log_z = row_softmax(s)
     return AttentionMatrix(a=a, log_z=log_z)
 
 

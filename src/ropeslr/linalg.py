@@ -21,14 +21,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
-    return a @ b
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD a = u @ diag(sigma) @ v.T with sigma sorted descending."""

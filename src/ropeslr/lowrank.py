@@ -23,7 +23,7 @@ from .decomposition import (
     energy_split,
     softmax_attention,
 )
-from .linalg import as_matrix, numerical_rank
+from .linalg import RANK_REL_TOL, as_matrix, numerical_rank
 from .rope3d import (
     GridShape,
     RopeConfig,
@@ -119,7 +119,7 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
     uc, sv, vct = np.linalg.svd(core)
     if sv[0] == 0.0:
         return np.zeros((ell, 1)), np.zeros((ell, 1))
-    keep = sv > 1e-9 * sv[0]
+    keep = sv > RANK_REL_TOL * sv[0]
     root = np.sqrt(sv[keep])
     q_fac = (qf @ uc[:, keep]) * root[None, :]
     k_fac = (qg @ vct.T[:, keep]) * root[None, :]

@@ -7,17 +7,22 @@ smooth global background from the token features after a gated sinusoidal
 fused through a token-wise scalar sigmoid gate.  The trainer runs plain
 gradient descent on the new parameters only, with hand-derived gradients that
 a central finite-difference check validates coordinate by coordinate.
+
+Each branch has one implementation, inside `_fused_forward` and
+`_fused_backward`; `forward` returns its per-branch values (the injected
+input, compensator outputs, normalized branches and the gate) as the fields
+of a `ForwardTrace`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decomposition import count_for_mass
+from .decomposition import count_for_mass, row_softmax
 from .linalg import as_matrix
 from .rope3d import AXES, GridShape, RopeConfig, logit_matrix, rotate_rows
 
@@ -31,7 +36,7 @@ def sigmoid(x):
 
 
 def elu_plus_one(x):
-    """Positive C1 feature map x -> elu(x) + 1 used by the linear baseline."""
+    """Positive C1 feature map x -> elu(x) + 1 of the linear compensator."""
     x = np.asarray(x, dtype=np.float64)
     return np.where(x > 0.0, x + 1.0, np.exp(np.minimum(x, 0.0)))
 
@@ -85,10 +90,7 @@ def full_attention_reference(x, grid: GridShape, cfg: RopeConfig,
     out = np.empty((grid.size, backbone.d_model))
     d_h = backbone.d_h
     for h in range(backbone.n_heads):
-        s = logit_matrix(x @ backbone.w_q[h], x @ backbone.w_k[h], grid, cfg)
-        row_max = s.max(axis=1, keepdims=True)
-        e = np.exp(s - row_max)
-        a = e / e.sum(axis=1, keepdims=True)
+        a, _ = row_softmax(logit_matrix(x @ backbone.w_q[h], x @ backbone.w_k[h], grid, cfg))
         out[:, h * d_h:(h + 1) * d_h] = a @ (x @ backbone.w_v[h])
     return out
 
@@ -106,9 +108,13 @@ class MechanismParams:
     w_b: np.ndarray  # (H, r, d_h)
     alpha: np.ndarray  # (d_model,)
     w_g: np.ndarray  # (d_model,)
-    b_g: float
+    b_g: np.ndarray  # () fusion gate bias
     rms_sparse: np.ndarray  # (d_h,)
     rms_lowrank: np.ndarray  # (d_h,)
+
+    def __post_init__(self):
+        # a Python float would not see the in-place updates made through `_leaves`
+        self.b_g = np.asarray(self.b_g, dtype=np.float64)
 
     @property
     def n_heads(self) -> int:
@@ -125,12 +131,6 @@ class MechanismParams:
     @property
     def d_model(self) -> int:
         return self.alpha.shape[0]
-
-    def copy(self) -> "MechanismParams":
-        return MechanismParams(
-            w_a=self.w_a.copy(), w_b=self.w_b.copy(), alpha=self.alpha.copy(),
-            w_g=self.w_g.copy(), b_g=float(self.b_g),
-            rms_sparse=self.rms_sparse.copy(), rms_lowrank=self.rms_lowrank.copy())
 
 
 def init_params(n_heads: int, d_h: int, rank: int, seed: int) -> MechanismParams:
@@ -152,32 +152,29 @@ def init_params(n_heads: int, d_h: int, rank: int, seed: int) -> MechanismParams
     )
 
 
+def _leaves(params: MechanismParams) -> List[np.ndarray]:
+    """Every parameter array in field order, the gate bias as a 0-d array, so
+    that an in-place update of a leaf updates the parameter."""
+    return [getattr(params, f.name) for f in fields(params)]
+
+
 def zero_grads(params: MechanismParams) -> MechanismParams:
-    return MechanismParams(
-        w_a=np.zeros_like(params.w_a), w_b=np.zeros_like(params.w_b),
-        alpha=np.zeros_like(params.alpha), w_g=np.zeros_like(params.w_g),
-        b_g=0.0, rms_sparse=np.zeros_like(params.rms_sparse),
-        rms_lowrank=np.zeros_like(params.rms_lowrank))
+    return MechanismParams(*[np.zeros_like(a) for a in _leaves(params)])
 
 
 def save_params(path, params: MechanismParams) -> None:
     """Checkpoint as a key -> array map with shape headers; float64 round
     trips exactly."""
-    np.savez(path, w_a=params.w_a, w_b=params.w_b, alpha=params.alpha,
-             w_g=params.w_g, b_g=np.float64(params.b_g),
-             rms_sparse=params.rms_sparse, rms_lowrank=params.rms_lowrank)
+    np.savez(path, **{f.name: getattr(params, f.name) for f in fields(params)})
 
 
 def load_params(path) -> MechanismParams:
     with np.load(path) as data:
-        return MechanismParams(
-            w_a=data["w_a"], w_b=data["w_b"], alpha=data["alpha"],
-            w_g=data["w_g"], b_g=float(data["b_g"]),
-            rms_sparse=data["rms_sparse"], rms_lowrank=data["rms_lowrank"])
+        return MechanismParams(**{f.name: data[f.name] for f in fields(MechanismParams)})
 
 
 # ---------------------------------------------------------------------------
-# 3D position table and injection
+# 3D position table
 
 
 def build_pe3d(grid: GridShape, d_model: int, cfg: RopeConfig) -> np.ndarray:
@@ -209,50 +206,8 @@ def build_pe3d(grid: GridShape, d_model: int, cfg: RopeConfig) -> np.ndarray:
     return table
 
 
-def inject_pe(x, pe, alpha) -> np.ndarray:
-    x = as_matrix(x)
-    pe = as_matrix(pe)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if pe.shape != x.shape or alpha.shape != (x.shape[1],):
-        raise ValueError("input, table and gate widths do not agree")
-    return x + alpha[None, :] * pe
-
-
 # ---------------------------------------------------------------------------
 # Branches
-
-
-def lowrank_compensator(x_hat, params: MechanismParams, head: int) -> np.ndarray:
-    """Two sigmoid layers on the head's d_h-wide slice of the input; every
-    output lies in (0, 1)."""
-    x_hat = as_matrix(x_hat)
-    d_h = params.d_h
-    if x_hat.shape[1] != params.d_model:
-        raise ValueError(f"expected {params.d_model} input columns, got {x_hat.shape[1]}")
-    if not (0 <= head < params.n_heads):
-        raise ValueError(f"head {head} out of range")
-    xh = x_hat[:, head * d_h:(head + 1) * d_h]
-    return sigmoid(sigmoid(xh @ params.w_a[head]) @ params.w_b[head])
-
-
-def rms_norm(o, scale, eps: float = RMS_EPS) -> np.ndarray:
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
-    o = as_matrix(o)
-    scale = np.asarray(scale, dtype=np.float64)
-    if scale.shape != (o.shape[1],):
-        raise ValueError(f"expected {o.shape[1]} scale channels, got shape {scale.shape}")
-    inv = 1.0 / np.sqrt(np.mean(o * o, axis=1, keepdims=True) + eps)
-    return o * inv * scale[None, :]
-
-
-def gate(x_hat, w_g, b_g: float) -> np.ndarray:
-    """Token-wise scalar sigmoid gate, strictly inside (0, 1)."""
-    x_hat = as_matrix(x_hat)
-    w_g = np.asarray(w_g, dtype=np.float64)
-    if w_g.shape != (x_hat.shape[1],):
-        raise ValueError(f"gate weights must have length {x_hat.shape[1]}")
-    return sigmoid(x_hat @ w_g + b_g)
 
 
 @dataclass(frozen=True)
@@ -306,9 +261,7 @@ def block_sparse_attention(x, grid: GridShape, cfg: RopeConfig, backbone: Backbo
     members = [np.flatnonzero(ids == b) for b in range(n_blocks)]
     pooled_q = np.stack([rq[m].mean(axis=0) for m in members])
     pooled_k = np.stack([rk[m].mean(axis=0) for m in members])
-    scores = (pooled_q @ pooled_k.T) / math.sqrt(cfg.d_h)
-    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs, _ = row_softmax((pooled_q @ pooled_k.T) / math.sqrt(cfg.d_h))
 
     out = np.empty((grid.size, backbone.d_h))
     selected = np.zeros((n_blocks, n_blocks), dtype=bool)
@@ -320,39 +273,25 @@ def block_sparse_attention(x, grid: GridShape, cfg: RopeConfig, backbone: Backbo
         selected[qb, chosen] = True
         keys = np.concatenate([members[b] for b in sorted(chosen)])
         qtok = members[qb]
-        s = (rq[qtok] @ rk[keys].T) / math.sqrt(cfg.d_h)
-        e = np.exp(s - s.max(axis=1, keepdims=True))
-        out[qtok] = (e / e.sum(axis=1, keepdims=True)) @ v[keys]
+        a, _ = row_softmax((rq[qtok] @ rk[keys].T) / math.sqrt(cfg.d_h))
+        out[qtok] = a @ v[keys]
         attended += qtok.size * keys.size
     return BlockSparseResult(output=out, selected=selected,
                              sparsity=1.0 - attended / grid.size ** 2)
 
 
-def linear_attention_baseline(x, backbone: Backbone,
-                              feature_map: Callable = elu_plus_one) -> np.ndarray:
-    """Kernelized linear attention over all heads, O(L) in token count; the
-    positive feature map cannot carry rotary structure, which is exactly the
-    gap the compensator closes."""
-    x = as_matrix(x)
-    if x.shape[1] != backbone.d_model:
-        raise ValueError(f"expected {backbone.d_model} input columns, got {x.shape[1]}")
-    out = np.empty((x.shape[0], backbone.d_model))
-    d_h = backbone.d_h
-    for h in range(backbone.n_heads):
-        o, _ = _linear_head_forward(x, backbone, h, feature_map)
-        out[:, h * d_h:(h + 1) * d_h] = o
-    return out
-
-
 _LINEAR_FLOOR = 1e-8
 
 
-def _linear_head_forward(x_hat, backbone, head, feature_map=elu_plus_one):
+def _linear_head_forward(x_hat, backbone, head):
+    """Kernelized linear attention of one head through the frozen backbone,
+    O(L) in token count; the positive feature map cannot carry rotary
+    structure, which is the gap the low-rank compensator closes."""
     q = x_hat @ backbone.w_q[head]
     k = x_hat @ backbone.w_k[head]
     v = x_hat @ backbone.w_v[head]
-    pq = feature_map(q)
-    pk = feature_map(k)
+    pq = elu_plus_one(q)
+    pk = elu_plus_one(k)
     smat = pk.T @ v
     svec = pk.sum(axis=0)
     raw = pq @ svec
@@ -389,7 +328,6 @@ class ForwardSettings:
     sparse: SparseSettings
     compensator: str = "lowrank"  # "lowrank" or "linear"
     use_pe: bool = True
-    rms_eps: float = RMS_EPS
 
     def __post_init__(self):
         if self.compensator not in ("lowrank", "linear"):
@@ -408,8 +346,10 @@ class ForwardTrace:
     sparsity: np.ndarray  # (H,) achieved per head
 
 
-def _rms_cache(o, scale, eps):
-    inv = 1.0 / np.sqrt(np.mean(o * o, axis=1, keepdims=True) + eps)
+def _rms_cache(o, scale):
+    """RMS norm of each row times the channel scales, and what its backward
+    pass needs."""
+    inv = 1.0 / np.sqrt(np.mean(o * o, axis=1, keepdims=True) + RMS_EPS)
     u = o * inv
     return u * scale[None, :], (o, inv, u)
 
@@ -423,7 +363,7 @@ def _rms_backward(d_y, cache, scale):
     return d_o, d_scale
 
 
-def _fused_forward(x, sparse_out, pe, grid, cfg, backbone, params, settings):
+def _fused_forward(x, sparse_out, pe, backbone, params, settings):
     """Forward pass against precomputed per-head sparse outputs; returns the
     fused output plus every intermediate the backward pass needs."""
     if settings.use_pe:
@@ -437,7 +377,7 @@ def _fused_forward(x, sparse_out, pe, grid, cfg, backbone, params, settings):
     out = np.empty((ell, backbone.d_model))
     heads = []
     for h in range(backbone.n_heads):
-        y_sp, c_sp = _rms_cache(sparse_out[h], params.rms_sparse, settings.rms_eps)
+        y_sp, c_sp = _rms_cache(sparse_out[h], params.rms_sparse)
         if settings.compensator == "lowrank":
             xh = x_hat[:, h * d_h:(h + 1) * d_h]
             z1 = xh @ params.w_a[h]
@@ -447,9 +387,9 @@ def _fused_forward(x, sparse_out, pe, grid, cfg, backbone, params, settings):
             branch_cache = (xh, h1, o_lr)
         else:
             o_lr, branch_cache = _linear_head_forward(x_hat, backbone, h)
-        y_lr, c_lr = _rms_cache(o_lr, params.rms_lowrank, settings.rms_eps)
+        y_lr, c_lr = _rms_cache(o_lr, params.rms_lowrank)
         out[:, h * d_h:(h + 1) * d_h] = y_sp + g[:, None] * y_lr
-        heads.append((c_sp, branch_cache, c_lr, y_lr, o_lr))
+        heads.append((c_sp, branch_cache, c_lr, y_sp, y_lr, o_lr))
     return out, (x_hat, g, heads)
 
 
@@ -462,7 +402,7 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
     d_g = np.zeros(x_hat.shape[0])
     d_xhat = np.zeros_like(x_hat)
     for h in range(backbone.n_heads):
-        c_sp, branch_cache, c_lr, y_lr, o_lr = heads[h]
+        c_sp, branch_cache, c_lr, _, y_lr, _ = heads[h]
         gh = g_out[:, h * d_h:(h + 1) * d_h]
         _, d_rms_sp = _rms_backward(gh, c_sp, params.rms_sparse)
         grads.rms_sparse += d_rms_sp
@@ -482,10 +422,19 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
             d_xhat += _linear_head_backward(d_o_lr, branch_cache, backbone, h)
     d_zg = d_g * g * (1.0 - g)
     grads.w_g += x_hat.T @ d_zg
-    grads.b_g += float(d_zg.sum())
+    grads.b_g += d_zg.sum()
     d_xhat += np.outer(d_zg, params.w_g)
     if settings.use_pe:
         grads.alpha += np.sum(d_xhat * pe, axis=0)
+
+
+def _branch_inputs(xs, grid, cfg, backbone, settings):
+    """The position table (None without PE) and, per input, the block-sparse
+    result of every head.  The sparse branch reads the raw input through the
+    frozen backbone, so it is constant during training."""
+    pe = build_pe3d(grid, backbone.d_model, cfg) if settings.use_pe else None
+    return pe, [[block_sparse_attention(x, grid, cfg, backbone, h, settings.sparse)
+                 for h in range(backbone.n_heads)] for x in xs]
 
 
 def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
@@ -494,18 +443,15 @@ def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
     x = as_matrix(x)
     if x.shape != (grid.size, backbone.d_model):
         raise ValueError(f"expected input shape {(grid.size, backbone.d_model)}, got {x.shape}")
-    pe = build_pe3d(grid, backbone.d_model, cfg) if settings.use_pe else None
-    sparse_results = [block_sparse_attention(x, grid, cfg, backbone, h, settings.sparse)
-                      for h in range(backbone.n_heads)]
+    pe, (sparse_results,) = _branch_inputs([x], grid, cfg, backbone, settings)
     sparse_out = [r.output for r in sparse_results]
-    out, (x_hat, g, heads) = _fused_forward(
-        x, sparse_out, pe, grid, cfg, backbone, params, settings)
+    out, (x_hat, g, heads) = _fused_forward(x, sparse_out, pe, backbone, params, settings)
     return ForwardTrace(
         x_hat=x_hat,
         o_sparse=np.stack(sparse_out),
-        o_lowrank=np.stack([head[4] for head in heads]),
-        norm_sparse=np.stack([head[0][2] * params.rms_sparse[None, :] for head in heads]),
-        norm_lowrank=np.stack([head[3] for head in heads]),
+        o_lowrank=np.stack([head[5] for head in heads]),
+        norm_sparse=np.stack([head[3] for head in heads]),
+        norm_lowrank=np.stack([head[4] for head in heads]),
         g=g,
         output=out,
         sparsity=np.array([r.sparsity for r in sparse_results]),
@@ -513,17 +459,7 @@ def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
 
 
 # ---------------------------------------------------------------------------
-# Alignment loss, trainer, and the finite-difference gradient check
-
-
-def align_loss(o, o_full) -> float:
-    """Mean squared error normalized by the full element count."""
-    o = as_matrix(o)
-    o_full = as_matrix(o_full)
-    if o.shape != o_full.shape:
-        raise ValueError(f"output shapes differ: {o.shape} vs {o_full.shape}")
-    d = o - o_full
-    return float(np.mean(d * d))
+# Trainer and the finite-difference gradient check
 
 
 @dataclass(frozen=True)
@@ -534,29 +470,22 @@ class _PreparedSample:
 
 
 def _prepare(dataset, grid, cfg, backbone, settings) -> Tuple[List[_PreparedSample], Optional[np.ndarray]]:
-    """Cache the sparse branch per sample: it reads the raw input through the
-    frozen backbone, so it is constant during training."""
-    pe = build_pe3d(grid, backbone.d_model, cfg) if settings.use_pe else None
-    samples = []
-    for x, target in dataset:
-        x = as_matrix(x)
-        target = as_matrix(target)
+    """Check the samples and cache the sparse branch of each."""
+    pairs = [(as_matrix(x), as_matrix(target)) for x, target in dataset]
+    for x, target in pairs:
         if x.shape != (grid.size, backbone.d_model) or target.shape != x.shape:
             raise ValueError("dataset sample shapes must be (L, d_model)")
-        sparse_out = [block_sparse_attention(x, grid, cfg, backbone, h, settings.sparse).output
-                      for h in range(backbone.n_heads)]
-        samples.append(_PreparedSample(x=x, target=target, sparse_out=sparse_out))
-    return samples, pe
+    pe, sparse = _branch_inputs([x for x, _ in pairs], grid, cfg, backbone, settings)
+    return [_PreparedSample(x=x, target=target, sparse_out=[r.output for r in results])
+            for (x, target), results in zip(pairs, sparse)], pe
 
 
-def _loss_and_grads(samples, pe, grid, cfg, backbone, params, settings,
-                    want_grads: bool = True):
+def _loss_and_grads(samples, pe, backbone, params, settings, want_grads: bool = True):
     total = 0.0
     grads = zero_grads(params) if want_grads else None
     n = len(samples)
     for s in samples:
-        out, cache = _fused_forward(s.x, s.sparse_out, pe, grid, cfg, backbone,
-                                    params, settings)
+        out, cache = _fused_forward(s.x, s.sparse_out, pe, backbone, params, settings)
         diff = out - s.target
         total += float(np.mean(diff * diff)) / n
         if want_grads:
@@ -597,28 +526,16 @@ def train_stage1(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridSha
     # the loop; the warnings themselves are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
-            loss, grads = _loss_and_grads(samples, pe, grid, cfg, backbone, params,
-                                          settings, want_grads=step < steps)
+            loss, grads = _loss_and_grads(samples, pe, backbone, params, settings,
+                                          want_grads=step < steps)
             losses.append(loss)
             if not np.isfinite(loss):
                 return TrainResult(losses=np.asarray(losses), diverged=True)
             if step == steps:
                 break
-            params.w_a -= lr * grads.w_a
-            params.w_b -= lr * grads.w_b
-            params.alpha -= lr * grads.alpha
-            params.w_g -= lr * grads.w_g
-            params.b_g -= lr * grads.b_g
-            params.rms_sparse -= lr * grads.rms_sparse
-            params.rms_lowrank -= lr * grads.rms_lowrank
+            for leaf, grad in zip(_leaves(params), _leaves(grads)):
+                leaf -= lr * grad
     return TrainResult(losses=np.asarray(losses), diverged=False)
-
-
-def _param_leaves(params: MechanismParams):
-    """Fixed traversal order shared by the analytic and numeric gradients."""
-    return (("w_a", params.w_a), ("w_b", params.w_b), ("alpha", params.alpha),
-            ("w_g", params.w_g), ("rms_sparse", params.rms_sparse),
-            ("rms_lowrank", params.rms_lowrank))
 
 
 def grad_check(params: MechanismParams, x, target, grid: GridShape, cfg: RopeConfig,
@@ -631,14 +548,12 @@ def grad_check(params: MechanismParams, x, target, grid: GridShape, cfg: RopeCon
     samples, pe = _prepare([(x, target)], grid, cfg, backbone, settings)
 
     def loss_only():
-        val, _ = _loss_and_grads(samples, pe, grid, cfg, backbone, params,
-                                 settings, want_grads=False)
+        val, _ = _loss_and_grads(samples, pe, backbone, params, settings, want_grads=False)
         return val
 
-    _, grads = _loss_and_grads(samples, pe, grid, cfg, backbone, params, settings)
+    _, grads = _loss_and_grads(samples, pe, backbone, params, settings)
     worst = 0.0
-    for name, arr in _param_leaves(params):
-        analytic = getattr(grads, name)
+    for arr, analytic in zip(_leaves(params), _leaves(grads)):
         flat = arr.reshape(-1)
         aflat = analytic.reshape(-1)
         for i in range(flat.size):
@@ -650,14 +565,6 @@ def grad_check(params: MechanismParams, x, target, grid: GridShape, cfg: RopeCon
             flat[i] = orig
             numeric = (up - down) / (2.0 * epsilon)
             worst = max(worst, abs(aflat[i] - numeric) / (abs(numeric) + 1e-8))
-    orig = params.b_g
-    params.b_g = orig + epsilon
-    up = loss_only()
-    params.b_g = orig - epsilon
-    down = loss_only()
-    params.b_g = orig
-    numeric = (up - down) / (2.0 * epsilon)
-    worst = max(worst, abs(grads.b_g - numeric) / (abs(numeric) + 1e-8))
     return worst
 
 
@@ -673,10 +580,15 @@ class AlignmentTask:
     dataset: List[Tuple[np.ndarray, np.ndarray]]
 
 
+# Content classes per sample, the noise on their embeddings, and the
+# query/key gain of the alignment task's backbone.
+N_CLASSES = 3
+CONTENT_NOISE = 0.05
+QK_GAIN = 1.5
+
+
 def make_alignment_task(grid: GridShape, cfg: RopeConfig, n_heads: int,
-                        n_samples: int, seed: int, n_classes: int = 3,
-                        content_noise: float = 0.05,
-                        qk_gain: float = 1.5) -> AlignmentTask:
+                        n_samples: int, seed: int) -> AlignmentTask:
     """Synthetic alignment data with exact full-attention targets.
 
     Tokens carry one of a few shared content embeddings plus small noise, so
@@ -685,16 +597,16 @@ def make_alignment_task(grid: GridShape, cfg: RopeConfig, n_heads: int,
     rotary position structure of the target attention. Values stay at unit
     scale so targets are magnitude-matched to the normalized branches.
     """
-    if n_samples < 1 or n_classes < 1:
-        raise ValueError("need at least one sample and one content class")
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     base = random_backbone(n_heads, cfg.d_h, seed)
-    backbone = Backbone(w_q=base.w_q * qk_gain, w_k=base.w_k * qk_gain, w_v=base.w_v)
+    backbone = Backbone(w_q=base.w_q * QK_GAIN, w_k=base.w_k * QK_GAIN, w_v=base.w_v)
     rng = np.random.default_rng(seed + 1)
     coords = grid.coords()
-    group = (coords[:, 0] + coords[:, 1] + coords[:, 2]) % n_classes
+    group = (coords[:, 0] + coords[:, 1] + coords[:, 2]) % N_CLASSES
     dataset = []
     for _ in range(n_samples):
-        emb = rng.standard_normal((n_classes, backbone.d_model))
-        x = emb[group] + content_noise * rng.standard_normal((grid.size, backbone.d_model))
+        emb = rng.standard_normal((N_CLASSES, backbone.d_model))
+        x = emb[group] + CONTENT_NOISE * rng.standard_normal((grid.size, backbone.d_model))
         dataset.append((x, full_attention_reference(x, grid, cfg, backbone)))
     return AlignmentTask(grid=grid, cfg=cfg, backbone=backbone, dataset=dataset)

@@ -8,6 +8,7 @@ from ropeslr.decomposition import (
     background_inf_norm,
     energy_split,
     row_energy_split,
+    row_softmax,
     softmax_attention,
     synthetic_attention,
     synthetic_qk,
@@ -65,6 +66,24 @@ def test_softmax_rejects_bad_input():
         softmax_attention(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         softmax_attention(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def test_row_softmax_rectangular_rows_and_log_partition():
+    s = np.random.default_rng(3).standard_normal((3, 7)) * 4.0
+    s[0, 2] = 800.0  # exp(800) overflows; the row and log_z stay finite
+    a, log_z = row_softmax(s)
+    np.testing.assert_allclose(a.sum(axis=1), np.ones(3), rtol=0, atol=1e-12)
+    expect = [np.logaddexp.reduce(row) for row in s]
+    np.testing.assert_allclose(log_z, expect, rtol=1e-13)
+    np.testing.assert_allclose(a, np.exp(s - log_z[:, None]), rtol=1e-12, atol=1e-300)
+
+
+def test_softmax_attention_is_row_softmax():
+    s = np.random.default_rng(4).standard_normal((6, 6)) * 5.0
+    attn = softmax_attention(s)
+    a, log_z = row_softmax(s)
+    np.testing.assert_array_equal(attn.a, a)
+    np.testing.assert_array_equal(attn.log_z, log_z)
 
 
 def test_energy_split_no_spikes_when_tau_above_max():

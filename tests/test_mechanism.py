@@ -1,0 +1,179 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ropeslr.analysis import gate_map, gram_spectral
+from ropeslr.mechanism import (
+    ForwardSettings,
+    SparseSettings,
+    block_sparse_attention,
+    forward,
+    full_attention_reference,
+    grad_check,
+    init_params,
+    load_params,
+    make_alignment_task,
+    random_backbone,
+    save_params,
+    train_stage1,
+)
+from ropeslr.rope3d import GridShape, RopeConfig
+
+VARIANTS = [(c, pe) for c in ("lowrank", "linear") for pe in (True, False)]
+VARIANT_IDS = [f"{c}-{'pe' if pe else 'nope'}" for c, pe in VARIANTS]
+
+
+def small_task(seed=0, samples=2):
+    grid = GridShape(2, 5, 5)
+    task = make_alignment_task(grid, RopeConfig(4, 2, 2, 10000.0), 2, samples, seed)
+    return task, SparseSettings(block=(1, 5, 5), keep=0.5)
+
+
+@pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
+def test_grad_check_agrees_with_finite_differences(compensator, use_pe):
+    grid, cfg = GridShape(2, 2, 2), RopeConfig(2, 2, 0, 10000.0)
+    settings = ForwardSettings(sparse=SparseSettings(block=(1, 2, 2), keep=0.5),
+                               compensator=compensator, use_pe=use_pe)
+    for seed in range(3):
+        task = make_alignment_task(grid, cfg, 2, 1, seed)
+        params = init_params(2, cfg.d_h, 2, seed + 1000)
+        x, target = task.dataset[0]
+        assert grad_check(params, x, target, grid, cfg, task.backbone, settings) < 1e-4
+
+
+def test_block_sparse_keep_all_is_full_attention():
+    grid, cfg = GridShape(2, 4, 4), RopeConfig(4, 2, 2, 10000.0)
+    backbone = random_backbone(3, cfg.d_h, seed=5)
+    x = np.random.default_rng(6).standard_normal((grid.size, backbone.d_model))
+    full = full_attention_reference(x, grid, cfg, backbone)
+    d_h = cfg.d_h
+    for h in range(backbone.n_heads):
+        res = block_sparse_attention(x, grid, cfg, backbone, h,
+                                     SparseSettings(block=(1, 2, 2), keep=1.0))
+        assert res.sparsity == 0.0
+        assert res.selected.all()
+        np.testing.assert_allclose(res.output, full[:, h * d_h:(h + 1) * d_h],
+                                   rtol=0, atol=1e-12)
+
+
+def test_block_sparse_partial_keep_is_sparse():
+    task, sparse = small_task()
+    x = task.dataset[0][0]
+    res = block_sparse_attention(x, task.grid, task.cfg, task.backbone, 0, sparse)
+    assert 0.0 < res.sparsity < 1.0
+    assert res.selected.any(axis=1).all()  # never fewer than one key block
+
+
+def test_save_load_round_trip_is_exact(tmp_path):
+    task, sparse = small_task()
+    params = init_params(2, task.cfg.d_h, 3, seed=1)
+    # a few steps move every parameter, the gate bias included, off its init
+    train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+                 ForwardSettings(sparse=sparse), lr=2.0, steps=3)
+    path = tmp_path / "params.npz"
+    save_params(path, params)
+    loaded = load_params(path)
+    for f in dataclasses.fields(params):
+        want = np.asarray(getattr(params, f.name))
+        got = np.asarray(getattr(loaded, f.name))
+        assert got.dtype == want.dtype == np.float64, f.name
+        assert got.shape == want.shape, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+    assert float(params.b_g) != -2.0
+
+
+def test_float_gate_bias_is_trained():
+    task, sparse = small_task()
+    params = init_params(2, task.cfg.d_h, 4, seed=0)
+    params = dataclasses.replace(params, b_g=-2.0)
+    train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+                 ForwardSettings(sparse=sparse), lr=2.0, steps=1)
+    assert float(params.b_g) != -2.0
+
+
+def test_train_stage1_lowers_loss():
+    task, sparse = small_task()
+    params = init_params(2, task.cfg.d_h, 4, seed=0)
+    result = train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+                          ForwardSettings(sparse=sparse), lr=2.0, steps=20)
+    assert not result.diverged
+    assert result.losses.shape == (21,)
+    assert np.all(np.isfinite(result.losses))
+    assert result.final_loss < result.initial_loss
+
+
+def test_train_stage1_flags_divergence():
+    task, sparse = small_task()
+    params = init_params(2, task.cfg.d_h, 4, seed=0)
+    result = train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+                          ForwardSettings(sparse=sparse), lr=1e8, steps=50)
+    assert result.diverged
+    assert not np.isfinite(result.final_loss)
+    assert np.all(np.isfinite(result.losses[:-1]))
+
+
+def test_train_stage1_rejects_bad_arguments():
+    task, sparse = small_task()
+    params = init_params(2, task.cfg.d_h, 4, seed=0)
+    settings = ForwardSettings(sparse=sparse)
+    for lr, steps in ((float("nan"), 1), (-1.0, 1), (1.0, -1)):
+        with pytest.raises(ValueError):
+            train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+                         settings, lr, steps)
+
+
+@pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
+def test_forward_trace_invariants(compensator, use_pe):
+    task, sparse = small_task()
+    params = init_params(2, task.cfg.d_h, 4, seed=3)
+    settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
+    train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params, settings,
+                 lr=2.0, steps=2)
+    x = task.dataset[0][0]
+    trace = forward(x, task.grid, task.cfg, task.backbone, params, settings)
+    ell, d_h, n_heads = task.grid.size, task.cfg.d_h, 2
+    assert trace.g.shape == (ell,)
+    assert np.all((trace.g > 0.0) & (trace.g < 1.0))
+    for name in ("o_sparse", "o_lowrank", "norm_sparse", "norm_lowrank"):
+        assert getattr(trace, name).shape == (n_heads, ell, d_h), name
+    if compensator == "lowrank":
+        assert np.all((trace.o_lowrank > 0.0) & (trace.o_lowrank < 1.0))
+    if use_pe:
+        assert not np.array_equal(trace.x_hat, x)
+    else:
+        np.testing.assert_array_equal(trace.x_hat, x)
+    for h in range(n_heads):
+        np.testing.assert_array_equal(
+            trace.output[:, h * d_h:(h + 1) * d_h],
+            trace.norm_sparse[h] + trace.g[:, None] * trace.norm_lowrank[h])
+    assert trace.sparsity.shape == (n_heads,)
+    # the same inputs give the same trace
+    again = forward(x, task.grid, task.cfg, task.backbone, params, settings)
+    np.testing.assert_array_equal(again.output, trace.output)
+
+
+def test_forward_rejects_wrong_input_shape():
+    task, sparse = small_task()
+    params = init_params(2, task.cfg.d_h, 4, seed=0)
+    with pytest.raises(ValueError):
+        forward(np.zeros((3, 3)), task.grid, task.cfg, task.backbone, params,
+                ForwardSettings(sparse=sparse))
+
+
+def test_gram_spectral_and_gate_map_shapes():
+    task, sparse = small_task()
+    params = init_params(2, task.cfg.d_h, 4, seed=0)
+    trace = forward(task.dataset[0][0], task.grid, task.cfg, task.backbone, params,
+                    ForwardSettings(sparse=sparse))
+    grid = task.grid
+    spectrum = gram_spectral(trace.o_lowrank[0], grid, n_modes=3)
+    assert spectrum.sigma.shape == (task.cfg.d_h,)
+    assert spectrum.modes.shape == (3, grid.t, grid.h, grid.w)
+    assert spectrum.ratio[0] == 1.0
+    np.testing.assert_allclose(spectrum.energy_fraction.sum(), 1.0, rtol=1e-12)
+    gmap = gate_map(trace.g, grid)
+    assert gmap.values.shape == (grid.t, grid.h, grid.w)
+    assert gmap.frame_means.shape == (grid.t,)
+    assert (gmap.minimum, gmap.maximum) == (trace.g.min(), trace.g.max())
+    assert gmap.mean == float(trace.g.mean())
