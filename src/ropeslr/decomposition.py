@@ -45,9 +45,11 @@ def row_softmax(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     values, with per-row max subtraction for overflow safety.  The one row
     softmax of the package; it does no validation."""
     row_max = s.max(axis=1, keepdims=True)
-    e = np.exp(s - row_max)
+    e = np.subtract(s, row_max)
+    e = np.exp(e, out=e)
     denom = e.sum(axis=1, keepdims=True)
-    return e / denom, row_max[:, 0] + np.log(denom[:, 0])
+    e /= denom
+    return e, row_max[:, 0] + np.log(denom[:, 0])
 
 
 def softmax_attention(s) -> AttentionMatrix:
@@ -107,6 +109,11 @@ def background_inf_norm(dec: Decomposition) -> float:
 # target fraction, so fp dust cannot force an extra retained entry.
 _MASS_SLACK = 1e-12
 
+# Rows handled together by `row_energy_split`; its temporaries are
+# SPLIT_BLOCK_ROWS x L whatever the row count, small enough that they do not
+# raise the peak RSS of a sweep.
+SPLIT_BLOCK_ROWS = 64
+
 
 def count_for_mass(sorted_desc: np.ndarray, target: float) -> int:
     """Smallest count of leading entries whose cumulative sum reaches target."""
@@ -136,13 +143,23 @@ def row_energy_split(attn: AttentionMatrix, energy: float) -> RowEnergySplit:
     if not (0.0 < energy < 1.0):
         raise ValueError(f"energy fraction must lie in (0, 1), got {energy}")
     a = attn.a
-    keep = np.zeros_like(a, dtype=bool)
-    for p in range(a.shape[0]):
-        row = a[p]
-        # stable sort on the negated row: ties resolve to the lower column index
-        order = np.argsort(-row, kind="stable")
-        n_keep = count_for_mass(row[order], energy)
-        keep[p, order[:n_keep]] = True
+    keep = np.empty_like(a, dtype=bool)
+    for start in range(0, a.shape[0], SPLIT_BLOCK_ROWS):
+        block = a[start:start + SPLIT_BLOCK_ROWS]
+        # Each row's values in descending order.  Tied values are equal, so
+        # their order cannot change the cumulative sums that count_for_mass
+        # takes, and a plain value sort gives the same counts as an argsort.
+        desc = np.sort(-block, axis=1)
+        desc = np.negative(desc, out=desc)
+        reached = np.cumsum(desc, axis=1) >= energy - _MASS_SLACK
+        n_keep = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, a.shape[1])
+        cut = desc[np.arange(block.shape[0]), n_keep - 1][:, None]
+        # keep everything above the smallest kept value, then the entries
+        # tied with it from the lowest column up, as a stable sort would
+        tied = block == cut
+        room = n_keep - np.count_nonzero(block > cut, axis=1)
+        keep[start:start + SPLIT_BLOCK_ROWS] = (block > cut) | (
+            tied & (np.cumsum(tied, axis=1) <= room[:, None]))
     retained = np.where(keep, a, 0.0)
     residual = np.where(keep, 0.0, a)
     return RowEnergySplit(energy=float(energy), keep_mask=keep,

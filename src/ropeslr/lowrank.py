@@ -7,6 +7,12 @@ features, renormalize rows with the true partition values, and patch the spike
 set with an exact sparse residual.  The spike entries of the rebuilt matrix
 are pinned to the originals, so the error there is identically zero and all
 approximation error lives on the background.
+
+The features are row-max stabilised and the renormalisation is done in log
+space, so any finite logits work: no partition value exp(log_z) is formed.
+The low-rank matrix diag(1/z) phi(Q) phi(K)^T is a product of two L x R
+factors; when R < L its rank comes from QRs of those factors and an SVD of
+the R x R core, never from a dense L x L SVD.
 """
 
 from __future__ import annotations
@@ -67,12 +73,26 @@ def favor_features(x, fmap: FavorMap) -> np.ndarray:
     return np.exp(fmap.omegas @ x - 0.5 * float(x @ x)) / math.sqrt(fmap.feature_dim)
 
 
-def favor_features_rows(m, fmap: FavorMap) -> np.ndarray:
+def _log_features_rows(m, fmap: FavorMap) -> np.ndarray:
+    """log(phi(x) sqrt(R)) = omega_i . x - ||x||^2 / 2 for every row x of m."""
     m = as_matrix(m)
     if m.shape[1] != fmap.input_dim:
         raise ValueError(f"expected {fmap.input_dim} columns, got {m.shape[1]}")
     sq = 0.5 * np.sum(m * m, axis=1, keepdims=True)
-    return np.exp(m @ fmap.omegas.T - sq) / math.sqrt(fmap.feature_dim)
+    return m @ fmap.omegas.T - sq
+
+
+def favor_features_rows(m, fmap: FavorMap) -> np.ndarray:
+    return np.exp(_log_features_rows(m, fmap)) / math.sqrt(fmap.feature_dim)
+
+
+def _stabilised_features_rows(m, fmap: FavorMap) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-max stabilised features: (f, mx) with phi(x) = f exp(mx) / sqrt(R)
+    row by row; every f entry lies in [0, 1] and each row's largest is 1."""
+    log_phi = _log_features_rows(m, fmap)
+    mx = log_phi.max(axis=1)
+    log_phi -= mx[:, None]
+    return np.exp(log_phi, out=log_phi), mx
 
 
 def approx_kernel(q_fac, k_fac, fmap: FavorMap) -> np.ndarray:
@@ -82,8 +102,9 @@ def approx_kernel(q_fac, k_fac, fmap: FavorMap) -> np.ndarray:
 
 
 def normalize_rows(e_hat, z) -> np.ndarray:
-    """Scale row p by 1/z_p. A positive diagonal rescaling, so the singular
-    value count above the numerical-rank threshold is unchanged."""
+    """Scale row p by 1/z_p. A positive diagonal rescaling keeps the exact
+    rank, but not the numerical rank: the threshold is relative to sigma_1,
+    and rows scaled far below the others can drop under it."""
     e_hat = as_matrix(e_hat)
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (e_hat.shape[0],):
@@ -102,6 +123,20 @@ def residual_sparse(attn: AttentionMatrix, a_lowrank, spike_mask) -> np.ndarray:
     return np.where(spike_mask, attn.a - a_lowrank, 0.0)
 
 
+def _factored_core(left, right, keep_q: bool):
+    """Thin QRs left = Ql Rl and right = Qr Rr of two tall factors, so that
+    left @ right.T = Ql (Rl Rr^T) Qr^T and the small core Rl Rr^T has the
+    product's singular values.  Returns ((Ql, Qr), core); the Q factors are
+    formed only when keep_q, and are None otherwise."""
+    if keep_q:
+        ql, rl = np.linalg.qr(left)
+        qr_, rr = np.linalg.qr(right)
+        return (ql, qr_), rl @ rr.T
+    rl = np.linalg.qr(left, mode="r")
+    rr = np.linalg.qr(right, mode="r")
+    return (None, None), rl @ rr.T
+
+
 def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
                            cutoffs) -> Tuple[np.ndarray, np.ndarray]:
     """Thin SVD factors (U sqrt(S), V sqrt(S)) of the truncated logit matrix,
@@ -113,10 +148,8 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
         return np.zeros((ell, 1)), np.zeros((ell, 1))
     f = rotate_rows(q_mat, grid, cfg)[:, cols]
     g = rotate_rows(k_mat, grid, cfg)[:, cols]
-    qf, rf = np.linalg.qr(f)
-    qg, rg = np.linalg.qr(g)
-    core = (rf @ rg.T) / math.sqrt(cfg.d_h)
-    uc, sv, vct = np.linalg.svd(core)
+    (qf, qg), core = _factored_core(f, g, keep_q=True)
+    uc, sv, vct = np.linalg.svd(core / math.sqrt(cfg.d_h))
     if sv[0] == 0.0:
         return np.zeros((ell, 1)), np.zeros((ell, 1))
     keep = sv > RANK_REL_TOL * sv[0]
@@ -170,35 +203,56 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
     if grid.size > DESK_CAP:
         raise ValueError(f"grid has {grid.size} tokens, above the desk cap {DESK_CAP}")
 
-    s = logit_matrix(q_mat, k_mat, grid, cfg)
-    attn = softmax_attention(s)
+    attn = softmax_attention(logit_matrix(q_mat, k_mat, grid, cfg))
     dec = energy_split(attn, tau)
+    spike_mask, nnz = dec.spike_mask, dec.nnz
+    del dec  # its L x L sparse and background parts are not results
 
     delta = e_tol / (4.0 * tau)
     cutoffs = choose_truncation(q_mat, k_mat, cfg, delta)
     q_fac, k_fac = _truncated_svd_factors(q_mat, k_mat, grid, cfg, cutoffs)
 
+    # a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j): the
+    # stabilised features are at most 1 and the exponent is a log attention
+    # weight, so neither side overflows.
     fmap = favor_map(q_fac.shape[1], favor_dim, seed)
-    e_hat = approx_kernel(q_fac, k_fac, fmap)
-    a_lowrank = normalize_rows(e_hat, attn.z)
+    fq, mq = _stabilised_features_rows(q_fac, fmap)
+    fk, mk = _stabilised_features_rows(k_fac, fmap)
+    row_log = mq - attn.log_z - math.log(favor_dim)
+    a_lowrank = fq @ fk.T
+    scale = np.add.outer(row_log, mk)
+    a_lowrank *= np.exp(scale, out=scale)
+    del scale
 
-    resid = residual_sparse(attn, a_lowrank, dec.spike_mask)
-    a_final = np.where(dec.spike_mask, attn.a, a_lowrank)
+    if favor_dim < grid.size:
+        # a_lowrank = diag(e^row_log) fq fk^T diag(e^mk).  Each side is shifted
+        # by its largest exponent, a constant factor that the relative rank
+        # threshold ignores; the row scaling must come before the QR, since
+        # the threshold is not invariant under it.
+        rank = numerical_rank(_factored_core(fq * np.exp(row_log - row_log.max())[:, None],
+                                             fk * np.exp(mk - mk.max())[:, None],
+                                             keep_q=False)[1])
+    else:
+        rank = numerical_rank(a_lowrank)
+    del fq, fk
 
-    err = np.abs(a_final - attn.a)
-    on_spikes = err[dec.spike_mask]
-    on_bg = err[~dec.spike_mask]
+    resid = residual_sparse(attn, a_lowrank, spike_mask)
+    a_final = np.where(spike_mask, attn.a, a_lowrank)
+
+    spike_err = np.abs(a_final[spike_mask] - attn.a[spike_mask])
+    err = np.subtract(a_final, attn.a)
+    err = np.abs(err, out=err)
     return Reconstruction(
         tau=float(tau),
         e_tol=float(e_tol),
-        spike_mask=dec.spike_mask,
+        spike_mask=spike_mask,
         a_lowrank=a_lowrank,
         a_sparse_resid=resid,
         a_final=a_final,
-        rank_lowrank=numerical_rank(a_lowrank),
-        nnz_sparse=dec.nnz,
-        max_err_spike=float(on_spikes.max()) if on_spikes.size else 0.0,
-        max_err_bg=float(on_bg.max()) if on_bg.size else 0.0,
+        rank_lowrank=rank,
+        nnz_sparse=nnz,
+        max_err_spike=float(spike_err.max()) if spike_err.size else 0.0,
+        max_err_bg=float(np.max(err, where=~spike_mask, initial=0.0)),
         cutoffs=cutoffs,
         favor_dim=int(favor_dim),
     )

@@ -21,6 +21,11 @@ from .linalg import as_matrix
 
 AXES = ("t", "x", "y")
 
+# Query rows per block in `frequency_magnitudes`: its temporaries are
+# MAGNITUDE_CHUNK_ROWS x L instead of L x L (small enough to stay in cache),
+# and every product and the maximum are unchanged.
+MAGNITUDE_CHUNK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class RopeConfig:
@@ -258,11 +263,17 @@ def frequency_magnitudes(q_mat, k_mat, cfg: RopeConfig) -> Dict[str, np.ndarray]
         mags = np.zeros(cfg.n_freqs(axis))
         for m in range(1, cfg.n_freqs(axis) + 1):
             c0, c1 = _pair_columns(cfg, axis, m)
-            qe, qo = q_mat[:, c0], q_mat[:, c1]
             ke, ko = k_mat[:, c0], k_mat[:, c1]
-            a = qe[:, None] * ke[None, :] + qo[:, None] * ko[None, :]
-            b = qe[:, None] * ko[None, :] - qo[:, None] * ke[None, :]
-            mags[m - 1] = float(np.max(np.abs(a) + np.abs(b)))
+            for start in range(0, q_mat.shape[0], MAGNITUDE_CHUNK_ROWS):
+                rows = q_mat[start:start + MAGNITUDE_CHUNK_ROWS]
+                qe, qo = rows[:, c0, None], rows[:, c1, None]
+                a = qe * ke
+                a += qo * ko
+                b = qe * ko
+                b -= qo * ke
+                a = np.abs(a, out=a)
+                a += np.abs(b, out=b)
+                mags[m - 1] = max(mags[m - 1], float(a.max()))
         out[axis] = mags
     return out
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ropeslr import decomposition
 from ropeslr.decomposition import (
     AttentionMatrix,
     background_inf_norm,
+    count_for_mass,
     energy_split,
     row_energy_split,
     row_softmax,
@@ -232,3 +234,23 @@ def test_scaling_sweep_nnz_fraction_shrinks():
     assert dens[1] < dens[0]
     for r in rows:
         assert r["holds"] and r["nnz"] <= r["nnz_bound"]
+
+
+def test_row_energy_split_matches_the_per_row_reference():
+    # more rows than one block and a ragged last block; values on a coarse
+    # grid make ties common, and some rows hold less mass than the target
+    rows = 2 * decomposition.SPLIT_BLOCK_ROWS + 37
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 6, size=(rows, 24)).astype(np.float64)
+    a /= np.maximum(a.sum(axis=1, keepdims=True), 1.0)
+    a[::9] *= 0.5
+    a[5] = 0.0
+    attn = manual_attention(a)
+    for energy in (0.3, 0.9, 0.99):
+        expect = np.zeros_like(a, dtype=bool)
+        for p in range(rows):
+            order = np.argsort(-a[p], kind="stable")
+            expect[p, order[:count_for_mass(a[p][order], energy)]] = True
+        split = row_energy_split(attn, energy)
+        np.testing.assert_array_equal(split.keep_mask, expect)
+        assert np.any(expect.sum(axis=1) == a.shape[1])  # the unreached-target rows

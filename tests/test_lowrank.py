@@ -6,6 +6,7 @@ import pytest
 from ropeslr.decomposition import energy_split, softmax_attention, synthetic_qk
 from ropeslr.linalg import numerical_rank, singular_values
 from ropeslr.lowrank import (
+    _truncated_svd_factors,
     approx_kernel,
     favor_features,
     favor_features_rows,
@@ -185,6 +186,7 @@ def test_reconstruct_spike_support_and_rank_bound():
     np.testing.assert_array_equal(rec.a_final[rec.spike_mask], attn.a[rec.spike_mask])
     np.testing.assert_array_equal(rec.a_final[~rec.spike_mask],
                                   rec.a_lowrank[~rec.spike_mask])
+    assert rec.max_err_bg == float(np.abs(rec.a_final - attn.a)[~rec.spike_mask].max())
 
 
 def test_reconstruct_precondition_errors():
@@ -235,3 +237,52 @@ def test_favor_features_rows_matches_vector_path():
     rows = favor_features_rows(m, fmap)
     for i in range(5):
         np.testing.assert_allclose(rows[i], favor_features(m[i], fmap), rtol=1e-12)
+
+
+def test_reconstruct_finite_for_logits_past_exp_overflow():
+    # logit rows reach ~1800, so exp(log_z) overflows; the log-space
+    # normalisation never forms it
+    grid = GridShape(2, 2, 2)
+    q, k = synthetic_qk(grid, CFG, 0, row_norm=80)
+    assert np.max(logit_matrix(q, k, grid, CFG)) > 709.0
+    rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, 64, 0)
+    for field in (rec.a_lowrank, rec.a_sparse_resid, rec.a_final):
+        assert np.all(np.isfinite(field))
+    assert math.isfinite(rec.max_err_bg)
+    assert rec.max_err_spike == 0.0
+    assert rec.support_matches_spikes
+
+
+def test_log_space_lowrank_matches_the_direct_normalisation():
+    grid = GridShape(4, 4, 4)
+    q, k = synthetic_qk(grid, CFG, 5)
+    rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, 32, 5)
+    q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, rec.cutoffs)
+    attn = softmax_attention(logit_matrix(q, k, grid, CFG))
+    direct = normalize_rows(approx_kernel(q_fac, k_fac, favor_map(q_fac.shape[1], 32, 5)),
+                            attn.z)
+    np.testing.assert_allclose(rec.a_lowrank, direct, rtol=1e-12, atol=0)
+
+
+# (grid, favor_dim, row_norm, seeds).  R < L takes the factored rank; at row
+# norm 8 the rank falls below R, and leaving the 1/z row scaling out of the
+# factors changes it.  The last two rows have L <= R and the dense rank.
+RANK_CASES = [
+    ((8, 8, 8), 16, None, (0, 1, 2)),
+    ((8, 8, 8), 64, None, (0, 1, 2)),
+    ((8, 8, 8), 256, None, (0, 1, 2)),
+    ((8, 8, 8), 256, 8.0, (0, 1, 2)),
+    ((12, 12, 12), 1024, None, (0,)),
+    ((4, 4, 4), 64, None, (0, 1)),
+    ((4, 4, 4), 256, 8.0, (0, 1)),
+]
+
+
+@pytest.mark.parametrize("shape,favor_dim,row_norm,seeds", RANK_CASES)
+def test_reconstruct_rank_matches_the_dense_rank(shape, favor_dim, row_norm, seeds):
+    grid = GridShape(*shape)
+    for seed in seeds:
+        q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
+        rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, favor_dim, seed)
+        assert rec.rank_lowrank == numerical_rank(rec.a_lowrank), seed
+        assert rec.rank_lowrank <= min(favor_dim, grid.size)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ropeslr import rope3d
 from ropeslr.linalg import numerical_rank, singular_values
 from ropeslr.rope3d import (
     AXES,
@@ -393,3 +394,32 @@ def test_guaranteed_error_from_chosen_cutoffs():
         cutoffs = choose_truncation(q_mat, k_mat, CFG, delta)
         approx = truncated_logits(q_mat, k_mat, grid, CFG, cutoffs)
         assert np.max(np.abs(full - approx)) <= delta
+
+
+def test_chunked_frequency_magnitudes_match_the_direct_formula_bitwise(monkeypatch):
+    # 7^3 = 343 rows: the row chunk does not divide L, so the last chunk is ragged
+    grid = GridShape(7, 7, 7)
+    assert grid.size % rope3d.MAGNITUDE_CHUNK_ROWS != 0
+    q_mat, k_mat = random_qk(grid, CFG, 30)
+    mags = frequency_magnitudes(q_mat, k_mat, CFG)
+    for axis in AXES:
+        off = CFG.axis_offset(axis)
+        direct = []
+        for m in range(1, CFG.n_freqs(axis) + 1):
+            c0, c1 = off + 2 * (m - 1), off + 2 * m - 1
+            a = q_mat[:, c0][:, None] * k_mat[:, c0][None, :] \
+                + q_mat[:, c1][:, None] * k_mat[:, c1][None, :]
+            b = q_mat[:, c0][:, None] * k_mat[:, c1][None, :] \
+                - q_mat[:, c1][:, None] * k_mat[:, c0][None, :]
+            direct.append(float(np.max(np.abs(a) + np.abs(b))))
+        np.testing.assert_array_equal(mags[axis], direct)
+
+    cutoffs = [(0, 0, 0), (1, 0, 2), (2, 2, 2)]
+    deltas = [100.0, 30.0, 20.0, 15.0, 1.0]
+    chunked = ([truncation_tail_bound(q_mat, k_mat, CFG, c) for c in cutoffs],
+               [choose_truncation(q_mat, k_mat, CFG, d) for d in deltas])
+    monkeypatch.setattr(rope3d, "MAGNITUDE_CHUNK_ROWS", grid.size)
+    whole = ([truncation_tail_bound(q_mat, k_mat, CFG, c) for c in cutoffs],
+             [choose_truncation(q_mat, k_mat, CFG, d) for d in deltas])
+    assert chunked == whole
+    assert len(set(whole[1])) > 1  # the deltas select different cutoffs
