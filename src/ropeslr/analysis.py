@@ -74,26 +74,21 @@ def spectral_decay_report(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
                 mags[m - 1] = interaction_magnitude(q_mat, k_mat, grid, cfg, axis, m,
                                                     sample_pairs, seed + slot)
             slot += 1
-        # right-to-left recurrence keeps each tail an exact partial sum
-        tails = np.zeros(n)
-        acc = 0.0
-        for i in range(n - 1, -1, -1):
-            acc += mags[i]
-            tails[i] = acc
         magnitude[axis] = mags
-        tail[axis] = tails
+        tail[axis] = np.cumsum(mags[::-1])[::-1]
     return SpectralReport(magnitude=magnitude, tail=tail)
 
 
-def _split_stable_rank(split: RowEnergySplit) -> float:
-    """Stable rank of a split's residual; an all-zero residual reports 0 by
-    convention."""
-    return stable_rank(split.residual) if np.any(split.residual) else 0.0
+def _split_stable_rank(attn: AttentionMatrix, split: RowEnergySplit) -> float:
+    """Stable rank of a split's residual, the attention off its keep mask; an
+    all-zero residual reports 0 by convention."""
+    residual = np.where(split.keep_mask, 0.0, attn.a)
+    return stable_rank(residual) if np.any(residual) else 0.0
 
 
 def residual_stable_rank(attn: AttentionMatrix, energy: float) -> float:
     """Stable rank of the low-energy residual after the per-row energy split."""
-    return _split_stable_rank(row_energy_split(attn, energy))
+    return _split_stable_rank(attn, row_energy_split(attn, energy))
 
 
 def residual_stable_rank_sweep(grids: Sequence[GridShape], cfg: RopeConfig,
@@ -114,7 +109,7 @@ def residual_stable_rank_sweep(grids: Sequence[GridShape], cfg: RopeConfig,
         rows.append({
             "L": grid.size,
             "retained_fraction": split.retained_count / grid.size ** 2,
-            "residual_stable_rank": _split_stable_rank(split),
+            "residual_stable_rank": _split_stable_rank(attn, split),
         })
     return rows
 

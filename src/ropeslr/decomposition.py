@@ -3,6 +3,10 @@
 Entries strictly above the threshold tau form the spike set; everything else
 (ties included) is background.  Row-stochasticity then pins the per-row spike
 count at floor(1/tau) and the background sup-norm at tau, deterministically.
+
+A split is described by its boolean mask: the sparse part is the attention on
+the mask and the background the attention off it, so neither is stored as a
+dense copy.
 """
 
 from __future__ import annotations
@@ -63,14 +67,13 @@ def softmax_attention(s) -> AttentionMatrix:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Disjoint split a = a_sparse + a_bg at threshold tau.
+    """Split of an attention matrix at threshold tau: the spikes are the
+    entries on spike_mask, the background the entries off it.
 
     Ties at exactly tau go to the background (spikes use a strict '>')."""
 
     tau: float
     spike_mask: np.ndarray
-    a_sparse: np.ndarray
-    a_bg: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -80,10 +83,7 @@ class Decomposition:
 def energy_split(attn: AttentionMatrix, tau: float) -> Decomposition:
     if not (0.0 < tau < 1.0):
         raise ValueError(f"threshold tau must lie in (0, 1), got {tau}")
-    mask = attn.a > tau
-    a_sparse = np.where(mask, attn.a, 0.0)
-    a_bg = np.where(mask, 0.0, attn.a)
-    return Decomposition(tau=float(tau), spike_mask=mask, a_sparse=a_sparse, a_bg=a_bg)
+    return Decomposition(tau=float(tau), spike_mask=attn.a > tau)
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,10 @@ def verify_sparsity_bound(dec: Decomposition) -> SparsityReport:
     return SparsityReport(max_row_nnz=max_row, bound=bound, holds=max_row <= bound)
 
 
-def background_inf_norm(dec: Decomposition) -> float:
-    return float(np.abs(dec.a_bg).max())
+def background_inf_norm(attn: AttentionMatrix, dec: Decomposition) -> float:
+    """Largest background entry; attention is non-negative, so this is the
+    background's sup-norm, and 0 when every entry is a spike."""
+    return float(np.max(attn.a, where=~dec.spike_mask, initial=0.0))
 
 
 # Absolute slack used when comparing accumulated probability mass against a
@@ -115,24 +117,22 @@ _MASS_SLACK = 1e-12
 SPLIT_BLOCK_ROWS = 64
 
 
-def count_for_mass(sorted_desc: np.ndarray, target: float) -> int:
-    """Smallest count of leading entries whose cumulative sum reaches target."""
-    csum = np.cumsum(sorted_desc)
-    reached = csum >= target - _MASS_SLACK
-    if not np.any(reached):
-        return int(sorted_desc.size)
-    return int(np.argmax(reached)) + 1
+def count_for_mass(sorted_desc: np.ndarray, target: float) -> np.ndarray:
+    """Smallest count of leading entries along the last axis whose cumulative
+    sum reaches target; the full length where the target is never reached."""
+    reached = np.cumsum(sorted_desc, axis=-1) >= target - _MASS_SLACK
+    return np.where(reached.any(axis=-1), reached.argmax(axis=-1) + 1,
+                    sorted_desc.shape[-1])
 
 
 @dataclass(frozen=True)
 class RowEnergySplit:
     """Per-row cumulative-energy split: the fewest largest entries whose mass
-    reaches the energy fraction are retained, the rest is the residual."""
+    reaches the energy fraction are retained (keep_mask), the entries off the
+    mask are the residual."""
 
     energy: float
     keep_mask: np.ndarray
-    retained: np.ndarray
-    residual: np.ndarray
 
     @property
     def retained_count(self) -> int:
@@ -151,8 +151,7 @@ def row_energy_split(attn: AttentionMatrix, energy: float) -> RowEnergySplit:
         # takes, and a plain value sort gives the same counts as an argsort.
         desc = np.sort(-block, axis=1)
         desc = np.negative(desc, out=desc)
-        reached = np.cumsum(desc, axis=1) >= energy - _MASS_SLACK
-        n_keep = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, a.shape[1])
+        n_keep = count_for_mass(desc, energy)
         cut = desc[np.arange(block.shape[0]), n_keep - 1][:, None]
         # keep everything above the smallest kept value, then the entries
         # tied with it from the lowest column up, as a stable sort would
@@ -160,10 +159,7 @@ def row_energy_split(attn: AttentionMatrix, energy: float) -> RowEnergySplit:
         room = n_keep - np.count_nonzero(block > cut, axis=1)
         keep[start:start + SPLIT_BLOCK_ROWS] = (block > cut) | (
             tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    retained = np.where(keep, a, 0.0)
-    residual = np.where(keep, 0.0, a)
-    return RowEnergySplit(energy=float(energy), keep_mask=keep,
-                          retained=retained, residual=residual)
+    return RowEnergySplit(energy=float(energy), keep_mask=keep)
 
 
 def synthetic_qk(grid: GridShape, cfg: RopeConfig, seed: int,
@@ -208,7 +204,7 @@ def scaling_sweep_point(grid: GridShape, cfg: RopeConfig, c: float, seed: int) -
         "nnz": nnz,
         "nnz_bound": ell * report.bound,
         "nnz_over_l15": nnz / ell ** 1.5,
-        "bg_inf_norm": background_inf_norm(dec),
+        "bg_inf_norm": background_inf_norm(attn, dec),
         "sparsity": 1.0 - nnz / ell ** 2,
         "holds": report.holds,
     }

@@ -46,7 +46,6 @@ class FavorMap:
     and key featurizations (sharing is what makes the estimator unbiased)."""
 
     omegas: np.ndarray
-    seed: int
 
     @property
     def feature_dim(self) -> int:
@@ -61,7 +60,7 @@ def favor_map(input_dim: int, feature_dim: int, seed: int) -> FavorMap:
     if input_dim < 1 or feature_dim < 1:
         raise ValueError("feature map dimensions must be positive")
     rng = np.random.default_rng(seed)
-    return FavorMap(omegas=rng.standard_normal((feature_dim, input_dim)), seed=int(seed))
+    return FavorMap(omegas=rng.standard_normal((feature_dim, input_dim)))
 
 
 def favor_features(x, fmap: FavorMap) -> np.ndarray:
@@ -166,13 +165,14 @@ class Reconstruction:
     a_final equals the original attention bitwise on the spike set (the
     residual branch is an exact compensator there) and equals a_lowrank on
     the background; max_err_spike is therefore exactly 0 on every run.
+    support_matches_spikes records whether the compensator's nonzero entries
+    are exactly the spike set; the compensator itself is not kept.
     """
 
     tau: float
     e_tol: float
     spike_mask: np.ndarray
     a_lowrank: np.ndarray
-    a_sparse_resid: np.ndarray
     a_final: np.ndarray
     rank_lowrank: int
     nnz_sparse: int
@@ -180,10 +180,7 @@ class Reconstruction:
     max_err_bg: float
     cutoffs: Tuple[int, int, int]
     favor_dim: int
-
-    @property
-    def support_matches_spikes(self) -> bool:
-        return bool(np.array_equal(self.a_sparse_resid != 0.0, self.spike_mask))
+    support_matches_spikes: bool
 
 
 def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
@@ -205,8 +202,6 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
 
     attn = softmax_attention(logit_matrix(q_mat, k_mat, grid, cfg))
     dec = energy_split(attn, tau)
-    spike_mask, nnz = dec.spike_mask, dec.nnz
-    del dec  # its L x L sparse and background parts are not results
 
     delta = e_tol / (4.0 * tau)
     cutoffs = choose_truncation(q_mat, k_mat, cfg, delta)
@@ -236,23 +231,24 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
         rank = numerical_rank(a_lowrank)
     del fq, fk
 
-    resid = residual_sparse(attn, a_lowrank, spike_mask)
-    a_final = np.where(spike_mask, attn.a, a_lowrank)
+    support = bool(np.array_equal(residual_sparse(attn, a_lowrank, dec.spike_mask) != 0.0,
+                                  dec.spike_mask))
+    a_final = np.where(dec.spike_mask, attn.a, a_lowrank)
 
-    spike_err = np.abs(a_final[spike_mask] - attn.a[spike_mask])
+    spike_err = np.abs(a_final[dec.spike_mask] - attn.a[dec.spike_mask])
     err = np.subtract(a_final, attn.a)
     err = np.abs(err, out=err)
     return Reconstruction(
         tau=float(tau),
         e_tol=float(e_tol),
-        spike_mask=spike_mask,
+        spike_mask=dec.spike_mask,
         a_lowrank=a_lowrank,
-        a_sparse_resid=resid,
         a_final=a_final,
         rank_lowrank=rank,
-        nnz_sparse=nnz,
+        nnz_sparse=dec.nnz,
         max_err_spike=float(spike_err.max()) if spike_err.size else 0.0,
-        max_err_bg=float(np.max(err, where=~spike_mask, initial=0.0)),
+        max_err_bg=float(np.max(err, where=~dec.spike_mask, initial=0.0)),
         cutoffs=cutoffs,
         favor_dim=int(favor_dim),
+        support_matches_spikes=support,
     )

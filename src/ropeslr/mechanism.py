@@ -268,7 +268,7 @@ def block_sparse_attention(x, grid: GridShape, cfg: RopeConfig, backbone: Backbo
     attended = 0
     for qb in range(n_blocks):
         order = np.argsort(-probs[qb], kind="stable")
-        n_keep = count_for_mass(probs[qb][order], settings.keep)
+        n_keep = int(count_for_mass(probs[qb][order], settings.keep))
         chosen = order[:n_keep]
         selected[qb, chosen] = True
         keys = np.concatenate([members[b] for b in sorted(chosen)])

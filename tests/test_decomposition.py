@@ -93,8 +93,8 @@ def test_energy_split_no_spikes_when_tau_above_max():
     tau = float(attn.a.max()) + 0.01
     dec = energy_split(attn, min(tau, 0.99))
     assert dec.nnz == 0
-    np.testing.assert_array_equal(dec.a_bg, attn.a)
-    np.testing.assert_array_equal(dec.a_sparse, np.zeros_like(attn.a))
+    assert not dec.spike_mask.any()
+    assert background_inf_norm(attn, dec) == float(attn.a.max())
 
 
 def test_energy_split_one_hot_rows():
@@ -108,8 +108,8 @@ def test_energy_split_one_hot_rows():
 def test_energy_split_exact_recomposition():
     attn = synthetic_attention(GridShape(4, 4, 4), CFG, 3)
     dec = energy_split(attn, 0.05)
-    np.testing.assert_array_equal(dec.a_sparse + dec.a_bg, attn.a)
-    assert not np.any(dec.spike_mask & (dec.a_bg != 0))
+    np.testing.assert_array_equal(dec.spike_mask, attn.a > 0.05)
+    assert background_inf_norm(attn, dec) == float(attn.a[~dec.spike_mask].max())
 
 
 def test_energy_split_tie_goes_to_background():
@@ -146,20 +146,48 @@ def test_sparsity_and_background_bounds_random_sweep():
         tau = float(rng.uniform(0.05, 0.5))
         dec = energy_split(attn, tau)
         assert verify_sparsity_bound(dec).holds
-        assert background_inf_norm(dec) <= tau
+        assert background_inf_norm(attn, dec) <= tau
 
 
 def test_background_inf_norm_no_spikes_equals_global_max():
     attn = softmax_attention(np.random.default_rng(5).standard_normal((6, 6)))
     dec = energy_split(attn, 0.999)
-    assert background_inf_norm(dec) == float(attn.a.max())
+    assert background_inf_norm(attn, dec) == float(attn.a.max())
 
 
 def test_background_inf_norm_one_hot_spike_rows_contribute_zero():
     s = np.full((3, 3), -40.0)
     np.fill_diagonal(s, 40.0)
-    dec = energy_split(softmax_attention(s), 0.5)
-    assert background_inf_norm(dec) <= 1e-15
+    attn = softmax_attention(s)
+    dec = energy_split(attn, 0.5)
+    assert background_inf_norm(attn, dec) <= 1e-15
+
+
+def test_count_for_mass_one_dimensional():
+    desc = np.array([0.5, 0.25, 0.125, 0.125])
+    assert count_for_mass(desc, 0.5) == 1
+    assert count_for_mass(desc, 0.75) == 2
+    assert count_for_mass(desc, 0.76) == 3
+    assert count_for_mass(desc, 1.0) == 4
+
+
+def test_count_for_mass_unreached_target_counts_every_entry():
+    assert count_for_mass(np.array([0.25, 0.25]), 0.9) == 2
+
+
+def test_count_for_mass_tolerates_slack_below_the_target():
+    desc = np.array([0.5, 0.25, 0.25])
+    assert count_for_mass(desc, 0.75 + 0.5 * decomposition._MASS_SLACK) == 2
+    assert count_for_mass(desc, 0.75 + 1e-9) == 3
+
+
+def test_count_for_mass_counts_each_row():
+    rows = np.array([[0.5, 0.25, 0.25],
+                     [0.25, 0.25, 0.25],
+                     [1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(count_for_mass(rows, 0.6), [2, 3, 1])
+    for row, n in zip(rows, (2, 3, 1)):
+        assert count_for_mass(row, 0.6) == n
 
 
 def test_row_energy_split_one_hot():
@@ -180,20 +208,33 @@ def test_row_energy_split_recomposition_and_tie_break():
     split = row_energy_split(attn, 0.4)
     # equal tied entries resolve to the lower column index
     np.testing.assert_array_equal(split.keep_mask, [[True, False, False]])
-    np.testing.assert_array_equal(split.retained + split.residual, attn.a)
+    assert attn.a[split.keep_mask].sum() == 0.4
 
 
 def test_row_energy_split_random_recomposition():
     attn = synthetic_attention(GridShape(3, 3, 3), CFG, 6)
     split = row_energy_split(attn, 0.9)
-    np.testing.assert_array_equal(split.retained + split.residual, attn.a)
-    assert not np.any(split.keep_mask & (split.residual != 0))
+    # each row keeps the fewest largest entries whose mass reaches 0.9
+    retained = np.where(split.keep_mask, attn.a, 0.0)
+    smallest = np.min(attn.a, where=split.keep_mask, initial=1.0, axis=1)
+    assert np.all(retained.sum(axis=1) >= 0.9 - 1e-12)
+    assert np.all(retained.sum(axis=1) - smallest < 0.9)
+    assert np.all(np.max(attn.a, where=~split.keep_mask, initial=0.0, axis=1) <= smallest)
 
 
 def test_row_energy_split_rejects_bad_fraction():
     attn = manual_attention(np.eye(2))
     with pytest.raises(ValueError):
         row_energy_split(attn, 1.0)
+
+
+def test_split_results_hold_only_their_mask():
+    attn = synthetic_attention(GridShape(3, 3, 3), CFG, 8)
+    for result, mask in ((energy_split(attn, 0.05), "spike_mask"),
+                         (row_energy_split(attn, 0.9), "keep_mask")):
+        arrays = {k: v for k, v in vars(result).items() if isinstance(v, np.ndarray)}
+        assert list(arrays) == [mask]
+        assert arrays[mask].dtype == bool and arrays[mask].shape == attn.a.shape
 
 
 def test_synthetic_qk_row_norms():

@@ -189,6 +189,15 @@ def test_reconstruct_spike_support_and_rank_bound():
     assert rec.max_err_bg == float(np.abs(rec.a_final - attn.a)[~rec.spike_mask].max())
 
 
+def test_reconstruction_arrays_are_the_mask_and_the_two_rebuilds():
+    grid = GridShape(2, 2, 2)
+    q, k = synthetic_qk(grid, CFG, 6)
+    rec = reconstruct(q, k, grid, CFG, tau=0.05, e_tol=0.02, favor_dim=16, seed=6)
+    arrays = [k for k, v in vars(rec).items() if isinstance(v, np.ndarray)]
+    assert arrays == ["spike_mask", "a_lowrank", "a_final"]
+    assert type(rec.support_matches_spikes) is bool
+
+
 def test_reconstruct_precondition_errors():
     grid = GridShape(2, 2, 2)
     q, k = synthetic_qk(grid, CFG, 3)
@@ -246,7 +255,7 @@ def test_reconstruct_finite_for_logits_past_exp_overflow():
     q, k = synthetic_qk(grid, CFG, 0, row_norm=80)
     assert np.max(logit_matrix(q, k, grid, CFG)) > 709.0
     rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, 64, 0)
-    for field in (rec.a_lowrank, rec.a_sparse_resid, rec.a_final):
+    for field in (rec.a_lowrank, rec.a_final):
         assert np.all(np.isfinite(field))
     assert math.isfinite(rec.max_err_bg)
     assert rec.max_err_spike == 0.0
