@@ -89,8 +89,6 @@ from .rope3d import (
     logit_matrix,
     rotate,
     rotate_rows,
-    truncated_logits,
-    truncation_tail_bound,
 )
 
 __version__ = "0.1.0"

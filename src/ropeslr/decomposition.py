@@ -26,18 +26,12 @@ DESK_CAP = 4096
 
 @dataclass(frozen=True)
 class AttentionMatrix:
-    """Row-stochastic attention with its true row partition values.
-
-    z = exp(log_z) can overflow to +inf for logit rows beyond ~700; a stays
-    exact either way because it is computed with max-subtraction.
-    """
+    """Row-stochastic attention and its rows' log partition values log z.
+    z itself would overflow for logit rows beyond ~700, while a stays exact
+    because it is computed with max-subtraction."""
 
     a: np.ndarray
     log_z: np.ndarray
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.exp(self.log_z)
 
     @property
     def size(self) -> int:

@@ -11,8 +11,8 @@ approximation error lives on the background.
 The features are row-max stabilised and the renormalisation is done in log
 space, so any finite logits work: no partition value exp(log_z) is formed.
 The low-rank matrix diag(1/z) phi(Q) phi(K)^T is a product of two L x R
-factors; when R < L its rank comes from QRs of those factors and an SVD of
-the R x R core, never from a dense L x L SVD.
+factors; when R < L its rank is certified from their R x R Grams, with QRs
+and an SVD of the R x R core as the fallback, never a dense L x L SVD.
 """
 
 from __future__ import annotations
@@ -158,6 +158,76 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
     return q_fac, k_fac
 
 
+# How far a rank certificate must clear RANK_REL_TOL; see _lowrank_rank.
+RANK_CERT_MARGIN = 2.0
+
+
+def _rank_certificate(left, right) -> float:
+    """A lower bound on sigma_R / sigma_1 of left @ right.T for nonnegative
+    L x R factors, or 0.0.  It is 1 / (kappa(left) kappa(right)), each kappa
+    from the extreme eigenvalues of the R x R Gram.  For a nonnegative factor
+    |A|^T |A| = A^T A, so the Gram's rounding is at most about L eps
+    lambda_max in norm (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.5), and eigvalsh adds about R eps lambda_max;
+    the eigenvalues are widened by twice their sum."""
+    bound = 1.0
+    for f in (left, right):
+        lam = np.linalg.eigvalsh(f.T @ f)
+        slack = 2.0 * sum(f.shape) * np.finfo(np.float64).eps * lam[-1]
+        if lam[0] <= slack:
+            return 0.0
+        bound *= math.sqrt((lam[0] - slack) / (lam[-1] + slack))
+    return bound
+
+
+def _lowrank_rank(a_lowrank, left, right) -> int:
+    """Numerical rank of a_lowrank = c left @ right.T, c > 0.  When R < L, a
+    certificate of RANK_CERT_MARGIN * RANK_REL_TOL puts all R singular values
+    above the threshold.  The fallback, the SVD of the QR core, computes them
+    to a small multiple of sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L = 4096,
+    R = 1024), so the margin's 1e-9 sigma_1 of room means it counts R too."""
+    if left.shape[1] >= left.shape[0]:
+        return numerical_rank(a_lowrank)
+    if _rank_certificate(left, right) >= RANK_CERT_MARGIN * RANK_REL_TOL:
+        return left.shape[1]
+    return numerical_rank(_factored_core(left, right, keep_q=False)[1])
+
+
+def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int):
+    """(a_lowrank, left, right) with a_lowrank = c left @ right.T, c > 0.
+
+    a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j): the
+    stabilised features are at most 1 and the exponent is a log attention
+    weight, so neither side overflows.  left and right are fq and fk scaled
+    in place by their sides of it, each shifted by its largest; the row scaling
+    must be there, as the rank threshold is not invariant under it."""
+    fmap = favor_map(q_fac.shape[1], favor_dim, seed)
+    fq, mq = _stabilised_features_rows(q_fac, fmap)
+    fk, mk = _stabilised_features_rows(k_fac, fmap)
+    row_log = mq - log_z - math.log(favor_dim)
+    a_lowrank = fq @ fk.T
+    scale = np.add.outer(row_log, mk)
+    a_lowrank *= np.exp(scale, out=scale)
+    del scale
+    fq *= np.exp(row_log - row_log.max())[:, None]
+    fk *= np.exp(mk - mk.max())[:, None]
+    return a_lowrank, fq, fk
+
+
+def _error_fields(a, a_lowrank, spike_mask) -> dict:
+    """The Reconstruction fields a_final, support_matches_spikes and the two
+    errors.  The compensator a - a_lowrank is nonzero on a spike exactly when
+    the two differ there, so the support check reads the spikes alone."""
+    a_final = np.where(spike_mask, a, a_lowrank)
+    spike_err = np.abs(a_final[spike_mask] - a[spike_mask])
+    err = np.subtract(a_final, a)
+    err = np.abs(err, out=err)
+    return dict(a_final=a_final,
+                support_matches_spikes=bool(np.all(a[spike_mask] != a_lowrank[spike_mask])),
+                max_err_spike=float(spike_err.max()) if spike_err.size else 0.0,
+                max_err_bg=float(np.max(err, where=~spike_mask, initial=0.0)))
+
+
 @dataclass(frozen=True)
 class Reconstruction:
     """Sparse-plus-low-rank rebuild of an attention matrix.
@@ -165,8 +235,9 @@ class Reconstruction:
     a_final equals the original attention bitwise on the spike set (the
     residual branch is an exact compensator there) and equals a_lowrank on
     the background; max_err_spike is therefore exactly 0 on every run.
-    support_matches_spikes records whether the compensator's nonzero entries
-    are exactly the spike set; the compensator itself is not kept.
+    support_matches_spikes records whether the compensator a - a_lowrank is
+    nonzero on every spike; it is zero off the spikes by construction, so
+    only the spike entries are compared, and the compensator is not kept.
     """
 
     tau: float
@@ -207,48 +278,10 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
     cutoffs = choose_truncation(q_mat, k_mat, cfg, delta)
     q_fac, k_fac = _truncated_svd_factors(q_mat, k_mat, grid, cfg, cutoffs)
 
-    # a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j): the
-    # stabilised features are at most 1 and the exponent is a log attention
-    # weight, so neither side overflows.
-    fmap = favor_map(q_fac.shape[1], favor_dim, seed)
-    fq, mq = _stabilised_features_rows(q_fac, fmap)
-    fk, mk = _stabilised_features_rows(k_fac, fmap)
-    row_log = mq - attn.log_z - math.log(favor_dim)
-    a_lowrank = fq @ fk.T
-    scale = np.add.outer(row_log, mk)
-    a_lowrank *= np.exp(scale, out=scale)
-    del scale
-
-    if favor_dim < grid.size:
-        # a_lowrank = diag(e^row_log) fq fk^T diag(e^mk).  Each side is shifted
-        # by its largest exponent, a constant factor that the relative rank
-        # threshold ignores; the row scaling must come before the QR, since
-        # the threshold is not invariant under it.
-        rank = numerical_rank(_factored_core(fq * np.exp(row_log - row_log.max())[:, None],
-                                             fk * np.exp(mk - mk.max())[:, None],
-                                             keep_q=False)[1])
-    else:
-        rank = numerical_rank(a_lowrank)
-    del fq, fk
-
-    support = bool(np.array_equal(residual_sparse(attn, a_lowrank, dec.spike_mask) != 0.0,
-                                  dec.spike_mask))
-    a_final = np.where(dec.spike_mask, attn.a, a_lowrank)
-
-    spike_err = np.abs(a_final[dec.spike_mask] - attn.a[dec.spike_mask])
-    err = np.subtract(a_final, attn.a)
-    err = np.abs(err, out=err)
-    return Reconstruction(
-        tau=float(tau),
-        e_tol=float(e_tol),
-        spike_mask=dec.spike_mask,
-        a_lowrank=a_lowrank,
-        a_final=a_final,
-        rank_lowrank=rank,
-        nnz_sparse=dec.nnz,
-        max_err_spike=float(spike_err.max()) if spike_err.size else 0.0,
-        max_err_bg=float(np.max(err, where=~dec.spike_mask, initial=0.0)),
-        cutoffs=cutoffs,
-        favor_dim=int(favor_dim),
-        support_matches_spikes=support,
-    )
+    a_lowrank, left, right = _lowrank_branch(q_fac, k_fac, attn.log_z, favor_dim, seed)
+    rank = _lowrank_rank(a_lowrank, left, right)
+    del left, right
+    return Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
+                          a_lowrank=a_lowrank, rank_lowrank=rank, nnz_sparse=dec.nnz,
+                          cutoffs=cutoffs, favor_dim=int(favor_dim),
+                          **_error_fields(attn.a, a_lowrank, dec.spike_mask))

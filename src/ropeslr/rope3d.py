@@ -21,10 +21,14 @@ from .linalg import as_matrix
 
 AXES = ("t", "x", "y")
 
-# Query rows per block in `frequency_magnitudes`: its temporaries are
-# MAGNITUDE_CHUNK_ROWS x L instead of L x L (small enough to stay in cache),
-# and every product and the maximum are unchanged.
+# Rows per block in the loop of `frequency_magnitudes` over the rows that
+# survive its pruning: temporaries are at most MAGNITUDE_CHUNK_ROWS x L, small
+# enough to stay in cache, and every product and the maximum are unchanged.
 MAGNITUDE_CHUNK_ROWS = 64
+# Rows of largest norm that give the pruning's lower bound, and the relative
+# slack of its tests, far above the few ulps the norms and bound are off by.
+MAGNITUDE_PROBES = 8
+MAGNITUDE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -251,9 +255,51 @@ def frequency_term_matrix(q_mat, k_mat, axis: str, m: int, grid: GridShape,
     return rotated_pair(q_mat) @ rotated_pair(k_mat).T
 
 
+def _pair_magnitude(qe, qo, ke, ko) -> float:
+    """max over query rows p and key rows j of |a| + |b|, with
+    a = qe_p ke_j + qo_p ko_j and b = qe_p ko_j - qo_p ke_j, in row blocks."""
+    best = 0.0
+    for start in range(0, qe.shape[0], MAGNITUDE_CHUNK_ROWS):
+        e = qe[start:start + MAGNITUDE_CHUNK_ROWS, None]
+        o = qo[start:start + MAGNITUDE_CHUNK_ROWS, None]
+        a = e * ke
+        a += o * ko
+        b = e * ko
+        b -= o * ke
+        a = np.abs(a, out=a)
+        a += np.abs(b, out=b)
+        best = max(best, float(a.max()))
+    return best
+
+
+def _prune_pairs(qe, qo, ke, ko):
+    """(qe, qo, ke, ko) cut to the rows that can hold the largest |a| + |b|:
+    those whose bound sqrt(2) ||u|| max ||w|| (keys: max ||u|| ||w||) reaches
+    the largest value of the MAGNITUDE_PROBES largest-norm rows on either
+    side.  Nothing is cut where the bound's rounding is not relative."""
+    nq = np.maximum(np.hypot(qe, qo), np.finfo(np.float64).tiny)
+    nk = np.maximum(np.hypot(ke, ko), np.finfo(np.float64).tiny)
+    top_q, top_k = np.argsort(nq)[-MAGNITUDE_PROBES:], np.argsort(nk)[-MAGNITUDE_PROBES:]
+    # swapping query and key keeps a and negates b, so these are the same values
+    lb = max(_pair_magnitude(qe[top_q], qo[top_q], ke, ko),
+             _pair_magnitude(ke[top_k], ko[top_k], qe, qo))
+    cap = math.sqrt(2.0) * (1.0 + MAGNITUDE_SLACK)
+    if not (2.0 ** -1000 <= lb and cap * nq.max() * nk.max() <= 2.0 ** 1000):
+        return qe, qo, ke, ko
+    rows, cols = cap * nq * nk.max() >= lb, cap * nq.max() * nk >= lb
+    return qe[rows], qo[rows], ke[cols], ko[cols]
+
+
 def frequency_magnitudes(q_mat, k_mat, cfg: RopeConfig) -> Dict[str, np.ndarray]:
     """Measured per-(axis, frequency) coefficient bound max_{p,q} (|a| + |b|),
-    on the unscaled logit scale. Position independent."""
+    on the unscaled logit scale. Position independent.
+
+    With u, w the query and key 2-vectors of a rotation pair, |a| + |b| <=
+    sqrt(2) ||u|| ||w||, so rows whose bound is below a value already found
+    are skipped.  Every value comes from the same elementwise expression and
+    the pair holding the float maximum always survives, so the result is
+    bitwise the maximum over all L^2 pairs.
+    """
     q_mat = as_matrix(q_mat)
     k_mat = as_matrix(k_mat)
     if q_mat.shape[1] != cfg.d_h or k_mat.shape[1] != cfg.d_h:
@@ -263,17 +309,8 @@ def frequency_magnitudes(q_mat, k_mat, cfg: RopeConfig) -> Dict[str, np.ndarray]
         mags = np.zeros(cfg.n_freqs(axis))
         for m in range(1, cfg.n_freqs(axis) + 1):
             c0, c1 = _pair_columns(cfg, axis, m)
-            ke, ko = k_mat[:, c0], k_mat[:, c1]
-            for start in range(0, q_mat.shape[0], MAGNITUDE_CHUNK_ROWS):
-                rows = q_mat[start:start + MAGNITUDE_CHUNK_ROWS]
-                qe, qo = rows[:, c0, None], rows[:, c1, None]
-                a = qe * ke
-                a += qo * ko
-                b = qe * ko
-                b -= qo * ke
-                a = np.abs(a, out=a)
-                a += np.abs(b, out=b)
-                mags[m - 1] = max(mags[m - 1], float(a.max()))
+            mags[m - 1] = _pair_magnitude(*_prune_pairs(q_mat[:, c0], q_mat[:, c1],
+                                                        k_mat[:, c0], k_mat[:, c1]))
         out[axis] = mags
     return out
 
@@ -296,29 +333,6 @@ def selected_pair_columns(cfg: RopeConfig, cutoffs: Sequence[int]) -> np.ndarray
         for m in range(1, m_k + 1):
             cols.extend(_pair_columns(cfg, axis, m))
     return np.asarray(cols, dtype=np.int64)
-
-
-def truncated_logits(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
-                     cutoffs: Sequence[int]) -> np.ndarray:
-    """Low-frequency part of the logit matrix (1/sqrt(d_h) scaled); its rank
-    is at most 2 * (M_t + M_x + M_y)."""
-    cols = selected_pair_columns(cfg, cutoffs)
-    if cols.size == 0:
-        return np.zeros((grid.size, grid.size))
-    rq = rotate_rows(q_mat, grid, cfg)[:, cols]
-    rk = rotate_rows(k_mat, grid, cfg)[:, cols]
-    return (rq @ rk.T) / math.sqrt(cfg.d_h)
-
-
-def truncation_tail_bound(q_mat, k_mat, cfg: RopeConfig, cutoffs: Sequence[int]) -> float:
-    """Measured uniform bound on |logit_matrix - truncated_logits| for the
-    given cutoffs, on the scaled logit scale."""
-    m_t, m_x, m_y = _validate_cutoffs(cfg, cutoffs)
-    mags = frequency_magnitudes(q_mat, k_mat, cfg)
-    total = 0.0
-    for axis, m_k in zip(AXES, (m_t, m_x, m_y)):
-        total += float(np.sum(mags[axis][m_k:]))
-    return total / math.sqrt(cfg.d_h)
 
 
 def choose_truncation(q_mat, k_mat, cfg: RopeConfig, delta: float) -> Tuple[int, int, int]:

@@ -30,7 +30,7 @@ def manual_attention(a):
 def test_softmax_uniform_row():
     attn = softmax_attention(np.zeros((4, 4)))
     np.testing.assert_allclose(attn.a, np.full((4, 4), 0.25), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(attn.z, np.full(4, 4.0), rtol=1e-12)
+    np.testing.assert_allclose(np.exp(attn.log_z), np.full(4, 4.0), rtol=1e-12)
 
 
 def test_softmax_large_logits_stable():

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from ropeslr.decomposition import energy_split, softmax_attention, synthetic_qk
-from ropeslr.linalg import numerical_rank, singular_values
+from ropeslr.linalg import RANK_REL_TOL, numerical_rank, singular_values
 from ropeslr.lowrank import (
+    RANK_CERT_MARGIN,
+    _factored_core,
+    _lowrank_branch,
+    _lowrank_rank,
+    _rank_certificate,
     _truncated_svd_factors,
     approx_kernel,
     favor_features,
@@ -15,7 +20,7 @@ from ropeslr.lowrank import (
     reconstruct,
     residual_sparse,
 )
-from ropeslr.rope3d import GridShape, RopeConfig, logit_matrix
+from ropeslr.rope3d import GridShape, RopeConfig, choose_truncation, logit_matrix
 
 CFG = RopeConfig(4, 4, 4)
 
@@ -269,7 +274,7 @@ def test_log_space_lowrank_matches_the_direct_normalisation():
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, rec.cutoffs)
     attn = softmax_attention(logit_matrix(q, k, grid, CFG))
     direct = normalize_rows(approx_kernel(q_fac, k_fac, favor_map(q_fac.shape[1], 32, 5)),
-                            attn.z)
+                            np.exp(attn.log_z))
     np.testing.assert_allclose(rec.a_lowrank, direct, rtol=1e-12, atol=0)
 
 
@@ -287,6 +292,16 @@ RANK_CASES = [
 ]
 
 
+def lowrank_branch(grid, favor_dim, row_norm, seed):
+    """The low-rank stage of reconstruct(q, k, grid, CFG, 0.05, 0.02,
+    favor_dim, seed) on synthetic_qk inputs: (a_lowrank, left, right)."""
+    q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
+    cutoffs = choose_truncation(q, k, CFG, 0.02 / (4.0 * 0.05))
+    q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
+    log_z = softmax_attention(logit_matrix(q, k, grid, CFG)).log_z
+    return _lowrank_branch(q_fac, k_fac, log_z, favor_dim, seed)
+
+
 @pytest.mark.parametrize("shape,favor_dim,row_norm,seeds", RANK_CASES)
 def test_reconstruct_rank_matches_the_dense_rank(shape, favor_dim, row_norm, seeds):
     grid = GridShape(*shape)
@@ -295,3 +310,38 @@ def test_reconstruct_rank_matches_the_dense_rank(shape, favor_dim, row_norm, see
         rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, favor_dim, seed)
         assert rec.rank_lowrank == numerical_rank(rec.a_lowrank), seed
         assert rec.rank_lowrank <= min(favor_dim, grid.size)
+        if favor_dim < grid.size:
+            # the certified rank is the rank of the QR path it replaces
+            a_lowrank, left, right = lowrank_branch(grid, favor_dim, row_norm, seed)
+            np.testing.assert_array_equal(a_lowrank, rec.a_lowrank)
+            assert rec.rank_lowrank == numerical_rank(
+                _factored_core(left, right, keep_q=False)[1]), seed
+
+
+@pytest.mark.parametrize("shape,favor_dim,row_norm,certified,rank", [
+    ((12, 12, 12), 1024, None, True, 1024),  # bound about 3.2e-8
+    ((8, 8, 8), 256, 8.0, False, 227),  # bound about 4e-13
+])
+def test_rank_certificate_fires_only_above_its_margin(shape, favor_dim, row_norm,
+                                                      certified, rank):
+    a_lowrank, left, right = lowrank_branch(GridShape(*shape), favor_dim, row_norm, 0)
+    bound = _rank_certificate(left, right)
+    assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == certified, bound
+    assert _lowrank_rank(a_lowrank, left, right) == rank
+
+
+@pytest.mark.parametrize("s,bound,rank", [
+    (2.5e-9, 2.5e-9, 2), (1.5e-9, 1.5e-9, 2), (5e-10, 5e-10, 1),
+    (1e-18, 0.0, 1),  # below the Gram's rounding: no bound can be given
+    (0.0, 0.0, 1),
+])
+def test_rank_certificate_of_factors_with_known_condition(s, bound, rank):
+    # left = diag(1, sqrt(s)) padded to 8 rows has kappa = 1/sqrt(s), so the
+    # bound for left @ left.T is s, widened only by the Gram rounding slack
+    left = np.zeros((8, 2))
+    left[0, 0], left[1, 1] = 1.0, math.sqrt(s)
+    got = _rank_certificate(left, left)
+    assert got <= s
+    assert got == pytest.approx(bound, rel=1e-4, abs=0.0)
+    assert (got >= RANK_CERT_MARGIN * RANK_REL_TOL) == (s >= 2.5e-9)
+    assert _lowrank_rank(left @ left.T, left, left) == rank

@@ -19,12 +19,33 @@ from ropeslr.rope3d import (
     logit_matrix,
     rotate,
     rotate_rows,
-    truncated_logits,
-    truncation_tail_bound,
+    selected_pair_columns,
 )
 
 CFG = RopeConfig(4, 4, 4)
 GRID = GridShape(3, 2, 2)
+
+
+def truncated_logits(q_mat, k_mat, grid, cfg, cutoffs):
+    """Low-frequency part of the logit matrix (1/sqrt(d_h) scaled); its rank
+    is at most 2 * (M_t + M_x + M_y)."""
+    cols = selected_pair_columns(cfg, cutoffs)
+    if cols.size == 0:
+        return np.zeros((grid.size, grid.size))
+    rq = rotate_rows(q_mat, grid, cfg)[:, cols]
+    rk = rotate_rows(k_mat, grid, cfg)[:, cols]
+    return (rq @ rk.T) / math.sqrt(cfg.d_h)
+
+
+def truncation_tail_bound(q_mat, k_mat, cfg, cutoffs):
+    """Measured uniform bound on |logit_matrix - truncated_logits| for the
+    given cutoffs, on the scaled logit scale."""
+    cutoffs = rope3d._validate_cutoffs(cfg, cutoffs)
+    mags = frequency_magnitudes(q_mat, k_mat, cfg)
+    total = 0.0
+    for axis, m_k in zip(AXES, cutoffs):
+        total += float(np.sum(mags[axis][m_k:]))
+    return total / math.sqrt(cfg.d_h)
 
 
 def random_qk(grid, cfg, seed):
@@ -423,3 +444,76 @@ def test_chunked_frequency_magnitudes_match_the_direct_formula_bitwise(monkeypat
              [choose_truncation(q_mat, k_mat, CFG, d) for d in deltas])
     assert chunked == whole
     assert len(set(whole[1])) > 1  # the deltas select different cutoffs
+
+
+def direct_magnitudes(q_mat, k_mat, cfg):
+    """max (|a| + |b|) over all L^2 pairs at once, per axis and frequency."""
+    out = {}
+    for axis in AXES:
+        off = cfg.axis_offset(axis)
+        mags = []
+        for m in range(1, cfg.n_freqs(axis) + 1):
+            c0, c1 = off + 2 * (m - 1), off + 2 * m - 1
+            a = q_mat[:, c0][:, None] * k_mat[:, c0][None, :] \
+                + q_mat[:, c1][:, None] * k_mat[:, c1][None, :]
+            b = q_mat[:, c0][:, None] * k_mat[:, c1][None, :] \
+                - q_mat[:, c1][:, None] * k_mat[:, c0][None, :]
+            mags.append(float(np.max(np.abs(a) + np.abs(b))))
+        out[axis] = np.asarray(mags)
+    return out
+
+
+def unit_pairs(n, seed):
+    """n rows whose every rotation pair is a unit 2-vector at a random angle."""
+    ang = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (n, CFG.d_h // 2))
+    out = np.empty((n, CFG.d_h))
+    out[:, 0::2], out[:, 1::2] = np.cos(ang), np.sin(ang)
+    return out
+
+
+def equal_norms(seed):
+    return unit_pairs(100, seed), unit_pairs(100, seed + 1)
+
+
+def zero_pair_column(seed):
+    q_mat, k_mat = random_qk(GRID, CFG, seed)
+    q_mat[:, 4:6] = 0.0  # the first x-axis pair
+    return q_mat, k_mat
+
+
+def dominant_row(seed):
+    q_mat, k_mat = random_qk(GridShape(5, 5, 5), CFG, seed)
+    q_mat[17] *= 1000.0
+    return q_mat, k_mat
+
+
+def ragged_survivors(seed):
+    # 70 equal-norm rows always survive, so the survivor loop is 64 + 6 rows
+    q_mat, k_mat = unit_pairs(100, seed), unit_pairs(100, seed + 1)
+    q_mat[70:] *= 1e-3
+    return q_mat, k_mat
+
+
+def single_token(seed):
+    return random_qk(GridShape(1, 1, 1), CFG, seed)
+
+
+@pytest.mark.parametrize("make,survivors", [
+    (equal_norms, 100),  # nothing can be pruned
+    (zero_pair_column, None),
+    (dominant_row, 1),
+    (single_token, 1),
+    (ragged_survivors, 70),
+])
+def test_pruned_frequency_magnitudes_match_the_direct_formula_bitwise(make, survivors):
+    for seed in range(3):
+        q_mat, k_mat = make(40 + seed)
+        mags = frequency_magnitudes(q_mat, k_mat, CFG)
+        direct = direct_magnitudes(q_mat, k_mat, CFG)
+        for axis in AXES:
+            np.testing.assert_array_equal(mags[axis], direct[axis])
+        rows = rope3d._prune_pairs(q_mat[:, 0], q_mat[:, 1], k_mat[:, 0], k_mat[:, 1])[0]
+        if survivors is not None:
+            assert rows.size == survivors
+    if make is zero_pair_column:
+        assert mags["x"][0] == 0.0
