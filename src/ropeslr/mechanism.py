@@ -9,14 +9,16 @@ gradient descent on the new parameters only, with hand-derived gradients that
 a central finite-difference check validates coordinate by coordinate.
 
 Each branch has one implementation, inside `_fused_forward` and
-`_fused_backward`; `forward` returns its per-branch values (the injected
-input, compensator outputs, normalized branches and the gate) as the fields
-of a `ForwardTrace`.
+`_fused_backward`, with the heads as an array axis of (H, L, d_h) values.
+The sparse branch is constant during training, so it is RMS-normalised once
+per sample.  `forward` returns the per-branch values (the injected input,
+compensator outputs, normalized branches and the gate) as a `ForwardTrace`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
@@ -283,40 +285,50 @@ def block_sparse_attention(x, grid: GridShape, cfg: RopeConfig, backbone: Backbo
 _LINEAR_FLOOR = 1e-8
 
 
-def _linear_head_forward(x_hat, backbone, head):
-    """Kernelized linear attention of one head through the frozen backbone,
-    O(L) in token count; the positive feature map cannot carry rotary
-    structure, which is the gap the low-rank compensator closes."""
-    q = x_hat @ backbone.w_q[head]
-    k = x_hat @ backbone.w_k[head]
-    v = x_hat @ backbone.w_v[head]
+def _heads(a, n_heads):
+    """(L, H·d_h) -> (H, L, d_h) view: head h is columns h·d_h to (h+1)·d_h."""
+    return a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(a):
+    """(H, L, d_h) -> (L, H·d_h), the inverse of `_heads`."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _linear_forward(x_hat, backbone):
+    """Kernelized linear attention of every head through the frozen backbone,
+    (H, L, d_h), O(L) in token count; the positive feature map cannot carry
+    rotary structure, which is the gap the low-rank compensator closes."""
+    q = x_hat @ backbone.w_q
+    k = x_hat @ backbone.w_k
+    v = x_hat @ backbone.w_v
     pq = elu_plus_one(q)
     pk = elu_plus_one(k)
-    smat = pk.T @ v
-    svec = pk.sum(axis=0)
-    raw = pq @ svec
+    smat = pk.swapaxes(1, 2) @ v
+    svec = pk.sum(axis=1)
+    raw = (pq @ svec[:, :, None])[:, :, 0]
     denom = np.maximum(raw, _LINEAR_FLOOR)
     numer = pq @ smat
-    out = numer / denom[:, None]
-    return out, (q, k, v, pq, pk, smat, raw, denom, numer)
+    out = numer / denom[:, :, None]
+    return out, (q, k, v, pq, pk, smat, svec, raw, denom, numer)
 
 
-def _linear_head_backward(g_out, cache, backbone, head):
-    """Gradient of the linear branch with respect to its input matrix."""
-    q, k, v, pq, pk, smat, raw, denom, numer = cache
-    d_numer = g_out / denom[:, None]
-    d_denom = -np.sum(g_out * numer, axis=1) / (denom * denom)
+def _linear_backward(g_out, cache, backbone):
+    """Gradient of the linear branch with respect to its input matrix, one
+    (L, d_model) term per head."""
+    q, k, v, pq, pk, smat, svec, raw, denom, numer = cache
+    d_numer = g_out / denom[:, :, None]
+    d_denom = -np.sum(g_out * numer, axis=2) / (denom * denom)
     d_raw = np.where(raw > _LINEAR_FLOOR, d_denom, 0.0)
-    svec = pk.sum(axis=0)
-    d_pq = d_numer @ smat.T + d_raw[:, None] * svec[None, :]
-    d_smat = pq.T @ d_numer
-    d_svec = pq.T @ d_raw
-    d_pk = v @ d_smat.T + d_svec[None, :]
+    d_pq = d_numer @ smat.swapaxes(1, 2) + d_raw[:, :, None] * svec[:, None, :]
+    d_smat = pq.swapaxes(1, 2) @ d_numer
+    d_svec = (pq.swapaxes(1, 2) @ d_raw[:, :, None])[:, :, 0]
+    d_pk = v @ d_smat.swapaxes(1, 2) + d_svec[:, None, :]
     d_v = pk @ d_smat
     d_q = d_pq * _elu_plus_one_grad(q)
     d_k = d_pk * _elu_plus_one_grad(k)
-    return (d_q @ backbone.w_q[head].T + d_k @ backbone.w_k[head].T
-            + d_v @ backbone.w_v[head].T)
+    return (d_q @ backbone.w_q.swapaxes(1, 2) + d_k @ backbone.w_k.swapaxes(1, 2)
+            + d_v @ backbone.w_v.swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -346,95 +358,80 @@ class ForwardTrace:
     sparsity: np.ndarray  # (H,) achieved per head
 
 
-def _rms_cache(o, scale):
-    """RMS norm of each row times the channel scales, and what its backward
-    pass needs."""
-    inv = 1.0 / np.sqrt(np.mean(o * o, axis=1, keepdims=True) + RMS_EPS)
-    u = o * inv
-    return u * scale[None, :], (o, inv, u)
+# The intermediates of one `_fused_forward`: (H, L, d_h) arrays, except x_hat
+# (L, d_model), g (L,), inv_lowrank (H, L, 1) and the compensator's own `branch`.
+_Fused = namedtuple("_Fused", "x_hat g u_sparse y_sparse o_lowrank u_lowrank inv_lowrank "
+                    "y_lowrank branch")
 
 
-def _rms_backward(d_y, cache, scale):
-    o, inv, u = cache
-    d_scale = np.sum(d_y * u, axis=0)
-    d_u = d_y * scale[None, :]
-    dot = np.sum(d_u * o, axis=1, keepdims=True)
-    d_o = d_u * inv - o * (inv ** 3 * dot / o.shape[1])
-    return d_o, d_scale
+def _rms(o):
+    """Each row over its root mean square, and the inverse root mean square."""
+    inv = 1.0 / np.sqrt(np.mean(o * o, axis=-1, keepdims=True) + RMS_EPS)
+    return o * inv, inv
 
 
-def _fused_forward(x, sparse_out, pe, backbone, params, settings):
-    """Forward pass against precomputed per-head sparse outputs; returns the
-    fused output plus every intermediate the backward pass needs."""
-    if settings.use_pe:
-        x_hat = x + params.alpha[None, :] * pe
+def _fused_forward(x, u_sparse, pe, backbone, params, settings):
+    """Forward pass against the RMS-normalised (H, L, d_h) sparse branch
+    `u_sparse`; returns the fused output and its `_Fused` intermediates."""
+    x_hat = x + params.alpha[None, :] * pe if settings.use_pe else x
+    g = sigmoid(x_hat @ params.w_g + params.b_g)
+    if settings.compensator == "lowrank":
+        xh = _heads(x_hat, backbone.n_heads)
+        h1 = sigmoid(xh @ params.w_a)
+        o_lr = sigmoid(h1 @ params.w_b)
+        branch = (xh, h1)
     else:
-        x_hat = x
-    d_h = backbone.d_h
-    zg = x_hat @ params.w_g + params.b_g
-    g = sigmoid(zg)
-    ell = x.shape[0]
-    out = np.empty((ell, backbone.d_model))
-    heads = []
-    for h in range(backbone.n_heads):
-        y_sp, c_sp = _rms_cache(sparse_out[h], params.rms_sparse)
-        if settings.compensator == "lowrank":
-            xh = x_hat[:, h * d_h:(h + 1) * d_h]
-            z1 = xh @ params.w_a[h]
-            h1 = sigmoid(z1)
-            z2 = h1 @ params.w_b[h]
-            o_lr = sigmoid(z2)
-            branch_cache = (xh, h1, o_lr)
-        else:
-            o_lr, branch_cache = _linear_head_forward(x_hat, backbone, h)
-        y_lr, c_lr = _rms_cache(o_lr, params.rms_lowrank)
-        out[:, h * d_h:(h + 1) * d_h] = y_sp + g[:, None] * y_lr
-        heads.append((c_sp, branch_cache, c_lr, y_sp, y_lr, o_lr))
-    return out, (x_hat, g, heads)
+        o_lr, branch = _linear_forward(x_hat, backbone)
+    u_lr, inv_lr = _rms(o_lr)
+    y_sp = u_sparse * params.rms_sparse
+    y_lr = u_lr * params.rms_lowrank
+    out = _merge_heads(y_sp + g[:, None] * y_lr)
+    return out, _Fused(x_hat, g, u_sparse, y_sp, o_lr, u_lr, inv_lr, y_lr, branch)
 
 
 def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
                     grads: MechanismParams):
     """Accumulate gradients of a scalar loss (with d loss / d output = g_out)
-    into `grads`; only the new-parameter set receives gradient."""
-    x_hat, g, heads = fwd_cache
-    d_h = backbone.d_h
-    d_g = np.zeros(x_hat.shape[0])
-    d_xhat = np.zeros_like(x_hat)
-    for h in range(backbone.n_heads):
-        c_sp, branch_cache, c_lr, _, y_lr, _ = heads[h]
-        gh = g_out[:, h * d_h:(h + 1) * d_h]
-        _, d_rms_sp = _rms_backward(gh, c_sp, params.rms_sparse)
-        grads.rms_sparse += d_rms_sp
-        d_g += np.sum(gh * y_lr, axis=1)
-        d_y_lr = gh * g[:, None]
-        d_o_lr, d_rms_lr = _rms_backward(d_y_lr, c_lr, params.rms_lowrank)
-        grads.rms_lowrank += d_rms_lr
-        if settings.compensator == "lowrank":
-            xh, h1, o_lr = branch_cache
-            d_z2 = d_o_lr * o_lr * (1.0 - o_lr)
-            grads.w_b[h] += h1.T @ d_z2
-            d_h1 = d_z2 @ params.w_b[h].T
-            d_z1 = d_h1 * h1 * (1.0 - h1)
-            grads.w_a[h] += xh.T @ d_z1
-            d_xhat[:, h * d_h:(h + 1) * d_h] += d_z1 @ params.w_a[h].T
-        else:
-            d_xhat += _linear_head_backward(d_o_lr, branch_cache, backbone, h)
-    d_zg = d_g * g * (1.0 - g)
-    grads.w_g += x_hat.T @ d_zg
+    into `grads`; only the new-parameter set receives gradient.  The sparse
+    branch is constant, so its only gradient is that of its RMS scale."""
+    c = fwd_cache
+    gh = _heads(g_out, backbone.n_heads)
+    d_y_lr = gh * c.g[:, None]
+    # the RMS scales are shared by all heads: add their gradients head by head,
+    # as one sum over heads and tokens would round a second sample differently
+    for d_sp, d_lr in zip(np.sum(gh * c.u_sparse, axis=1),
+                          np.sum(d_y_lr * c.u_lowrank, axis=1)):
+        grads.rms_sparse += d_sp
+        grads.rms_lowrank += d_lr
+    d_u = d_y_lr * params.rms_lowrank
+    dot = np.sum(d_u * c.o_lowrank, axis=2, keepdims=True)
+    d_o_lr = d_u * c.inv_lowrank - c.o_lowrank * (c.inv_lowrank ** 3 * dot / backbone.d_h)
+    d_zg = np.sum(gh * c.y_lowrank, axis=2).sum(axis=0) * c.g * (1.0 - c.g)
+    grads.w_g += c.x_hat.T @ d_zg
     grads.b_g += d_zg.sum()
-    d_xhat += np.outer(d_zg, params.w_g)
+    lowrank = settings.compensator == "lowrank"
+    if lowrank:
+        xh, h1 = c.branch
+        d_z2 = d_o_lr * c.o_lowrank * (1.0 - c.o_lowrank)
+        grads.w_b += h1.swapaxes(1, 2) @ d_z2
+        d_z1 = (d_z2 @ params.w_b.swapaxes(1, 2)) * h1 * (1.0 - h1)
+        grads.w_a += xh.swapaxes(1, 2) @ d_z1
+    # without PE the input gradient reaches no parameter
     if settings.use_pe:
-        grads.alpha += np.sum(d_xhat * pe, axis=0)
+        d_branch = (_merge_heads(d_z1 @ params.w_a.swapaxes(1, 2)) if lowrank
+                    else _linear_backward(d_o_lr, c.branch, backbone).sum(axis=0))
+        grads.alpha += np.sum((d_branch + np.outer(d_zg, params.w_g)) * pe, axis=0)
 
 
 def _branch_inputs(xs, grid, cfg, backbone, settings):
     """The position table (None without PE) and, per input, the block-sparse
-    result of every head.  The sparse branch reads the raw input through the
-    frozen backbone, so it is constant during training."""
+    result of every head with their outputs stacked, (H, L, d_h).  The sparse
+    branch reads the raw input through the frozen backbone, so it is constant
+    during training: callers RMS-normalise it once per input."""
     pe = build_pe3d(grid, backbone.d_model, cfg) if settings.use_pe else None
-    return pe, [[block_sparse_attention(x, grid, cfg, backbone, h, settings.sparse)
-                 for h in range(backbone.n_heads)] for x in xs]
+    results = [[block_sparse_attention(x, grid, cfg, backbone, h, settings.sparse)
+                for h in range(backbone.n_heads)] for x in xs]
+    return pe, [(rs, np.stack([r.output for r in rs])) for rs in results]
 
 
 def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
@@ -443,19 +440,11 @@ def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
     x = as_matrix(x)
     if x.shape != (grid.size, backbone.d_model):
         raise ValueError(f"expected input shape {(grid.size, backbone.d_model)}, got {x.shape}")
-    pe, (sparse_results,) = _branch_inputs([x], grid, cfg, backbone, settings)
-    sparse_out = [r.output for r in sparse_results]
-    out, (x_hat, g, heads) = _fused_forward(x, sparse_out, pe, backbone, params, settings)
-    return ForwardTrace(
-        x_hat=x_hat,
-        o_sparse=np.stack(sparse_out),
-        o_lowrank=np.stack([head[5] for head in heads]),
-        norm_sparse=np.stack([head[3] for head in heads]),
-        norm_lowrank=np.stack([head[4] for head in heads]),
-        g=g,
-        output=out,
-        sparsity=np.array([r.sparsity for r in sparse_results]),
-    )
+    pe, ((results, o_sparse),) = _branch_inputs([x], grid, cfg, backbone, settings)
+    out, c = _fused_forward(x, _rms(o_sparse)[0], pe, backbone, params, settings)
+    return ForwardTrace(x_hat=c.x_hat, o_sparse=o_sparse, o_lowrank=c.o_lowrank,
+                        norm_sparse=c.y_sparse, norm_lowrank=c.y_lowrank, g=c.g, output=out,
+                        sparsity=np.array([r.sparsity for r in results]))
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +455,18 @@ def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
 class _PreparedSample:
     x: np.ndarray
     target: np.ndarray
-    sparse_out: List[np.ndarray]
+    u_sparse: np.ndarray  # (H, L, d_h) sparse branch, RMS-normalised
 
 
 def _prepare(dataset, grid, cfg, backbone, settings) -> Tuple[List[_PreparedSample], Optional[np.ndarray]]:
-    """Check the samples and cache the sparse branch of each."""
+    """Check the samples and normalise the sparse branch of each, once."""
     pairs = [(as_matrix(x), as_matrix(target)) for x, target in dataset]
     for x, target in pairs:
         if x.shape != (grid.size, backbone.d_model) or target.shape != x.shape:
             raise ValueError("dataset sample shapes must be (L, d_model)")
     pe, sparse = _branch_inputs([x for x, _ in pairs], grid, cfg, backbone, settings)
-    return [_PreparedSample(x=x, target=target, sparse_out=[r.output for r in results])
-            for (x, target), results in zip(pairs, sparse)], pe
+    return [_PreparedSample(x=x, target=target, u_sparse=_rms(o_sparse)[0])
+            for (x, target), (_, o_sparse) in zip(pairs, sparse)], pe
 
 
 def _loss_and_grads(samples, pe, backbone, params, settings, want_grads: bool = True):
@@ -485,7 +474,7 @@ def _loss_and_grads(samples, pe, backbone, params, settings, want_grads: bool = 
     grads = zero_grads(params) if want_grads else None
     n = len(samples)
     for s in samples:
-        out, cache = _fused_forward(s.x, s.sparse_out, pe, backbone, params, settings)
+        out, cache = _fused_forward(s.x, s.u_sparse, pe, backbone, params, settings)
         diff = out - s.target
         total += float(np.mean(diff * diff)) / n
         if want_grads:

@@ -5,6 +5,7 @@ import pytest
 
 from ropeslr.analysis import gate_map, gram_spectral
 from ropeslr.mechanism import (
+    RMS_EPS,
     ForwardSettings,
     SparseSettings,
     block_sparse_attention,
@@ -17,6 +18,9 @@ from ropeslr.mechanism import (
     random_backbone,
     save_params,
     train_stage1,
+    _leaves,
+    _loss_and_grads,
+    _prepare,
 )
 from ropeslr.rope3d import GridShape, RopeConfig
 
@@ -24,9 +28,9 @@ VARIANTS = [(c, pe) for c in ("lowrank", "linear") for pe in (True, False)]
 VARIANT_IDS = [f"{c}-{'pe' if pe else 'nope'}" for c, pe in VARIANTS]
 
 
-def small_task(seed=0, samples=2):
+def small_task(seed=0, samples=2, heads=2):
     grid = GridShape(2, 5, 5)
-    task = make_alignment_task(grid, RopeConfig(4, 2, 2, 10000.0), 2, samples, seed)
+    task = make_alignment_task(grid, RopeConfig(4, 2, 2, 10000.0), heads, samples, seed)
     return task, SparseSettings(block=(1, 5, 5), keep=0.5)
 
 
@@ -35,9 +39,9 @@ def test_grad_check_agrees_with_finite_differences(compensator, use_pe):
     grid, cfg = GridShape(2, 2, 2), RopeConfig(2, 2, 0, 10000.0)
     settings = ForwardSettings(sparse=SparseSettings(block=(1, 2, 2), keep=0.5),
                                compensator=compensator, use_pe=use_pe)
-    for seed in range(3):
-        task = make_alignment_task(grid, cfg, 2, 1, seed)
-        params = init_params(2, cfg.d_h, 2, seed + 1000)
+    for heads, seed in ((2, 0), (2, 1), (2, 2), (3, 0)):
+        task = make_alignment_task(grid, cfg, heads, 1, seed)
+        params = init_params(heads, cfg.d_h, 2, seed + 1000)
         x, target = task.dataset[0]
         assert grad_check(params, x, target, grid, cfg, task.backbone, settings) < 1e-4
 
@@ -147,10 +151,43 @@ def test_forward_trace_invariants(compensator, use_pe):
         np.testing.assert_array_equal(
             trace.output[:, h * d_h:(h + 1) * d_h],
             trace.norm_sparse[h] + trace.g[:, None] * trace.norm_lowrank[h])
+        # the sparse branch is the head's block-sparse output, RMS-normalised
+        o = block_sparse_attention(x, task.grid, task.cfg, task.backbone, h, sparse).output
+        inv = 1.0 / np.sqrt(np.mean(o * o, axis=1, keepdims=True) + RMS_EPS)
+        np.testing.assert_array_equal(trace.norm_sparse[h], o * inv * params.rms_sparse)
     assert trace.sparsity.shape == (n_heads,)
     # the same inputs give the same trace
     again = forward(x, task.grid, task.cfg, task.backbone, params, settings)
     np.testing.assert_array_equal(again.output, trace.output)
+
+
+@pytest.mark.parametrize("use_pe", (True, False), ids=("pe", "nope"))
+def test_lowrank_compensator_weights_of_a_head_move_only_its_columns(use_pe):
+    task, sparse = small_task(heads=3)
+    settings = ForwardSettings(sparse=sparse, compensator="lowrank", use_pe=use_pe)
+    params = init_params(3, task.cfg.d_h, 4, seed=2)
+    x = task.dataset[0][0]
+    before = forward(x, task.grid, task.cfg, task.backbone, params, settings).output
+    params.w_a[1] += 0.5
+    params.w_b[1] -= 0.5
+    after = forward(x, task.grid, task.cfg, task.backbone, params, settings).output
+    head = np.arange(before.shape[1]) // task.cfg.d_h
+    assert np.all(after[:, head == 1] != before[:, head == 1])
+    assert after[:, head != 1].tobytes() == before[:, head != 1].tobytes()
+
+
+@pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
+def test_two_sample_gradients_are_the_mean_of_the_single_sample_ones(compensator, use_pe):
+    task, sparse = small_task(heads=3)
+    settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
+    params = init_params(3, task.cfg.d_h, 4, seed=5)
+    params.w_g[:] = np.linspace(-0.5, 0.5, params.w_g.size)
+    samples, pe = _prepare(task.dataset, task.grid, task.cfg, task.backbone, settings)
+    loss, grads = _loss_and_grads(samples, pe, task.backbone, params, settings)
+    singles = [_loss_and_grads([s], pe, task.backbone, params, settings) for s in samples]
+    np.testing.assert_allclose(loss, (singles[0][0] + singles[1][0]) / 2, rtol=1e-12)
+    for got, one, two in zip(_leaves(grads), _leaves(singles[0][1]), _leaves(singles[1][1])):
+        np.testing.assert_allclose(got, (one + two) / 2, rtol=1e-12)
 
 
 def test_forward_rejects_wrong_input_shape():
