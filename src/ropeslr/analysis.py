@@ -9,14 +9,14 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .decomposition import (
-    DESK_CAP,
     AttentionMatrix,
     RowEnergySplit,
+    check_grids,
     row_energy_split,
     synthetic_attention,
 )
 from .linalg import as_matrix, percentile, stable_rank, svd
-from .rope3d import AXES, GridShape, RopeConfig, frequency_term_matrix
+from .rope3d import AXES, GridShape, RopeConfig, by_axis, frequency_term_matrix, pair_table
 
 # Exhaustive pair enumeration is used up to this token count, sampling above.
 EXHAUSTIVE_LIMIT = 64
@@ -58,25 +58,19 @@ def spectral_decay_report(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
                           sample_pairs: int = 10000, seed: int = 0) -> SpectralReport:
     """Magnitude and cumulative-tail tables for every axis, plot ready.
     Enumerates all pairs when the grid is small enough, samples otherwise;
-    sample streams are derived per (axis, m) slot so results do not depend on
+    pair j's sample stream is seeded seed + j, so results do not depend on
     evaluation order."""
-    magnitude: Dict[str, np.ndarray] = {}
-    tail: Dict[str, np.ndarray] = {}
-    slot = 0
-    for axis in AXES:
-        n = cfg.n_freqs(axis)
-        mags = np.zeros(n)
-        for m in range(1, n + 1):
-            if grid.size <= EXHAUSTIVE_LIMIT:
-                mags[m - 1] = interaction_magnitude_exhaustive(q_mat, k_mat, grid,
-                                                               cfg, axis, m)
-            else:
-                mags[m - 1] = interaction_magnitude(q_mat, k_mat, grid, cfg, axis, m,
-                                                    sample_pairs, seed + slot)
-            slot += 1
-        magnitude[axis] = mags
-        tail[axis] = np.cumsum(mags[::-1])[::-1]
-    return SpectralReport(magnitude=magnitude, tail=tail)
+    _, axis_idx, ms = pair_table(cfg)
+    mags = np.zeros(ms.size)
+    for j, (ai, m) in enumerate(zip(axis_idx, ms.tolist())):
+        if grid.size <= EXHAUSTIVE_LIMIT:
+            mags[j] = interaction_magnitude_exhaustive(q_mat, k_mat, grid, cfg, AXES[ai], m)
+        else:
+            mags[j] = interaction_magnitude(q_mat, k_mat, grid, cfg, AXES[ai], m,
+                                            sample_pairs, seed + j)
+    magnitude = by_axis(cfg, mags)
+    return SpectralReport(magnitude=magnitude,
+                          tail={axis: np.cumsum(v[::-1])[::-1] for axis, v in magnitude.items()})
 
 
 def _split_stable_rank(attn: AttentionMatrix, split: RowEnergySplit) -> float:
@@ -95,13 +89,7 @@ def residual_stable_rank_sweep(grids: Sequence[GridShape], cfg: RopeConfig,
                                energy: float = 0.9, seed: int = 0) -> List[dict]:
     """Residual stable rank of synthetic rotary attention across grid sizes;
     row i is seeded seed + i."""
-    if not grids:
-        raise ValueError("sweep needs at least one grid")
-    sizes = [g.size for g in grids]
-    if sizes != sorted(sizes):
-        raise ValueError("grids must be sorted ascending in token count")
-    if max(sizes) > DESK_CAP:
-        raise ValueError(f"largest grid exceeds the desk cap {DESK_CAP}")
+    check_grids(grids)
     rows = []
     for i, grid in enumerate(grids):
         attn = synthetic_attention(grid, cfg, seed + i)

@@ -58,13 +58,7 @@ def _grid(text: str) -> rope3d.GridShape:
 
 def _grids(text: str) -> list:
     grids = [_grid(chunk) for chunk in text.split(";") if chunk.strip()]
-    if not grids:
-        raise ValueError("must list at least one grid")
-    sizes = [g.size for g in grids]
-    if sizes != sorted(sizes):
-        raise ValueError("grids must be sorted ascending in token count")
-    if sizes[-1] > decomposition.DESK_CAP:
-        raise ValueError(f"largest grid exceeds the desk cap {decomposition.DESK_CAP}")
+    decomposition.check_grids(grids)
     return grids
 
 
@@ -269,8 +263,8 @@ def cmd_spectral(v, out: Optional[str]) -> int:
         raise ConfigError("pairs must be at least 100")
     q_mat, k_mat = decomposition.synthetic_qk(grid, rope_cfg, seed)
     report = analysis.spectral_decay_report(q_mat, k_mat, grid, rope_cfg, pairs, seed)
-    rows = [(axis, m, report.magnitude[axis][m - 1], report.tail[axis][m - 1])
-            for axis in rope3d.AXES for m in range(1, rope_cfg.n_freqs(axis) + 1)]
+    rows = [(axis, m, mag, tail) for axis in rope3d.AXES
+            for m, (mag, tail) in enumerate(zip(report.magnitude[axis], report.tail[axis]), 1)]
     _write_csv(out, ["axis", "m", "magnitude", "tail"], rows)
     return 0
 

@@ -180,10 +180,20 @@ def synthetic_attention(grid: GridShape, cfg: RopeConfig, seed: int) -> Attentio
     return softmax_attention(logit_matrix(q, k, grid, cfg))
 
 
+def check_grids(grids: Sequence[GridShape]) -> None:
+    """A sweep's grid list: non-empty, ascending in token count, and within
+    the desk cap."""
+    if not grids:
+        raise ValueError("sweep needs at least one grid")
+    sizes = [g.size for g in grids]
+    if sizes != sorted(sizes):
+        raise ValueError("grids must be sorted ascending in token count")
+    if sizes[-1] > DESK_CAP:
+        raise ValueError(f"largest grid exceeds the desk cap {DESK_CAP}")
+
+
 def scaling_sweep_point(grid: GridShape, cfg: RopeConfig, c: float, seed: int) -> dict:
     """One sweep row at threshold tau = c / sqrt(L) on synthetic attention."""
-    if grid.size > DESK_CAP:
-        raise ValueError(f"grid has {grid.size} tokens, above the desk cap {DESK_CAP}")
     ell = grid.size
     tau = c / math.sqrt(ell)
     if not (0.0 < tau < 1.0):
@@ -208,13 +218,9 @@ def theorem_scaling_sweep(grids: Sequence[GridShape], cfg: RopeConfig, c: float,
                           seed: int) -> List[dict]:
     """Sweep tau = c/sqrt(L) over grids sorted by L; row i is seeded seed + i
     so points are independent of execution order."""
-    if not grids:
-        raise ValueError("sweep needs at least one grid")
-    sizes = [g.size for g in grids]
-    if sizes != sorted(sizes):
-        raise ValueError("grids must be sorted ascending in token count")
+    check_grids(grids)
     if not (np.isfinite(c) and c > 0.0):
         raise ValueError(f"c must be a positive real, got {c}")
-    if c >= math.sqrt(sizes[0]):
-        raise ValueError(f"c={c} makes tau >= 1 at L={sizes[0]}; need c < sqrt(L_min)")
+    if c >= math.sqrt(grids[0].size):
+        raise ValueError(f"c={c} makes tau >= 1 at L={grids[0].size}; need c < sqrt(L_min)")
     return [scaling_sweep_point(g, cfg, c, seed + i) for i, g in enumerate(grids)]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .decomposition import count_for_mass, row_softmax
 from .linalg import as_matrix
-from .rope3d import AXES, GridShape, RopeConfig, logit_matrix, rotate_rows
+from .rope3d import GridShape, RopeConfig, logit_matrix, pair_angles, rotate_rows
 
 RMS_EPS = 1e-6
 
@@ -119,20 +119,8 @@ class MechanismParams:
         self.b_g = np.asarray(self.b_g, dtype=np.float64)
 
     @property
-    def n_heads(self) -> int:
-        return self.w_a.shape[0]
-
-    @property
-    def d_h(self) -> int:
-        return self.w_a.shape[1]
-
-    @property
     def rank(self) -> int:
         return self.w_a.shape[2]
-
-    @property
-    def d_model(self) -> int:
-        return self.alpha.shape[0]
 
 
 def init_params(n_heads: int, d_h: int, rank: int, seed: int) -> MechanismParams:
@@ -180,31 +168,17 @@ def load_params(path) -> MechanismParams:
 
 
 def build_pe3d(grid: GridShape, d_model: int, cfg: RopeConfig) -> np.ndarray:
-    """Fixed sinusoidal table over (t, x, y): the model width is split across
-    axes proportionally to the rotary split, and each axis block interleaves
-    (sin, cos) pairs of the frequency schedule at that block width."""
-    d_h = cfg.d_h
-    if d_model % d_h != 0:
-        raise ValueError(f"d_model={d_model} is not a multiple of the head dim {d_h}")
-    widths = []
-    for axis in AXES:
-        numer = d_model * cfg.axis_dim(axis)
-        if numer % d_h != 0:
-            raise ValueError(f"axis block width {numer}/{d_h} is not an integer")
-        width = numer // d_h
-        if width % 2 != 0:
-            raise ValueError(f"axis block width {width} must be even")
-        widths.append(width)
-    coords = grid.coords()
+    """Fixed sinusoidal table over (t, x, y): the rotary pair schedule of `cfg`
+    widened by s = d_model / d_h, so each axis block is s times as wide and
+    keeps the frequency schedule at that width.  Pair j's angle gives sin at
+    column 2j and cos at column 2j + 1."""
+    if d_model % cfg.d_h != 0:
+        raise ValueError(f"d_model={d_model} is not a multiple of the head dim {cfg.d_h}")
+    s = d_model // cfg.d_h
+    ang = pair_angles(grid, RopeConfig(cfg.d_t * s, cfg.d_x * s, cfg.d_y * s, cfg.base))
     table = np.empty((grid.size, d_model))
-    col = 0
-    for ai, width in enumerate(widths):
-        c = coords[:, ai].astype(np.float64)
-        for m in range(1, width // 2 + 1):
-            theta = cfg.base ** (-2.0 * (m - 1) / width)
-            table[:, col] = np.sin(theta * c)
-            table[:, col + 1] = np.cos(theta * c)
-            col += 2
+    table[:, 0::2] = np.sin(ang)
+    table[:, 1::2] = np.cos(ang)
     return table
 
 

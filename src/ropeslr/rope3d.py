@@ -2,11 +2,15 @@
 
 The head dimension is split into contiguous [t | x | y] blocks; inside each
 block coordinates are rotated pairwise at columns (2j, 2j+1) with the usual
-exponentially decaying frequency schedule.  Pre-softmax logits then admit an
-exact trigonometric expansion over the per-axis relative offsets, where every
-(axis, frequency) term is a rank <= 2 matrix.  Truncating high frequencies
-yields a low-rank logit approximation whose error is controlled by measured
-per-frequency coefficient tails.
+exponentially decaying frequency schedule.  `pair_table` is the one home of
+that pair layout: every other site, here and in the analysis and mechanism
+modules, reads pair j's frequency, axis and index m from it, and `by_axis`
+splits a per-pair array back into its axis blocks.
+
+Pre-softmax logits then admit an exact trigonometric expansion over the
+per-axis relative offsets, where every (axis, frequency) term is a rank <= 2
+matrix.  Truncating high frequencies yields a low-rank logit approximation
+whose error is controlled by measured per-frequency coefficient tails.
 """
 
 from __future__ import annotations
@@ -116,20 +120,25 @@ def freq(cfg: RopeConfig, axis: str, m: int) -> float:
     return float(cfg.base ** (-2.0 * (m - 1) / d_k))
 
 
-def _slots(cfg: RopeConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Frequencies and coordinate-axis index for every rotation pair, in
-    (axis, m) order. Pair j occupies vector columns (2j, 2j+1)."""
-    thetas = []
-    axis_idx = []
-    for ai, axis in enumerate(AXES):
-        for m in range(1, cfg.n_freqs(axis) + 1):
-            thetas.append(freq(cfg, axis, m))
-            axis_idx.append(ai)
-    return np.asarray(thetas), np.asarray(axis_idx, dtype=np.int64)
+def pair_table(cfg: RopeConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thetas, axis_idx, m) of every rotation pair, in (axis, m) order: its
+    frequency, coordinate-axis index into AXES and frequency index on that
+    axis. Pair j occupies vector columns (2j, 2j+1)."""
+    rows = [(freq(cfg, axis, m), ai, m)
+            for ai, axis in enumerate(AXES) for m in range(1, cfg.n_freqs(axis) + 1)]
+    thetas, axis_idx, ms = zip(*rows)
+    return np.asarray(thetas), np.asarray(axis_idx, dtype=np.int64), np.asarray(ms, dtype=np.int64)
 
 
-def _pair_angles(grid: GridShape, cfg: RopeConfig) -> np.ndarray:
-    thetas, axis_idx = _slots(cfg)
+def by_axis(cfg: RopeConfig, per_pair) -> Dict[str, np.ndarray]:
+    """A per-pair array split into its {"t", "x", "y"} blocks."""
+    ends = np.cumsum([cfg.n_freqs(axis) for axis in AXES])
+    return dict(zip(AXES, np.split(np.asarray(per_pair), ends[:-1])))
+
+
+def pair_angles(grid: GridShape, cfg: RopeConfig) -> np.ndarray:
+    """(L, d_h / 2) rotation angle of every pair at every grid position."""
+    thetas, axis_idx, _ = pair_table(cfg)
     return grid.coords()[:, axis_idx] * thetas[None, :]
 
 
@@ -149,7 +158,7 @@ def rotate_rows(m, grid: GridShape, cfg: RopeConfig) -> np.ndarray:
     m = as_matrix(m)
     if m.shape != (grid.size, cfg.d_h):
         raise ValueError(f"expected shape {(grid.size, cfg.d_h)}, got {m.shape}")
-    return _apply_pair_rotation(m, _pair_angles(grid, cfg))
+    return _apply_pair_rotation(m, pair_angles(grid, cfg))
 
 
 def rotate(v, p: int, grid: GridShape, cfg: RopeConfig) -> np.ndarray:
@@ -160,7 +169,7 @@ def rotate(v, p: int, grid: GridShape, cfg: RopeConfig) -> np.ndarray:
         raise ValueError(f"expected a vector of length {cfg.d_h}, got shape {v.shape}")
     if not (0 <= p < grid.size):
         raise ValueError(f"flat position {p} out of range for L={grid.size}")
-    thetas, axis_idx = _slots(cfg)
+    thetas, axis_idx, _ = pair_table(cfg)
     coord = np.asarray(grid.coord(p))
     ang = coord[axis_idx] * thetas
     return _apply_pair_rotation(v[None, :], ang[None, :])[0]
@@ -197,18 +206,8 @@ def fourier_coeffs(q, k, cfg: RopeConfig) -> FourierCoeffs:
     k = np.asarray(k, dtype=np.float64)
     if q.shape != (cfg.d_h,) or k.shape != (cfg.d_h,):
         raise ValueError(f"expected two vectors of length {cfg.d_h}, got {q.shape} and {k.shape}")
-    a: Dict[str, np.ndarray] = {}
-    b: Dict[str, np.ndarray] = {}
-    for axis in AXES:
-        off = cfg.axis_offset(axis)
-        d_k = cfg.axis_dim(axis)
-        u = q[off:off + d_k]
-        v = k[off:off + d_k]
-        u1, u2 = u[0::2], u[1::2]
-        v1, v2 = v[0::2], v[1::2]
-        a[axis] = u1 * v1 + u2 * v2
-        b[axis] = u1 * v2 - u2 * v1
-    return FourierCoeffs(a=a, b=b)
+    u1, u2, v1, v2 = q[0::2], q[1::2], k[0::2], k[1::2]
+    return FourierCoeffs(a=by_axis(cfg, u1 * v1 + u2 * v2), b=by_axis(cfg, u1 * v2 - u2 * v1))
 
 
 def logit_fourier(coeffs: FourierCoeffs, delta: Sequence[float], cfg: RopeConfig) -> float:
@@ -216,22 +215,15 @@ def logit_fourier(coeffs: FourierCoeffs, delta: Sequence[float], cfg: RopeConfig
     delta = (dt, dx, dy); equals logit_direct for the same token pair."""
     if len(delta) != 3:
         raise ValueError("delta must be a (dt, dx, dy) triple")
+    thetas = by_axis(cfg, pair_table(cfg)[0])
     total = 0.0
     for axis, d in zip(AXES, delta):
         n = cfg.n_freqs(axis)
         if coeffs.a[axis].shape != (n,) or coeffs.b[axis].shape != (n,):
             raise ValueError(f"coefficients for axis {axis!r} must have length {n}")
-        if n == 0:
-            continue
-        thetas = np.array([freq(cfg, axis, m) for m in range(1, n + 1)])
-        ang = thetas * d
+        ang = thetas[axis] * d
         total += float(np.sum(coeffs.a[axis] * np.cos(ang) + coeffs.b[axis] * np.sin(ang)))
     return total / math.sqrt(cfg.d_h)
-
-
-def _pair_columns(cfg: RopeConfig, axis: str, m: int) -> Tuple[int, int]:
-    off = cfg.axis_offset(axis)
-    return off + 2 * (m - 1), off + 2 * m - 1
 
 
 def frequency_term_matrix(q_mat, k_mat, axis: str, m: int, grid: GridShape,
@@ -242,17 +234,12 @@ def frequency_term_matrix(q_mat, k_mat, axis: str, m: int, grid: GridShape,
     k_mat = as_matrix(k_mat)
     if q_mat.shape != (grid.size, cfg.d_h) or k_mat.shape != (grid.size, cfg.d_h):
         raise ValueError("q/k matrices must be (L, d_h) and conform to the grid")
-    theta = freq(cfg, axis, m)  # validates axis and m
-    c0, c1 = _pair_columns(cfg, axis, m)
-    ai = AXES.index(axis)
-    ang = grid.coords()[:, ai] * theta
-    c, s = np.cos(ang), np.sin(ang)
-
-    def rotated_pair(mat):
-        e, o = mat[:, c0], mat[:, c1]
-        return np.stack([c * e - s * o, s * e + c * o], axis=1)
-
-    return rotated_pair(q_mat) @ rotated_pair(k_mat).T
+    freq(cfg, axis, m)  # validates axis and m
+    thetas, axis_idx, ms = pair_table(cfg)
+    j = np.flatnonzero((axis_idx == AXES.index(axis)) & (ms == m))[0]
+    ang = grid.coords()[:, axis_idx[j], None] * thetas[j]
+    cols = slice(2 * j, 2 * j + 2)
+    return _apply_pair_rotation(q_mat[:, cols], ang) @ _apply_pair_rotation(k_mat[:, cols], ang).T
 
 
 def _pair_magnitude(qe, qo, ke, ko) -> float:
@@ -304,15 +291,9 @@ def frequency_magnitudes(q_mat, k_mat, cfg: RopeConfig) -> Dict[str, np.ndarray]
     k_mat = as_matrix(k_mat)
     if q_mat.shape[1] != cfg.d_h or k_mat.shape[1] != cfg.d_h:
         raise ValueError(f"q/k matrices must have {cfg.d_h} columns")
-    out: Dict[str, np.ndarray] = {}
-    for axis in AXES:
-        mags = np.zeros(cfg.n_freqs(axis))
-        for m in range(1, cfg.n_freqs(axis) + 1):
-            c0, c1 = _pair_columns(cfg, axis, m)
-            mags[m - 1] = _pair_magnitude(*_prune_pairs(q_mat[:, c0], q_mat[:, c1],
-                                                        k_mat[:, c0], k_mat[:, c1]))
-        out[axis] = mags
-    return out
+    qe, qo, ke, ko = q_mat[:, 0::2], q_mat[:, 1::2], k_mat[:, 0::2], k_mat[:, 1::2]
+    return by_axis(cfg, [_pair_magnitude(*_prune_pairs(qe[:, j], qo[:, j], ke[:, j], ko[:, j]))
+                         for j in range(cfg.d_h // 2)])
 
 
 def _validate_cutoffs(cfg: RopeConfig, cutoffs: Sequence[int]) -> Tuple[int, int, int]:
@@ -327,12 +308,9 @@ def _validate_cutoffs(cfg: RopeConfig, cutoffs: Sequence[int]) -> Tuple[int, int
 
 def selected_pair_columns(cfg: RopeConfig, cutoffs: Sequence[int]) -> np.ndarray:
     """Vector column indices covered by frequencies m <= M_k on each axis."""
-    m_t, m_x, m_y = _validate_cutoffs(cfg, cutoffs)
-    cols = []
-    for axis, m_k in zip(AXES, (m_t, m_x, m_y)):
-        for m in range(1, m_k + 1):
-            cols.extend(_pair_columns(cfg, axis, m))
-    return np.asarray(cols, dtype=np.int64)
+    cutoffs = np.asarray(_validate_cutoffs(cfg, cutoffs))
+    _, axis_idx, m = pair_table(cfg)
+    return np.flatnonzero(np.repeat(m <= cutoffs[axis_idx], 2))
 
 
 def choose_truncation(q_mat, k_mat, cfg: RopeConfig, delta: float) -> Tuple[int, int, int]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ropeslr import decomposition
+from ropeslr.analysis import residual_stable_rank_sweep
 from ropeslr.decomposition import (
     AttentionMatrix,
     background_inf_norm,
@@ -266,6 +267,20 @@ def test_scaling_sweep_rejects_large_c():
 def test_scaling_sweep_requires_sorted_grids():
     with pytest.raises(ValueError):
         theorem_scaling_sweep([GridShape(4, 4, 4), GridShape(2, 2, 2)], CFG, 0.5, 0)
+
+
+@pytest.mark.parametrize("grids,message", [
+    ([], "at least one grid"),
+    ([GridShape(4, 4, 4), GridShape(2, 2, 2)], "sorted ascending"),
+    ([GridShape(4, 4, 4), GridShape(17, 17, 17)], "desk cap"),
+])
+def test_both_sweeps_check_their_grid_list_up_front(grids, message):
+    with pytest.raises(ValueError, match=message):
+        decomposition.check_grids(grids)
+    with pytest.raises(ValueError, match=message):
+        theorem_scaling_sweep(grids, CFG, 0.5, 0)
+    with pytest.raises(ValueError, match=message):
+        residual_stable_rank_sweep(grids, CFG)
 
 
 def test_scaling_sweep_nnz_fraction_shrinks():

@@ -21,8 +21,9 @@ from ropeslr.mechanism import (
     _leaves,
     _loss_and_grads,
     _prepare,
+    build_pe3d,
 )
-from ropeslr.rope3d import GridShape, RopeConfig
+from ropeslr.rope3d import AXES, GridShape, RopeConfig
 
 VARIANTS = [(c, pe) for c in ("lowrank", "linear") for pe in (True, False)]
 VARIANT_IDS = [f"{c}-{'pe' if pe else 'nope'}" for c, pe in VARIANTS]
@@ -44,6 +45,35 @@ def test_grad_check_agrees_with_finite_differences(compensator, use_pe):
         params = init_params(heads, cfg.d_h, 2, seed + 1000)
         x, target = task.dataset[0]
         assert grad_check(params, x, target, grid, cfg, task.backbone, settings) < 1e-4
+
+
+def pe3d_by_axis_loop(grid, d_model, cfg):
+    """The 3D PE written out: axis block widths d_model * d_axis / d_h, each
+    filled with interleaved (sin, cos) columns of the schedule at its width."""
+    coords = grid.coords().astype(np.float64)
+    table = np.empty((grid.size, d_model))
+    col = 0
+    for ai, axis in enumerate(AXES):
+        width = d_model * cfg.axis_dim(axis) // cfg.d_h
+        for m in range(1, width // 2 + 1):
+            theta = cfg.base ** (-2.0 * (m - 1) / width)
+            table[:, col] = np.sin(theta * coords[:, ai])
+            table[:, col + 1] = np.cos(theta * coords[:, ai])
+            col += 2
+    assert col == d_model
+    return table
+
+
+@pytest.mark.parametrize("rope", [(8, 4, 4), (6, 0, 2), (4, 2, 2)])
+def test_build_pe3d_matches_a_per_axis_loop_bitwise(rope):
+    cfg = RopeConfig(*rope, base=37.5)
+    for grid in (GridShape(1, 1, 1), GridShape(2, 3, 4), GridShape(5, 2, 3)):
+        for s in range(1, 5):
+            got = build_pe3d(grid, s * cfg.d_h, cfg)
+            np.testing.assert_array_equal(got, pe3d_by_axis_loop(grid, s * cfg.d_h, cfg))
+    for d_model in (cfg.d_h - 1, cfg.d_h + 2, 3 * cfg.d_h + 1):
+        with pytest.raises(ValueError):
+            build_pe3d(GridShape(2, 2, 2), d_model, cfg)
 
 
 def test_block_sparse_keep_all_is_full_attention():

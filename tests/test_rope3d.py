@@ -284,9 +284,14 @@ def test_expansion_exact_all_pairs_matrix():
         assert np.max(np.abs(direct - oracle)) <= 1e-9
 
 
-def test_one_dimensional_degenerate_config():
-    cfg = RopeConfig(8, 0, 0)
-    grid = GridShape(9, 1, 1)
+# an empty middle axis: the t and y blocks meet at column 6
+EMPTY_MIDDLE = RopeConfig(6, 0, 2)
+
+
+@pytest.mark.parametrize("cfg,grid", [(RopeConfig(8, 0, 0), GridShape(9, 1, 1)),
+                                      (EMPTY_MIDDLE, GridShape(4, 2, 3))],
+                         ids=["8,0,0", "6,0,2"])
+def test_one_dimensional_degenerate_config(cfg, grid):
     q_mat, k_mat = random_qk(grid, cfg, 12)
     direct = logit_matrix(q_mat, k_mat, grid, cfg)
     oracle = fourier_logit_matrix(q_mat, k_mat, grid, cfg)
@@ -335,9 +340,13 @@ def test_frequency_term_bad_axis_or_m():
 
 
 def test_truncated_full_cutoffs_equals_logit_matrix():
-    q_mat, k_mat = random_qk(GRID, CFG, 17)
-    full = truncated_logits(q_mat, k_mat, GRID, CFG, (2, 2, 2))
-    np.testing.assert_array_equal(full, logit_matrix(q_mat, k_mat, GRID, CFG))
+    for cfg, full_cutoffs in ((CFG, (2, 2, 2)), (EMPTY_MIDDLE, (3, 0, 1))):
+        q_mat, k_mat = random_qk(GRID, cfg, 17)
+        full = truncated_logits(q_mat, k_mat, GRID, cfg, full_cutoffs)
+        np.testing.assert_array_equal(full, logit_matrix(q_mat, k_mat, GRID, cfg))
+    np.testing.assert_array_equal(selected_pair_columns(EMPTY_MIDDLE, (2, 0, 1)),
+                                  [0, 1, 2, 3, 6, 7])
+    np.testing.assert_array_equal(selected_pair_columns(EMPTY_MIDDLE, (0, 0, 1)), [6, 7])
 
 
 def test_truncated_zero_cutoffs_is_zero():
@@ -421,20 +430,22 @@ def test_chunked_frequency_magnitudes_match_the_direct_formula_bitwise(monkeypat
     # 7^3 = 343 rows: the row chunk does not divide L, so the last chunk is ragged
     grid = GridShape(7, 7, 7)
     assert grid.size % rope3d.MAGNITUDE_CHUNK_ROWS != 0
-    q_mat, k_mat = random_qk(grid, CFG, 30)
-    mags = frequency_magnitudes(q_mat, k_mat, CFG)
-    for axis in AXES:
-        off = CFG.axis_offset(axis)
-        direct = []
-        for m in range(1, CFG.n_freqs(axis) + 1):
-            c0, c1 = off + 2 * (m - 1), off + 2 * m - 1
-            a = q_mat[:, c0][:, None] * k_mat[:, c0][None, :] \
-                + q_mat[:, c1][:, None] * k_mat[:, c1][None, :]
-            b = q_mat[:, c0][:, None] * k_mat[:, c1][None, :] \
-                - q_mat[:, c1][:, None] * k_mat[:, c0][None, :]
-            direct.append(float(np.max(np.abs(a) + np.abs(b))))
-        np.testing.assert_array_equal(mags[axis], direct)
+    for cfg in (CFG, EMPTY_MIDDLE):
+        q_mat, k_mat = random_qk(grid, cfg, 30)
+        mags = frequency_magnitudes(q_mat, k_mat, cfg)
+        for axis in AXES:
+            off = cfg.axis_offset(axis)
+            direct = []
+            for m in range(1, cfg.n_freqs(axis) + 1):
+                c0, c1 = off + 2 * (m - 1), off + 2 * m - 1
+                a = q_mat[:, c0][:, None] * k_mat[:, c0][None, :] \
+                    + q_mat[:, c1][:, None] * k_mat[:, c1][None, :]
+                b = q_mat[:, c0][:, None] * k_mat[:, c1][None, :] \
+                    - q_mat[:, c1][:, None] * k_mat[:, c0][None, :]
+                direct.append(float(np.max(np.abs(a) + np.abs(b))))
+            np.testing.assert_array_equal(mags[axis], direct)
 
+    q_mat, k_mat = random_qk(grid, CFG, 30)
     cutoffs = [(0, 0, 0), (1, 0, 2), (2, 2, 2)]
     deltas = [100.0, 30.0, 20.0, 15.0, 1.0]
     chunked = ([truncation_tail_bound(q_mat, k_mat, CFG, c) for c in cutoffs],
