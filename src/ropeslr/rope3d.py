@@ -66,14 +66,6 @@ class RopeConfig:
     def n_freqs(self, axis: str) -> int:
         return self.axis_dim(axis) // 2
 
-    def axis_offset(self, axis: str) -> int:
-        """Column offset of the axis block inside a d_h-wide vector."""
-        if axis == "t":
-            return 0
-        if axis == "x":
-            return self.d_t
-        return self.d_t + self.d_x
-
 
 @dataclass(frozen=True)
 class GridShape:

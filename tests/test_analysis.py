@@ -14,7 +14,7 @@ from ropeslr.decomposition import (
     synthetic_attention,
     synthetic_qk,
 )
-from ropeslr.linalg import percentile, stable_rank
+from ropeslr.linalg import _certified_spectral_energy, percentile, stable_rank
 from ropeslr.rope3d import AXES, GridShape, RopeConfig, frequency_term_matrix
 
 CFG = RopeConfig(4, 4, 4)
@@ -70,6 +70,17 @@ def test_stable_rank_sweep_rows_match_the_single_point():
         assert row["L"] == grid.size
         assert row["retained_fraction"] == split.retained_count / grid.size ** 2
         assert row["residual_stable_rank"] == residual_stable_rank(attn, 0.9)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_certified_spectral_energy_matches_the_svd_on_residuals(n):
+    for seed in range(3):
+        attn = synthetic_attention(GridShape(n, n, n), CFG, seed)
+        residual = np.where(row_energy_split(attn, 0.9).keep_mask, 0.0, attn.a)
+        certified = _certified_spectral_energy(residual)
+        assert certified is not None
+        s1_sq = np.linalg.svd(residual, compute_uv=False)[0] ** 2
+        assert abs(certified - s1_sq) <= 1e-11 * s1_sq
 
 
 def test_interaction_magnitude_rejects_too_few_pairs():

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from ropeslr import linalg
 from ropeslr.linalg import numerical_rank, percentile, stable_rank, svd
 
 
@@ -84,6 +87,68 @@ def test_stable_rank_range():
     a = rng.standard_normal((5, 9))
     sr = stable_rank(a)
     assert 1.0 <= sr <= 5.0
+
+
+def svd_stable_rank(a):
+    """The SVD path of stable_rank, written out."""
+    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(np.sum(a * a)) / (s1 * s1)
+
+
+ZERO_ROWS_AND_COLUMNS = np.array([[0.0, 0.0, 0.0, 0.0],
+                                  [1.0, 0.0, 2.0, 0.5],
+                                  [3.0, 0.0, 1.0, 0.0],
+                                  [0.0, 0.0, 0.0, 0.0],
+                                  [0.2, 0.0, 0.0, 4.0]])
+# nonnegative matrices and their sigma_1^2
+CERTIFIED = {
+    "identity": (np.eye(7), 1.0),
+    "diag": (np.diag([2.0, 1.0]), 4.0),
+    # zero rows and columns too; stable rank 1
+    "rank_one": (np.outer([1.0, 0.0, 2.0, 2.0], [3.0, 0.0, 4.0]), 225.0),
+    # B = a.T a is reducible; the upper block's sigma_1^2 is (3 + sqrt 5) / 2
+    "block_diagonal": (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                       (3.0 + math.sqrt(5.0)) / 2.0),
+    "zero_rows_and_columns": (ZERO_ROWS_AND_COLUMNS,
+                              float(np.linalg.svd(ZERO_ROWS_AND_COLUMNS, compute_uv=False)[0]) ** 2),
+    "one_by_one": (np.array([[3.0]]), 9.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_closes_on_nonnegative_matrices_without_the_svd(name, monkeypatch):
+    def refuse(a):
+        raise AssertionError("the certificate should have closed")
+
+    monkeypatch.setattr(linalg, "singular_values", refuse)
+    a, s1_sq = CERTIFIED[name]
+    # the Rayleigh quotient: inside the certified bracket, and a lower bound
+    # on sigma_1^2 but for rounding
+    assert s1_sq * (1.0 - 1e-11) <= linalg._certified_spectral_energy(a) <= s1_sq * (1.0 + 1e-14)
+    assert stable_rank(a) == pytest.approx(float(np.sum(a * a)) / s1_sq, rel=1e-11)
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([1.0, 1.0 - 1e-5]),  # ratio 1 - 2e-5 per step: no certificate within the cap
+    np.diag([1.0, 1e-200]),  # y underflows to 0 on the first step
+    np.array([[2.0, -1e-300], [0.0, 1.0]]),  # one negative entry
+    np.outer([1.0, -2.0], [0.5, 3.0, 1.0]),
+], ids=["slow", "underflow", "negative_entry", "signed_rank_one"])
+@pytest.mark.filterwarnings("error")  # fail closed before any 0/0 or x/0
+def test_fallback_is_the_svd_path_bitwise(a):
+    assert linalg._certified_spectral_energy(a) is None
+    assert stable_rank(a) == svd_stable_rank(a)
+
+
+def test_the_bracket_is_widened_by_the_rounding_of_its_sums(monkeypatch):
+    # both bounds of the identity are exactly 1 at the first step; the
+    # widening 2 (rows + cols) eps on each side keeps a narrower bracket open
+    a = np.eye(3)
+    gamma = 2.0 * 6 * np.finfo(np.float64).eps
+    monkeypatch.setattr(linalg, "SPECTRAL_CERT_TOL", gamma)
+    assert linalg._certified_spectral_energy(a) is None
+    monkeypatch.setattr(linalg, "SPECTRAL_CERT_TOL", 3.0 * gamma)
+    assert linalg._certified_spectral_energy(a) == 1.0
 
 
 def test_percentile_singleton():
