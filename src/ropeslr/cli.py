@@ -350,12 +350,18 @@ TRAIN_VARIANTS = (
 @_command("train-align", **TASK_DEFAULTS, steps="500", lr="2.0")
 def cmd_train_align(v, out: Optional[str]) -> int:
     task, sparse = _task(v)
+    # the sparse branch is the same for every variant: compute it once
+    samples = mechanism.prepare_samples(task.dataset, task.grid, task.cfg, task.backbone,
+                                        sparse)
     for name, compensator, use_pe in TRAIN_VARIANTS:
         settings = mechanism.ForwardSettings(sparse=sparse, compensator=compensator,
                                              use_pe=use_pe)
         params = mechanism.init_params(v["heads"], task.cfg.d_h, v["rank"], v["seed"])
         result = mechanism.train_stage1(task.dataset, task.grid, task.cfg, task.backbone,
-                                        params, settings, v["lr"], v["steps"])
+                                        params, settings, v["lr"], v["steps"], samples)
+        if result.diverged:
+            print(f"train-align: variant {name} diverged at step {result.losses.size - 1} "
+                  f"(loss {result.final_loss})", file=sys.stderr)
         rows = list(enumerate(result.losses))
         if out is None:
             sys.stdout.write(f"# variant={name}\n")

@@ -63,15 +63,6 @@ def favor_map(input_dim: int, feature_dim: int, seed: int) -> FavorMap:
     return FavorMap(omegas=rng.standard_normal((feature_dim, input_dim)))
 
 
-def favor_features(x, fmap: FavorMap) -> np.ndarray:
-    """phi(x)_i = exp(omega_i . x - ||x||^2 / 2) / sqrt(R); always positive,
-    and E[phi(q) . phi(k)] = exp(q . k)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fmap.input_dim,):
-        raise ValueError(f"expected a vector of length {fmap.input_dim}, got {x.shape}")
-    return np.exp(fmap.omegas @ x - 0.5 * float(x @ x)) / math.sqrt(fmap.feature_dim)
-
-
 def _log_features_rows(m, fmap: FavorMap) -> np.ndarray:
     """log(phi(x) sqrt(R)) = omega_i . x - ||x||^2 / 2 for every row x of m."""
     m = as_matrix(m)

@@ -8,18 +8,29 @@ fused through a token-wise scalar sigmoid gate.  The trainer runs plain
 gradient descent on the new parameters only, with hand-derived gradients that
 a central finite-difference check validates coordinate by coordinate.
 
-Each branch has one implementation, inside `_fused_forward` and
+Each branch has one implementation, reached through `_fused_forward` and
 `_fused_backward`, with the heads as an array axis of (H, L, d_h) values.
-The sparse branch is constant during training, so it is RMS-normalised once
-per sample.  `forward` returns the per-branch values (the injected input,
-compensator outputs, normalized branches and the gate) as a `ForwardTrace`.
+Training computes each value only as often as it can change:
+
+- once per task, `prepare_samples`: the RMS-normalised sparse branch of each
+  sample, which reads the raw input through the frozen backbone and so is
+  shared by every variant;
+- once per variant, `_variant_inputs`: the position table, and with the
+  linear compensator and no PE, that compensator's output and its RMS norm
+  on each sample, since it then has no parameters and reads x itself;
+- on each step, `_loss_and_grads`: the gate, the compensator where it has
+  parameters or reads the injected input, the fusion and the backward pass.
+
+`forward` recomputes every branch from x and returns the per-branch values
+(the injected input, compensator outputs, normalized branches and the gate)
+as a `ForwardTrace`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,19 +43,21 @@ RMS_EPS = 1e-6
 
 
 def sigmoid(x):
+    """1 / (1 + exp(-x)) without overflow: with t = exp(-|x|), 1 / (t + 1) for
+    x >= 0 and t / (t + 1) below, worked out in one buffer."""
     x = np.asarray(x, dtype=np.float64)
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    t = np.abs(x, out=np.empty_like(x))
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    d = t + 1.0
+    np.copyto(t, 1.0, where=x >= 0.0)
+    return np.divide(t, d, out=t)
 
 
 def elu_plus_one(x):
     """Positive C1 feature map x -> elu(x) + 1 of the linear compensator."""
     x = np.asarray(x, dtype=np.float64)
     return np.where(x > 0.0, x + 1.0, np.exp(np.minimum(x, 0.0)))
-
-
-def _elu_plus_one_grad(x):
-    return np.where(x > 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +312,9 @@ def _linear_backward(g_out, cache, backbone):
     d_svec = (pq.swapaxes(1, 2) @ d_raw[:, :, None])[:, :, 0]
     d_pk = v @ d_smat.swapaxes(1, 2) + d_svec[:, None, :]
     d_v = pk @ d_smat
-    d_q = d_pq * _elu_plus_one_grad(q)
-    d_k = d_pk * _elu_plus_one_grad(k)
+    # the derivative of elu(x) + 1 is 1 above 0 and the feature itself below
+    d_q = d_pq * np.where(q > 0.0, 1.0, pq)
+    d_k = d_pk * np.where(k > 0.0, 1.0, pk)
     return (d_q @ backbone.w_q.swapaxes(1, 2) + d_k @ backbone.w_k.swapaxes(1, 2)
             + d_v @ backbone.w_v.swapaxes(1, 2))
 
@@ -333,7 +347,8 @@ class ForwardTrace:
 
 
 # The intermediates of one `_fused_forward`: (H, L, d_h) arrays, except x_hat
-# (L, d_model), g (L,), inv_lowrank (H, L, 1) and the compensator's own `branch`.
+# (L, d_model), g (L,), inv_lowrank (H, L, 1) and the compensator's own `branch`,
+# which is None for a compensator fixed in training.
 _Fused = namedtuple("_Fused", "x_hat g u_sparse y_sparse o_lowrank u_lowrank inv_lowrank "
                     "y_lowrank branch")
 
@@ -344,19 +359,27 @@ def _rms(o):
     return o * inv, inv
 
 
-def _fused_forward(x, u_sparse, pe, backbone, params, settings):
+def _fused_forward(x, u_sparse, pe, backbone, params, settings, fixed_compensator=None):
     """Forward pass against the RMS-normalised (H, L, d_h) sparse branch
-    `u_sparse`; returns the fused output and its `_Fused` intermediates."""
+    `u_sparse`; returns the fused output and its `_Fused` intermediates.
+    `fixed_compensator`, when given, is the (o_lowrank, u_lowrank,
+    inv_lowrank) of a compensator that is constant in training (linear, no
+    PE), made once per sample by `_variant_inputs`; otherwise the compensator
+    runs here."""
     x_hat = x + params.alpha[None, :] * pe if settings.use_pe else x
     g = sigmoid(x_hat @ params.w_g + params.b_g)
-    if settings.compensator == "lowrank":
-        xh = _heads(x_hat, backbone.n_heads)
-        h1 = sigmoid(xh @ params.w_a)
-        o_lr = sigmoid(h1 @ params.w_b)
-        branch = (xh, h1)
+    branch = None
+    if fixed_compensator is not None:
+        o_lr, u_lr, inv_lr = fixed_compensator
     else:
-        o_lr, branch = _linear_forward(x_hat, backbone)
-    u_lr, inv_lr = _rms(o_lr)
+        if settings.compensator == "lowrank":
+            xh = _heads(x_hat, backbone.n_heads)
+            h1 = sigmoid(xh @ params.w_a)
+            o_lr = sigmoid(h1 @ params.w_b)
+            branch = (xh, h1)
+        else:
+            o_lr, branch = _linear_forward(x_hat, backbone)
+        u_lr, inv_lr = _rms(o_lr)
     y_sp = u_sparse * params.rms_sparse
     y_lr = u_lr * params.rms_lowrank
     out = _merge_heads(y_sp + g[:, None] * y_lr)
@@ -377,44 +400,46 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
                           np.sum(d_y_lr * c.u_lowrank, axis=1)):
         grads.rms_sparse += d_sp
         grads.rms_lowrank += d_lr
-    d_u = d_y_lr * params.rms_lowrank
-    dot = np.sum(d_u * c.o_lowrank, axis=2, keepdims=True)
-    d_o_lr = d_u * c.inv_lowrank - c.o_lowrank * (c.inv_lowrank ** 3 * dot / backbone.d_h)
     d_zg = np.sum(gh * c.y_lowrank, axis=2).sum(axis=0) * c.g * (1.0 - c.g)
     grads.w_g += c.x_hat.T @ d_zg
     grads.b_g += d_zg.sum()
     lowrank = settings.compensator == "lowrank"
+    # the linear compensator has no parameters: without PE, the gradient of
+    # its output reaches none, and neither does the input gradient
+    if not (lowrank or settings.use_pe):
+        return
+    d_u = d_y_lr * params.rms_lowrank
+    dot = np.sum(d_u * c.o_lowrank, axis=2, keepdims=True)
+    d_o_lr = d_u * c.inv_lowrank - c.o_lowrank * (c.inv_lowrank ** 3 * dot / backbone.d_h)
     if lowrank:
         xh, h1 = c.branch
         d_z2 = d_o_lr * c.o_lowrank * (1.0 - c.o_lowrank)
         grads.w_b += h1.swapaxes(1, 2) @ d_z2
         d_z1 = (d_z2 @ params.w_b.swapaxes(1, 2)) * h1 * (1.0 - h1)
         grads.w_a += xh.swapaxes(1, 2) @ d_z1
-    # without PE the input gradient reaches no parameter
     if settings.use_pe:
         d_branch = (_merge_heads(d_z1 @ params.w_a.swapaxes(1, 2)) if lowrank
                     else _linear_backward(d_o_lr, c.branch, backbone).sum(axis=0))
         grads.alpha += np.sum((d_branch + np.outer(d_zg, params.w_g)) * pe, axis=0)
 
 
-def _branch_inputs(xs, grid, cfg, backbone, settings):
-    """The position table (None without PE) and, per input, the block-sparse
-    result of every head with their outputs stacked, (H, L, d_h).  The sparse
-    branch reads the raw input through the frozen backbone, so it is constant
-    during training: callers RMS-normalise it once per input."""
-    pe = build_pe3d(grid, backbone.d_model, cfg) if settings.use_pe else None
-    results = [[block_sparse_attention(x, grid, cfg, backbone, h, settings.sparse)
-                for h in range(backbone.n_heads)] for x in xs]
-    return pe, [(rs, np.stack([r.output for r in rs])) for rs in results]
+def _sparse_branch(x, grid, cfg, backbone, sparse: SparseSettings):
+    """The block-sparse result of every head of one input, and their outputs
+    stacked, (H, L, d_h)."""
+    results = [block_sparse_attention(x, grid, cfg, backbone, h, sparse)
+               for h in range(backbone.n_heads)]
+    return results, np.stack([r.output for r in results])
 
 
 def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
             params: MechanismParams, settings: ForwardSettings) -> ForwardTrace:
-    """Full mechanism forward pass; deterministic for identical inputs."""
+    """Full mechanism forward pass from x, every branch computed afresh;
+    deterministic for identical inputs."""
     x = as_matrix(x)
     if x.shape != (grid.size, backbone.d_model):
         raise ValueError(f"expected input shape {(grid.size, backbone.d_model)}, got {x.shape}")
-    pe, ((results, o_sparse),) = _branch_inputs([x], grid, cfg, backbone, settings)
+    results, o_sparse = _sparse_branch(x, grid, cfg, backbone, settings.sparse)
+    pe = build_pe3d(grid, backbone.d_model, cfg) if settings.use_pe else None
     out, c = _fused_forward(x, _rms(o_sparse)[0], pe, backbone, params, settings)
     return ForwardTrace(x_hat=c.x_hat, o_sparse=o_sparse, o_lowrank=c.o_lowrank,
                         norm_sparse=c.y_sparse, norm_lowrank=c.y_lowrank, g=c.g, output=out,
@@ -426,21 +451,50 @@ def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
 
 
 @dataclass(frozen=True)
-class _PreparedSample:
+class PreparedSample:
+    """One training pair with the values of it that training reuses."""
+
     x: np.ndarray
     target: np.ndarray
     u_sparse: np.ndarray  # (H, L, d_h) sparse branch, RMS-normalised
+    # (o_lowrank, u_lowrank, inv_lowrank) of a compensator constant in training
+    fixed_compensator: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
-def _prepare(dataset, grid, cfg, backbone, settings) -> Tuple[List[_PreparedSample], Optional[np.ndarray]]:
-    """Check the samples and normalise the sparse branch of each, once."""
+def prepare_samples(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridShape,
+                    cfg: RopeConfig, backbone: Backbone,
+                    sparse: SparseSettings) -> List[PreparedSample]:
+    """Check the (x, target) pairs and RMS-normalise the sparse branch of each.
+    The sparse branch reads the raw input through the frozen backbone, so it
+    is the same for every variant and step: every `train_stage1` on one task
+    can share these samples."""
     pairs = [(as_matrix(x), as_matrix(target)) for x, target in dataset]
     for x, target in pairs:
         if x.shape != (grid.size, backbone.d_model) or target.shape != x.shape:
             raise ValueError("dataset sample shapes must be (L, d_model)")
-    pe, sparse = _branch_inputs([x for x, _ in pairs], grid, cfg, backbone, settings)
-    return [_PreparedSample(x=x, target=target, u_sparse=_rms(o_sparse)[0])
-            for (x, target), (_, o_sparse) in zip(pairs, sparse)], pe
+    return [PreparedSample(x=x, target=target,
+                           u_sparse=_rms(_sparse_branch(x, grid, cfg, backbone, sparse)[1])[0])
+            for x, target in pairs]
+
+
+def _variant_inputs(samples, grid, cfg, backbone, settings):
+    """What is constant for one variant: the position table (None without
+    PE) and, for the linear compensator without PE, which has no parameters
+    and reads x itself, its normalised output on each sample."""
+    pe = build_pe3d(grid, backbone.d_model, cfg) if settings.use_pe else None
+    if settings.compensator == "linear" and not settings.use_pe:
+        constant = []
+        for s in samples:
+            o_lr, _ = _linear_forward(s.x, backbone)
+            constant.append(replace(s, fixed_compensator=(o_lr, *_rms(o_lr))))
+        samples = constant
+    return samples, pe
+
+
+def _prepare(dataset, grid, cfg, backbone, settings) -> Tuple[List[PreparedSample], Optional[np.ndarray]]:
+    """The prepared samples and position table of one variant."""
+    samples = prepare_samples(dataset, grid, cfg, backbone, settings.sparse)
+    return _variant_inputs(samples, grid, cfg, backbone, settings)
 
 
 def _loss_and_grads(samples, pe, backbone, params, settings, want_grads: bool = True):
@@ -448,7 +502,8 @@ def _loss_and_grads(samples, pe, backbone, params, settings, want_grads: bool = 
     grads = zero_grads(params) if want_grads else None
     n = len(samples)
     for s in samples:
-        out, cache = _fused_forward(s.x, s.u_sparse, pe, backbone, params, settings)
+        out, cache = _fused_forward(s.x, s.u_sparse, pe, backbone, params, settings,
+                                    s.fixed_compensator)
         diff = out - s.target
         total += float(np.mean(diff * diff)) / n
         if want_grads:
@@ -473,21 +528,28 @@ class TrainResult:
 
 def train_stage1(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridShape,
                  cfg: RopeConfig, backbone: Backbone, params: MechanismParams,
-                 settings: ForwardSettings, lr: float, steps: int) -> TrainResult:
+                 settings: ForwardSettings, lr: float, steps: int,
+                 samples: Optional[List[PreparedSample]] = None) -> TrainResult:
     """Plain gradient descent on the new parameters against fixed targets.
 
-    Mutates `params` in place; a NaN loss aborts the run and reports it."""
+    Mutates `params` in place; a NaN loss aborts the run and reports it.
+    `samples`, when given, are the `prepare_samples` of `dataset` under
+    `settings.sparse`; variants trained on one task pass the same list, so
+    the sparse branch is computed once for all of them."""
     if not (np.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be a non-negative real, got {lr}")
     if steps < 0:
         raise ValueError("step count must be non-negative")
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    samples, pe = _prepare(dataset, grid, cfg, backbone, settings)
+    if samples is None:
+        samples = prepare_samples(dataset, grid, cfg, backbone, settings.sparse)
     losses = []
     # overflow in an exploding run shows up as a non-finite loss and aborts
-    # the loop; the warnings themselves are noise
+    # the loop; the warnings themselves are noise.  A constant compensator is
+    # part of every step, so it is made under the same state.
     with np.errstate(over="ignore", invalid="ignore"):
+        samples, pe = _variant_inputs(samples, grid, cfg, backbone, settings)
         for step in range(steps + 1):
             loss, grads = _loss_and_grads(samples, pe, backbone, params, settings,
                                           want_grads=step < steps)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ropeslr import cli, lowrank
+from ropeslr import cli, lowrank, mechanism
 
 GOLDEN = Path(__file__).parent / "golden"
 REAL_RTOL = 1e-9
@@ -188,3 +188,51 @@ def test_module_help_lists_every_subcommand():
     assert done.returncode == 0
     for name in SUBCOMMANDS:
         assert name in done.stdout
+
+
+def test_train_align_runs_the_sparse_branch_once_per_sample_and_head(monkeypatch):
+    calls = []
+    real = mechanism.block_sparse_attention
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mechanism, "block_sparse_attention", counted)
+    rc, _, _ = run_cli(["train-align", "--grid", "2,5,5", "--heads", "3", "--samples", "2",
+                        "--steps", "2"])
+    assert rc == 0
+    # shared by the four variants and all their steps
+    assert len(calls) == 2 * 3
+
+
+DIVERGING = ["train-align", "--grid", "2,4,4", "--rope", "4,2,2", "--heads", "2",
+             "--samples", "1", "--rank", "2", "--block", "1,2,2", "--lr", "1e300",
+             "--steps", "2"]
+
+
+def test_train_align_names_each_diverged_variant_on_stderr(tmp_path):
+    rc, stdout, stderr = run_cli(DIVERGING)
+    assert rc == 0
+    blocks = stdout.split("# variant=")[1:]
+    names = [name for name, _, _ in cli.TRAIN_VARIANTS]
+    assert [b.splitlines()[0] for b in blocks] == names
+    want = []
+    for name, block in zip(names, blocks):
+        step, loss = block.splitlines()[-1].split(",")
+        assert not math.isfinite(float(loss))
+        want.append(f"train-align: variant {name} diverged at step {step} (loss {loss})")
+    assert stderr.splitlines() == want
+    assert want[0] == "train-align: variant lowrank_3dpe diverged at step 1 (loss nan)"
+    # the CSV files are written as before, and the report still goes to stderr
+    rc, out_stdout, out_stderr = run_cli(DIVERGING + ["--out", str(tmp_path / "loss")])
+    assert (rc, out_stdout, out_stderr) == (0, "", stderr)
+    for name, block in zip(names, blocks):
+        text = (tmp_path / f"loss.{name}.csv").read_text(encoding="utf-8")
+        assert text == block.split("\n", 1)[1]
+
+
+def test_train_align_that_converges_writes_nothing_to_stderr():
+    rc, stdout, stderr = run_cli(["train-align", "--grid", "2,5,5", "--steps", "2"])
+    assert (rc, stderr) == (0, "")
+    assert stdout.count("# variant=") == 4

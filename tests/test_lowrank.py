@@ -6,6 +6,7 @@ import pytest
 from ropeslr.decomposition import energy_split, softmax_attention, synthetic_qk
 from ropeslr.linalg import RANK_REL_TOL, numerical_rank, singular_values
 from ropeslr.lowrank import (
+    FavorMap,
     RANK_CERT_MARGIN,
     _factored_core,
     _lowrank_branch,
@@ -13,7 +14,6 @@ from ropeslr.lowrank import (
     _rank_certificate,
     _truncated_svd_factors,
     approx_kernel,
-    favor_features,
     favor_features_rows,
     favor_map,
     normalize_rows,
@@ -23,6 +23,16 @@ from ropeslr.lowrank import (
 from ropeslr.rope3d import GridShape, RopeConfig, choose_truncation, logit_matrix
 
 CFG = RopeConfig(4, 4, 4)
+
+
+def favor_features(x, fmap: FavorMap) -> np.ndarray:
+    """The positive random features of one vector, written out as the
+    oracle of the row path: phi(x)_i = exp(omega_i . x - ||x||^2 / 2) /
+    sqrt(R); always positive, and E[phi(q) . phi(k)] = exp(q . k)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (fmap.input_dim,):
+        raise ValueError(f"expected a vector of length {fmap.input_dim}, got {x.shape}")
+    return np.exp(fmap.omegas @ x - 0.5 * float(x @ x)) / math.sqrt(fmap.feature_dim)
 
 
 def test_favor_features_zero_vector_exact():

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from ropeslr.mechanism import (
     ForwardSettings,
     SparseSettings,
     block_sparse_attention,
+    elu_plus_one,
     forward,
     full_attention_reference,
     grad_check,
     init_params,
     load_params,
     make_alignment_task,
+    prepare_samples,
     random_backbone,
     save_params,
+    sigmoid,
     train_stage1,
     _leaves,
     _loss_and_grads,
@@ -244,3 +248,85 @@ def test_gram_spectral_and_gate_map_shapes():
     assert gmap.frame_means.shape == (grid.t,)
     assert (gmap.minimum, gmap.maximum) == (trace.g.min(), trace.g.max())
     assert gmap.mean == float(trace.g.mean())
+
+
+@pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
+def test_trained_loss_is_bitwise_the_loss_of_forward(compensator, use_pe):
+    # the trainer reuses the sparse branch of each sample, shared here between
+    # runs as train-align shares it between variants, and, for the linear
+    # compensator without PE, that compensator's output; `forward` recomputes
+    # every branch from x
+    task, sparse = small_task()
+    settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
+    shared = prepare_samples(task.dataset, task.grid, task.cfg, task.backbone, sparse)
+    results = []
+    for samples in (None, shared, shared):
+        params = init_params(2, task.cfg.d_h, 4, seed=3)
+        results.append(train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+                                    settings, lr=2.0, steps=3, samples=samples))
+    assert not results[0].diverged
+    for other in results[1:]:
+        assert other.losses.tobytes() == results[0].losses.tobytes()
+    loss = 0.0
+    for x, target in task.dataset:
+        diff = forward(x, task.grid, task.cfg, task.backbone, params, settings).output - target
+        loss += float(np.mean(diff * diff)) / len(task.dataset)
+    assert loss == results[0].final_loss
+
+
+def sigmoid_oracle(x):
+    """The sigmoid as first written: both branches over the whole array."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def elu_plus_one_grad_oracle(x):
+    """The derivative of elu(x) + 1 as first written, from x alone."""
+    return np.where(x > 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+def elu_plus_one_grad(x):
+    """The derivative as the linear branch's backward pass forms it, from
+    the features elu(x) + 1."""
+    return np.where(x > 0.0, 1.0, elu_plus_one(x))
+
+
+EDGE = np.array([0.0, 5e-324, 1e-300, 36.7, 709.0, 745.0, np.inf])
+
+
+def activation_inputs():
+    normals = np.random.default_rng(11).standard_normal(10_000)
+    return [np.concatenate([EDGE, -EDGE, [np.nan]]), normals, 50.0 * normals,
+            (50.0 * normals[:9_984]).reshape(4, 312, 8), np.asarray(-36.7)]
+
+
+def outcome(f, x, **errstate):
+    """The result bytes of f(x), or the floating-point error it raised, and
+    the messages of the warnings it gave, under the given error state."""
+    with np.errstate(**errstate), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = np.asarray(f(x)).tobytes()
+        except FloatingPointError as exc:
+            value = f"raised: {exc}"
+    return value, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("new,oracle", [(sigmoid, sigmoid_oracle),
+                                        (elu_plus_one_grad, elu_plus_one_grad_oracle)],
+                         ids=("sigmoid", "elu_plus_one_grad"))
+def test_activation_is_bitwise_its_first_formula(new, oracle):
+    for x in activation_inputs():
+        got = new(x)
+        want = oracle(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # one value at a time, so an error raised on one does not hide another
+        for xi in [x] + [x.reshape(-1)[i:i + 1] for i in range(min(x.size, 15))]:
+            for state in ({"over": "raise", "invalid": "raise"}, {"all": "raise"},
+                          {"all": "warn"}):
+                assert outcome(new, xi, **state) == outcome(oracle, xi, **state), (xi, state)
+    x = np.array([-2.0, 0.5])
+    sigmoid(x)
+    np.testing.assert_array_equal(x, [-2.0, 0.5])  # the input is not written
