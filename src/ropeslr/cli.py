@@ -246,14 +246,19 @@ def cmd_reconstruct(v, out: Optional[str]) -> int:
         raise ConfigError(f"grid exceeds the desk cap {decomposition.DESK_CAP}")
 
     q_mat, k_mat = decomposition.synthetic_qk(grid, rope_cfg, seed)
-    recs = [lowrank.reconstruct(q_mat, k_mat, grid, rope_cfg, tau, e_tol, r_dim, seed)
-            for r_dim in v["favor_r"]]
-    rows = [(grid.size, rec.tau, rec.e_tol, rec.favor_dim, rec.rank_lowrank,
-             rec.nnz_sparse, rec.max_err_spike, rec.max_err_bg) for rec in recs]
+
+    def summary(r_dim):
+        """The CSV row and the exit check of one R; its L x L arrays are
+        freed before the next R is rebuilt."""
+        rec = lowrank.reconstruct(q_mat, k_mat, grid, rope_cfg, tau, e_tol, r_dim, seed)
+        return ((grid.size, rec.tau, rec.e_tol, rec.favor_dim, rec.rank_lowrank,
+                 rec.nnz_sparse, rec.max_err_spike, rec.max_err_bg),
+                rec.max_err_spike == 0.0 and rec.support_matches_spikes)
+
+    runs = [summary(r_dim) for r_dim in v["favor_r"]]
     _write_csv(out, ["L", "tau", "E_tol", "favor_R", "rank", "nnz",
-                     "max_err_spike", "max_err_bg"], rows)
-    ok = all(rec.max_err_spike == 0.0 and rec.support_matches_spikes for rec in recs)
-    return 0 if ok else 1
+                     "max_err_spike", "max_err_bg"], [row for row, _ in runs])
+    return 0 if all(ok for _, ok in runs) else 1
 
 
 @_command("spectral", grid="4,4,4", rope="4,4,4", base="10000", pairs="10000", seed="0")

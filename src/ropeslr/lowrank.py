@@ -13,6 +13,12 @@ space, so any finite logits work: no partition value exp(log_z) is formed.
 The low-rank matrix diag(1/z) phi(Q) phi(K)^T is a product of two L x R
 factors; when R < L its rank is certified from their R x R Grams, with QRs
 and an SVD of the R x R core as the fallback, never a dense L x L SVD.
+
+The back half runs over blocks of SPLIT_BLOCK_ROWS rows: the product of the
+features is scaled to a_lowrank one block at a time, and the errors are read
+and a_final written block by block into the attention's own buffer, which
+reconstruct does not return.  So the back half allocates no L x L array but
+a_lowrank: a_final is the attention's buffer.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 
 from .decomposition import (
     DESK_CAP,
+    SPLIT_BLOCK_ROWS,
     AttentionMatrix,
     energy_split,
     softmax_attention,
@@ -43,24 +50,29 @@ from .rope3d import (
 @dataclass(frozen=True)
 class FavorMap:
     """Gaussian feature directions, drawn once and shared between the query
-    and key featurizations (sharing is what makes the estimator unbiased)."""
+    and key featurizations (sharing is what makes the estimator unbiased).
+    omegas is a C-contiguous (input_dim, R) array, one direction per column,
+    so the feature GEMM m @ omegas takes no transposed operand: in a few
+    fresh processes OpenBLAS ran such small products with one about 100 times
+    slower."""
 
     omegas: np.ndarray
 
     @property
     def feature_dim(self) -> int:
-        return self.omegas.shape[0]
+        return self.omegas.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.omegas.shape[1]
+        return self.omegas.shape[0]
 
 
 def favor_map(input_dim: int, feature_dim: int, seed: int) -> FavorMap:
     if input_dim < 1 or feature_dim < 1:
         raise ValueError("feature map dimensions must be positive")
     rng = np.random.default_rng(seed)
-    return FavorMap(omegas=rng.standard_normal((feature_dim, input_dim)))
+    omegas = rng.standard_normal((feature_dim, input_dim))
+    return FavorMap(omegas=np.ascontiguousarray(omegas.T))
 
 
 def _log_features_rows(m, fmap: FavorMap) -> np.ndarray:
@@ -69,7 +81,7 @@ def _log_features_rows(m, fmap: FavorMap) -> np.ndarray:
     if m.shape[1] != fmap.input_dim:
         raise ValueError(f"expected {fmap.input_dim} columns, got {m.shape[1]}")
     sq = 0.5 * np.sum(m * m, axis=1, keepdims=True)
-    return m @ fmap.omegas.T - sq
+    return m @ fmap.omegas - sq
 
 
 def favor_features_rows(m, fmap: FavorMap) -> np.ndarray:
@@ -189,17 +201,19 @@ def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int):
 
     a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j): the
     stabilised features are at most 1 and the exponent is a log attention
-    weight, so neither side overflows.  left and right are fq and fk scaled
-    in place by their sides of it, each shifted by its largest; the row scaling
-    must be there, as the rank threshold is not invariant under it."""
+    weight, so neither side overflows.  The product fq @ fk.T is scaled in
+    place one block of SPLIT_BLOCK_ROWS rows at a time, so the exponent is
+    never an L x L array.  left and right are fq and fk scaled in place by
+    their sides of it, each shifted by its largest; the row scaling must be
+    there, as the rank threshold is not invariant under it."""
     fmap = favor_map(q_fac.shape[1], favor_dim, seed)
     fq, mq = _stabilised_features_rows(q_fac, fmap)
     fk, mk = _stabilised_features_rows(k_fac, fmap)
     row_log = mq - log_z - math.log(favor_dim)
     a_lowrank = fq @ fk.T
-    scale = np.add.outer(row_log, mk)
-    a_lowrank *= np.exp(scale, out=scale)
-    del scale
+    for start in range(0, a_lowrank.shape[0], SPLIT_BLOCK_ROWS):
+        scale = np.add.outer(row_log[start:start + SPLIT_BLOCK_ROWS], mk)
+        a_lowrank[start:start + SPLIT_BLOCK_ROWS] *= np.exp(scale, out=scale)
     fq *= np.exp(row_log - row_log.max())[:, None]
     fk *= np.exp(mk - mk.max())[:, None]
     return a_lowrank, fq, fk
@@ -207,16 +221,26 @@ def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int):
 
 def _error_fields(a, a_lowrank, spike_mask) -> dict:
     """The Reconstruction fields a_final, support_matches_spikes and the two
-    errors.  The compensator a - a_lowrank is nonzero on a spike exactly when
-    the two differ there, so the support check reads the spikes alone."""
-    a_final = np.where(spike_mask, a, a_lowrank)
-    spike_err = np.abs(a_final[spike_mask] - a[spike_mask])
-    err = np.subtract(a_final, a)
-    err = np.abs(err, out=err)
-    return dict(a_final=a_final,
-                support_matches_spikes=bool(np.all(a[spike_mask] != a_lowrank[spike_mask])),
-                max_err_spike=float(spike_err.max()) if spike_err.size else 0.0,
-                max_err_bg=float(np.max(err, where=~spike_mask, initial=0.0)))
+    errors, in one pass over blocks of SPLIT_BLOCK_ROWS rows.  a_final is
+    written into a: each block's errors are read, then its background entries
+    are replaced by a_lowrank's.  The compensator a - a_lowrank is nonzero on
+    a spike exactly when the two differ there, so the support check reads
+    the spikes alone."""
+    support = True
+    max_spike = max_bg = 0.0
+    for start in range(0, a.shape[0], SPLIT_BLOCK_ROWS):
+        blk = slice(start, start + SPLIT_BLOCK_ROWS)
+        a_blk, lr_blk, spikes = a[blk], a_lowrank[blk], spike_mask[blk]
+        background = ~spikes
+        err = np.abs(lr_blk - a_blk)
+        max_bg = np.maximum(max_bg, np.max(err, where=background, initial=0.0))
+        a_spikes = a_blk[spikes]
+        support = support and bool(np.all(a_spikes != lr_blk[spikes]))
+        np.copyto(a_blk, lr_blk, where=background)
+        spike_err = np.abs(a_blk[spikes] - a_spikes)
+        max_spike = np.maximum(max_spike, np.max(spike_err, initial=0.0))
+    return dict(a_final=a, support_matches_spikes=support,
+                max_err_spike=float(max_spike), max_err_bg=float(max_bg))
 
 
 @dataclass(frozen=True)
@@ -229,6 +253,8 @@ class Reconstruction:
     support_matches_spikes records whether the compensator a - a_lowrank is
     nonzero on every spike; it is zero off the spikes by construction, so
     only the spike entries are compared, and the compensator is not kept.
+    The errors are folded over blocks of rows, and a_final is the buffer of
+    the attention it was measured against, overwritten off the spikes.
     """
 
     tau: float
@@ -272,6 +298,7 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
     a_lowrank, left, right = _lowrank_branch(q_fac, k_fac, attn.log_z, favor_dim, seed)
     rank = _lowrank_rank(a_lowrank, left, right)
     del left, right
+    # _error_fields writes a_final over attn.a, which is not used after it
     return Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
                           a_lowrank=a_lowrank, rank_lowrank=rank, nnz_sparse=dec.nnz,
                           cutoffs=cutoffs, favor_dim=int(favor_dim),

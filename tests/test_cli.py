@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -236,3 +237,22 @@ def test_train_align_that_converges_writes_nothing_to_stderr():
     rc, stdout, stderr = run_cli(["train-align", "--grid", "2,5,5", "--steps", "2"])
     assert (rc, stderr) == (0, "")
     assert stdout.count("# variant=") == 4
+
+
+def test_reconstruct_with_three_r_peaks_within_a_tenth_of_one_r():
+    # each R's L x L arrays are freed before the next is rebuilt; holding
+    # them would add two rebuilds (about 8.5 MB at L = 512) to the peak
+    def peak(favor_r):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rc, stdout, _ = run_cli(["reconstruct", "--grid", "8,8,8", "--favor-r", favor_r])
+            return rc, stdout, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rc_one, out_one, one = peak("64")
+    rc_three, out_three, three = peak("16,32,64")
+    assert rc_one == rc_three == 0
+    assert out_three.splitlines()[-1] == out_one.splitlines()[-1]
+    assert three <= 1.1 * one, (three, one)

@@ -1,17 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ropeslr.decomposition import energy_split, softmax_attention, synthetic_qk
+from ropeslr.decomposition import (
+    SPLIT_BLOCK_ROWS,
+    energy_split,
+    softmax_attention,
+    synthetic_qk,
+)
 from ropeslr.linalg import RANK_REL_TOL, numerical_rank, singular_values
 from ropeslr.lowrank import (
     FavorMap,
     RANK_CERT_MARGIN,
+    Reconstruction,
+    _error_fields,
     _factored_core,
     _lowrank_branch,
     _lowrank_rank,
     _rank_certificate,
+    _stabilised_features_rows,
     _truncated_svd_factors,
     approx_kernel,
     favor_features_rows,
@@ -32,7 +41,7 @@ def favor_features(x, fmap: FavorMap) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (fmap.input_dim,):
         raise ValueError(f"expected a vector of length {fmap.input_dim}, got {x.shape}")
-    return np.exp(fmap.omegas @ x - 0.5 * float(x @ x)) / math.sqrt(fmap.feature_dim)
+    return np.exp(x @ fmap.omegas - 0.5 * float(x @ x)) / math.sqrt(fmap.feature_dim)
 
 
 def test_favor_features_zero_vector_exact():
@@ -355,3 +364,115 @@ def test_rank_certificate_of_factors_with_known_condition(s, bound, rank):
     assert got == pytest.approx(bound, rel=1e-4, abs=0.0)
     assert (got >= RANK_CERT_MARGIN * RANK_REL_TOL) == (s >= 2.5e-9)
     assert _lowrank_rank(left @ left.T, left, left) == rank
+
+
+def lowrank_branch_whole(q_fac, k_fac, log_z, favor_dim, seed):
+    """The oracle of _lowrank_branch: the same branch with its exponent
+    formed as one L x L array."""
+    fmap = favor_map(q_fac.shape[1], favor_dim, seed)
+    fq, mq = _stabilised_features_rows(q_fac, fmap)
+    fk, mk = _stabilised_features_rows(k_fac, fmap)
+    row_log = mq - log_z - math.log(favor_dim)
+    a_lowrank = fq @ fk.T
+    scale = np.add.outer(row_log, mk)
+    a_lowrank *= np.exp(scale, out=scale)
+    fq *= np.exp(row_log - row_log.max())[:, None]
+    fk *= np.exp(mk - mk.max())[:, None]
+    return a_lowrank, fq, fk
+
+
+def error_fields_whole(a, a_lowrank, spike_mask):
+    """The oracle of _error_fields: whole-matrix a_final and errors, with a
+    left unchanged."""
+    a_final = np.where(spike_mask, a, a_lowrank)
+    spike_err = np.abs(a_final[spike_mask] - a[spike_mask])
+    err = np.abs(a_final - a)
+    return dict(a_final=a_final,
+                support_matches_spikes=bool(np.all(a[spike_mask] != a_lowrank[spike_mask])),
+                max_err_spike=float(spike_err.max()) if spike_err.size else 0.0,
+                max_err_bg=float(np.max(err, where=~spike_mask, initial=0.0)))
+
+
+def reconstruct_whole(q, k, grid, tau, e_tol, favor_dim, seed) -> Reconstruction:
+    """reconstruct with the two oracles in place of the row-blocked stages."""
+    attn = softmax_attention(logit_matrix(q, k, grid, CFG))
+    dec = energy_split(attn, tau)
+    cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
+    q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
+    a_lowrank, left, right = lowrank_branch_whole(q_fac, k_fac, attn.log_z, favor_dim, seed)
+    return Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
+                          a_lowrank=a_lowrank, rank_lowrank=_lowrank_rank(a_lowrank, left, right),
+                          nnz_sparse=dec.nnz, cutoffs=cutoffs, favor_dim=int(favor_dim),
+                          **error_fields_whole(attn.a, a_lowrank, dec.spike_mask))
+
+
+def assert_bitwise_equal(got, want, what):
+    assert type(got) is type(want), what
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+        assert got.tobytes() == want.tobytes(), what
+    elif isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (what, got, want)
+    else:
+        assert got == want, what
+
+
+# (grid, row_norm, favor_dim, seed, what the case covers); L = 105 is not a
+# multiple of SPLIT_BLOCK_ROWS, L = 8 is below it.
+BLOCK_CASES = [
+    ((5, 3, 7), None, 64, 0, "edge"),  # spikes in the rows on both sides of row 64
+    ((5, 3, 7), 8.0, 64, 1, "edge"),
+    ((5, 3, 7), 1.5, 64, 0, "no spikes"),  # nnz = 0, as at the desk cap
+    ((5, 3, 7), 80.0, 256, 2, "edge"),  # logits past exp overflow
+    ((2, 2, 2), None, 16, 0, "one block"),
+    ((2, 2, 2), 8.0, 64, 1, "one block"),
+]
+
+
+@pytest.mark.parametrize("shape,row_norm,favor_dim,seed,what", BLOCK_CASES)
+def test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle(shape, row_norm,
+                                                                    favor_dim, seed, what):
+    grid = GridShape(*shape)
+    q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
+    rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, favor_dim, seed)
+    want = reconstruct_whole(q, k, grid, 0.05, 0.02, favor_dim, seed)
+    for field, value in vars(want).items():
+        assert_bitwise_equal(getattr(rec, field), value, field)
+    edge = rec.spike_mask[SPLIT_BLOCK_ROWS - 1:SPLIT_BLOCK_ROWS + 1].any(axis=1)
+    assert {"edge": edge.all() and grid.size % SPLIT_BLOCK_ROWS != 0,
+            "no spikes": rec.nnz_sparse == 0 and grid.size > SPLIT_BLOCK_ROWS,
+            "one block": rec.nnz_sparse > 0 and grid.size < SPLIT_BLOCK_ROWS}[what]
+
+
+def test_error_fields_write_a_final_into_the_attention_buffer():
+    rng = np.random.default_rng(15)
+    a = rng.random((2 * SPLIT_BLOCK_ROWS + 5, 9))
+    a_lowrank = a + 1e-3 * rng.standard_normal(a.shape)
+    mask = a > 0.8
+    mask[SPLIT_BLOCK_ROWS - 1:SPLIT_BLOCK_ROWS + 1, 0] = True
+    # a spike the compensator misses, in the first block only
+    mask[0, 0], a_lowrank[0, 0] = True, a[0, 0]
+    want = error_fields_whole(a, a_lowrank, mask)
+    assert not want["support_matches_spikes"]
+    buf = a.copy()
+    got = _error_fields(buf, a_lowrank, mask)
+    assert got["a_final"] is buf
+    for field, value in want.items():
+        assert_bitwise_equal(got[field], value, field)
+
+
+def test_reconstruct_peaks_below_three_attention_matrices():
+    # the results are two L x L float arrays and a mask; the row-blocked
+    # back half adds no L x L temporary next to them (4.26 L^2 doubles
+    # with the L x L exponent and error matrices)
+    grid = GridShape(12, 12, 12)
+    q, k = synthetic_qk(grid, CFG, 0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, 64, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.a_final.shape == (1728, 1728)
+    assert peak < 3.0 * grid.size ** 2 * 8, peak / (grid.size ** 2 * 8)
