@@ -12,7 +12,9 @@ The features are row-max stabilised and the renormalisation is done in log
 space, so any finite logits work: no partition value exp(log_z) is formed.
 The low-rank matrix diag(1/z) phi(Q) phi(K)^T is a product of two L x R
 factors; when R < L its rank is certified from their R x R Grams, with QRs
-and an SVD of the R x R core as the fallback, never a dense L x L SVD.
+and an SVD of the R x R core as the fallback, never a dense L x L SVD.  When
+R >= L it is certified from a QR of the L x L matrix and the blocked inverse
+of its triangular factor, with the dense SVD as the fallback.
 
 The back half runs over blocks of SPLIT_BLOCK_ROWS rows: the product of the
 features is scaled to a_lowrank one block at a time, and the errors are read
@@ -51,10 +53,11 @@ from .rope3d import (
 class FavorMap:
     """Gaussian feature directions, drawn once and shared between the query
     and key featurizations (sharing is what makes the estimator unbiased).
-    omegas is a C-contiguous (input_dim, R) array, one direction per column,
-    so the feature GEMM m @ omegas takes no transposed operand: in a few
-    fresh processes OpenBLAS ran such small products with one about 100 times
-    slower."""
+    omegas is a C-contiguous (input_dim, R) array, one direction per column.
+    The layout does not avoid the stall in which small OpenBLAS products ran
+    about 100 times slower in a few fresh processes: on a 2-core host it hit
+    the first 2-thread process after a minute of idle, for about a second
+    and with either operand layout, and never a 1-thread process."""
 
     omegas: np.ndarray
 
@@ -183,16 +186,84 @@ def _rank_certificate(left, right) -> float:
     return bound
 
 
+# Blocks of at most this many rows are inverted by np.linalg.inv; see
+# _triangular_inverse.  On a 2-core OpenBLAS host 32 was faster than 16, 64
+# or 128 at L = 64 and at L = 512.
+TRI_INV_LEAF = 32
+
+
+def _triangular_inverse(t) -> np.ndarray:
+    """Inverse of an upper triangular t with a nonzero diagonal, by halves:
+    [[A, B], [0, C]]^-1 = [[A^-1, -(A^-1 B) C^-1], [0, C^-1]], with
+    np.linalg.inv at blocks of TRI_INV_LEAF rows or fewer.  About L^3 / 3
+    multiply-adds, nearly all of them in GEMMs."""
+    n = t.shape[0]
+    if n <= TRI_INV_LEAF:
+        return np.linalg.inv(t)
+    h = n // 2
+    x = np.zeros_like(t)
+    x[:h, :h] = _triangular_inverse(t[:h, :h])
+    x[h:, h:] = _triangular_inverse(t[h:, h:])
+    x[:h, h:] = -(x[:h, :h] @ t[:h, h:]) @ x[h:, h:]
+    return x
+
+
+def _qr_rank_certificate(m) -> float:
+    """A lower bound on sigma_L / sigma_1 of a square L x L matrix m, or 0.0.
+
+    Householder QR gives the triangular factor t of m + dm exactly, with
+    ||dm||_F <= delta ||m||_F and delta = 8 L^2 u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, Theorem 19.4).  So sigma_1(m)
+    <= ||m||_F <= ||t||_F / (1 - delta) and sigma_L(m) >= sigma_L(t) -
+    delta ||m||_F.  With X the blocked inverse of t, sigma_L(t) >= (1 - rho)
+    / ||X||_F, where rho = ||X t - I||_F + gamma_{L+1} (||X||_F ||t||_F +
+    sqrt(L)) is the computed residual plus the rounding of its GEMM and of
+    the subtraction of I (ibid., sections 3.5 and 14.1).  Together:
+    (1 - delta)(1 - rho) / (||X||_F ||t||_F) - delta.  A second factor
+    1 - delta and a factor 1 + delta on rho cover the rounding of the
+    computed norms, each within L^2 u relative.  t is first scaled by a power
+    of two, which is exact and keeps the norms finite.  A zero or non-finite
+    pivot, a non-finite ||X||_F or rho >= 1 gives 0.0."""
+    ell = m.shape[0]
+    u = np.finfo(np.float64).eps / 2.0
+    delta = 8.0 * ell * ell * u
+    gamma = (ell + 1) * u / (1.0 - (ell + 1) * u)
+    t = np.linalg.qr(m, mode="r")
+    with np.errstate(all="ignore"):
+        np.ldexp(t, -np.frexp(max(t.max(), -t.min()))[1], out=t)
+        pivots = np.abs(np.diagonal(t))
+        if not (np.all(np.isfinite(pivots)) and pivots.min() > 0.0):
+            return 0.0
+        x = _triangular_inverse(t)
+        norm_x = np.linalg.norm(x)
+        if not np.isfinite(norm_x):
+            return 0.0
+        norm_t = np.linalg.norm(t)
+        resid = x @ t
+        resid[np.diag_indices(ell)] -= 1.0
+        rho = np.linalg.norm(resid) + gamma * (norm_x * norm_t + math.sqrt(ell))
+        rho *= 1.0 + delta
+    if not rho < 1.0:
+        return 0.0
+    return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_t) - delta)
+
+
 def _lowrank_rank(a_lowrank, left, right) -> int:
-    """Numerical rank of a_lowrank = c left @ right.T, c > 0.  When R < L, a
-    certificate of RANK_CERT_MARGIN * RANK_REL_TOL puts all R singular values
-    above the threshold.  The fallback, the SVD of the QR core, computes them
-    to a small multiple of sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L = 4096,
-    R = 1024), so the margin's 1e-9 sigma_1 of room means it counts R too."""
-    if left.shape[1] >= left.shape[0]:
+    """Numerical rank of a_lowrank = c left @ right.T, c > 0.  A certificate
+    of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R) singular values
+    above the threshold: when R >= L it comes from a QR of a_lowrank and the
+    inverse of its triangular factor, when R < L from the R x R Grams of
+    the factors.  The fallbacks, the SVD of a_lowrank or of the QR core,
+    compute the singular values to a small multiple of sqrt(L R) eps sigma_1
+    (5e-13 sigma_1 at L = 4096, R = 1024), so the margin's 1e-9 sigma_1 of
+    room means they count min(L, R) too."""
+    ell, r = left.shape
+    if r >= ell:
+        if _qr_rank_certificate(a_lowrank) >= RANK_CERT_MARGIN * RANK_REL_TOL:
+            return ell
         return numerical_rank(a_lowrank)
     if _rank_certificate(left, right) >= RANK_CERT_MARGIN * RANK_REL_TOL:
-        return left.shape[1]
+        return r
     return numerical_rank(_factored_core(left, right, keep_q=False)[1])
 
 

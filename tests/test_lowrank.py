@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from ropeslr.linalg import RANK_REL_TOL, numerical_rank, singular_values
 from ropeslr.lowrank import (
     FavorMap,
     RANK_CERT_MARGIN,
+    TRI_INV_LEAF,
     Reconstruction,
     _error_fields,
     _factored_core,
     _lowrank_branch,
     _lowrank_rank,
+    _qr_rank_certificate,
     _rank_certificate,
     _stabilised_features_rows,
+    _triangular_inverse,
     _truncated_svd_factors,
     approx_kernel,
     favor_features_rows,
@@ -299,7 +303,8 @@ def test_log_space_lowrank_matches_the_direct_normalisation():
 
 # (grid, favor_dim, row_norm, seeds).  R < L takes the factored rank; at row
 # norm 8 the rank falls below R, and leaving the 1/z row scaling out of the
-# factors changes it.  The last two rows have L <= R and the dense rank.
+# factors changes it.  The last two rows have L <= R and take the QR
+# certificate, with the dense rank as its fallback.
 RANK_CASES = [
     ((8, 8, 8), 16, None, (0, 1, 2)),
     ((8, 8, 8), 64, None, (0, 1, 2)),
@@ -311,11 +316,11 @@ RANK_CASES = [
 ]
 
 
-def lowrank_branch(grid, favor_dim, row_norm, seed):
-    """The low-rank stage of reconstruct(q, k, grid, CFG, 0.05, 0.02,
+def lowrank_branch(grid, favor_dim, row_norm, seed, tau=0.05, e_tol=0.02):
+    """The low-rank stage of reconstruct(q, k, grid, CFG, tau, e_tol,
     favor_dim, seed) on synthetic_qk inputs: (a_lowrank, left, right)."""
     q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
-    cutoffs = choose_truncation(q, k, CFG, 0.02 / (4.0 * 0.05))
+    cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
     log_z = softmax_attention(logit_matrix(q, k, grid, CFG)).log_z
     return _lowrank_branch(q_fac, k_fac, log_z, favor_dim, seed)
@@ -364,6 +369,110 @@ def test_rank_certificate_of_factors_with_known_condition(s, bound, rank):
     assert got == pytest.approx(bound, rel=1e-4, abs=0.0)
     assert (got >= RANK_CERT_MARGIN * RANK_REL_TOL) == (s >= 2.5e-9)
     assert _lowrank_rank(left @ left.T, left, left) == rank
+
+
+@pytest.mark.parametrize("ell", [1, 5, TRI_INV_LEAF, TRI_INV_LEAF + 1, 200])
+def test_triangular_inverse_matches_the_dense_inverse(ell):
+    rng = np.random.default_rng(ell)
+    t = np.triu(rng.standard_normal((ell, ell))) + 4.0 * np.eye(ell)
+    x = _triangular_inverse(t)
+    np.testing.assert_allclose(x, np.linalg.inv(t), rtol=0, atol=1e-12)
+    assert np.all(np.tril(x, -1) == 0.0)
+
+
+def built_matrix(ell, ratio, seed=0):
+    """(m, left, right) with m = left @ right.T = U diag(s) V^T, s = (1,
+    1e-4, ..., 1e-4, ratio) for random orthogonal U and V: sigma_1 and
+    sigma_L are isolated, so near the margin ||t||_F ||X||_F is within 1e-5
+    relative of sigma_1 / sigma_L and the certificate nearly reaches the
+    ratio."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
+    v = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
+    s = np.full(ell, 1e-4)
+    s[-1], s[0] = ratio, 1.0
+    return (u * s) @ v.T, u * s, v
+
+
+def qr_certificate_quietly(m) -> float:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _qr_rank_certificate(m)
+
+
+# (L, sigma_L / sigma_1, scale) with R = L; the certificate fires at 2e-9
+QR_RANK_CASES = [(ell, ratio, scale)
+                 for ell in (8, 64, 200)
+                 for ratio in (1e-3, 2.5e-9, 1.5e-9, 5e-10, 0.0)
+                 for scale in (1.0, 1e150, 1e-150)]
+
+
+def qr_room(ell) -> float:
+    """8 L^2 u: the bound holds for every matrix the QR could have factored,
+    m + dm with ||dm||_F <= 8 L^2 u ||m||_F, so it stays that far below the
+    ratio; the rounding of a built matrix's own product is far inside it."""
+    return 8.0 * ell * ell * np.finfo(np.float64).eps / 2.0
+
+
+@pytest.mark.parametrize("ell,ratio,scale", QR_RANK_CASES)
+def test_qr_rank_certificate_of_matrices_with_known_condition(ell, ratio, scale):
+    m, left, right = built_matrix(ell, ratio)
+    m *= scale
+    bound = qr_certificate_quietly(m)
+    if ratio == 0.0:
+        assert bound == 0.0  # rho >= 1: no bound on a singular matrix
+    else:
+        assert bound <= ratio - qr_room(ell)
+    assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == (ratio >= 2e-9), bound
+    assert _lowrank_rank(m, left * scale, right) == numerical_rank(m)
+    assert numerical_rank(m) == (ell if ratio > RANK_REL_TOL else ell - 1)
+
+
+def test_qr_rank_certificate_of_a_one_by_one_matrix():
+    m = np.array([[3.0]])
+    bound = qr_certificate_quietly(m)
+    assert RANK_CERT_MARGIN * RANK_REL_TOL <= bound <= 1.0 - qr_room(1)
+    assert _lowrank_rank(m, m, np.eye(1)) == 1
+
+
+@pytest.mark.parametrize("m,rank", [
+    (built_matrix(64, 1e-3)[0] * (np.arange(64) != 40)[:, None], 63),  # a zero row
+    (np.array([[0.0]]), 0),  # a zero pivot
+    (np.diag([1.0, 1e-300]), 1),  # ||X||_F overflows
+    (np.diag([1.0, 1e-3, 5e-324]), 2),  # the pivot 5e-324 has no inverse
+])
+def test_qr_rank_certificate_is_zero_without_a_finite_inverse(m, rank):
+    assert qr_certificate_quietly(m) == 0.0
+    assert _lowrank_rank(m, m, np.eye(m.shape[0])) == numerical_rank(m) == rank
+
+
+def test_qr_rank_certificate_of_non_finite_matrices_is_zero():
+    for bad in (np.inf, np.nan):
+        m = np.eye(3)
+        m[1, 1] = bad
+        assert qr_certificate_quietly(m) == 0.0
+        m = np.eye(3)
+        m[0, 2] = bad
+        assert qr_certificate_quietly(m) == 0.0
+
+
+# Main-schedule sweep matrices, grid 8^3, R = 1024: seed 81 has sigma_L /
+# sigma_1 = 4.9e-10 and rank 511; seeds 157, 176 and 196 have ratios 1.2e-9,
+# 1.8e-9 and 3.6e-9 and bounds below the margin; seed 32 (ratio 4.2e-9)
+# and seed 0 certify.
+@pytest.mark.parametrize("seed,certified,rank", [
+    (81, False, 511), (157, False, 512), (176, False, 512), (196, False, 512),
+    (32, True, 512), (0, True, 512),
+])
+def test_qr_rank_certificate_on_sweep_matrices(seed, certified, rank):
+    tau = 0.5 / math.sqrt(512)
+    a_lowrank, left, right = lowrank_branch(GridShape(8, 8, 8), 1024, None, seed,
+                                            tau=tau, e_tol=tau / 2.0)
+    bound = _qr_rank_certificate(a_lowrank)
+    sv = singular_values(a_lowrank)
+    assert bound <= sv[-1] / sv[0]
+    assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == certified, bound
+    assert _lowrank_rank(a_lowrank, left, right) == numerical_rank(a_lowrank) == rank
 
 
 def lowrank_branch_whole(q_fac, k_fac, log_z, favor_dim, seed):

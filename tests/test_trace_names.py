@@ -47,7 +47,13 @@ def test_traced_cli_runs_record_every_probe():
     modules = {n.split(".", 1)[1]: m for n, m in list(sys.modules.items())
                if n.startswith("ropeslr.") and m is not None}
     tracer = Tracer(layers.probes(flops))
+    # the first reconstruct (L <= R) certifies its rank; the second has
+    # sigma_L / sigma_1 = 4.9e-10 and rank 511, so it falls back to
+    # numerical_rank
     argvs = [["reconstruct", "--grid", "2,2,2", "--favor-r", "16"],
+             ["reconstruct", "--grid", "8,8,8", "--rope", "4,4,4", "--base", "10000",
+              "--tau", "0.022097086912079608", "--e-tol", "0.011048543456039804",
+              "--favor-r", "1024", "--seed", "81"],
              ["stable-rank-sweep", "--grids", "2,2,2;3,3,3"],
              ["train-align", "--grid", "2,5,5", "--steps", "2"]]
     with tracer.installed(modules), contextlib.redirect_stdout(io.StringIO()):
