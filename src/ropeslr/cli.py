@@ -12,6 +12,7 @@ file).  Any other error is a library fault and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Dict, Optional, Sequence
@@ -409,7 +410,10 @@ def cmd_flops(v, out: Optional[str]) -> int:
 # Parser
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: main only
+    parses with it."""
     parser = argparse.ArgumentParser(prog="ropeslr",
                                      description="sparse-plus-low-rank attention laboratory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,6 +7,9 @@ count at floor(1/tau) and the background sup-norm at tau, deterministically.
 A split is described by its boolean mask: the sparse part is the attention on
 the mask and the background the attention off it, so neither is stored as a
 dense copy.
+
+The softmax is written over the logits it is given, SPLIT_BLOCK_ROWS rows at
+a time, so an attention matrix costs one L x L array, the logits' own.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .rope3d import GridShape, RopeConfig, logit_matrix
 
 # Largest token count for which dense L x L matrices are considered tractable.
 DESK_CAP = 4096
+
+# Rows handled together by `row_softmax` and `row_energy_split`, and by the
+# back half of `lowrank.reconstruct`; their temporaries are SPLIT_BLOCK_ROWS x
+# L whatever the row count, small enough to stay in cache and not to raise the
+# peak RSS of a sweep.
+SPLIT_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -39,19 +48,29 @@ class AttentionMatrix:
 
 
 def row_softmax(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Softmax of each row of a 2-D float array and the rows' log partition
-    values, with per-row max subtraction for overflow safety.  The one row
+    """Softmax of each row of a 2-D float64 array and the rows' log partition
+    values, with per-row max subtraction for overflow safety.
+
+    It consumes its input: the softmax is written over s, which is returned.
+    Each block of SPLIT_BLOCK_ROWS rows takes its max, subtraction, exp, sum
+    and division while it is in cache; every step is per row, so the result
+    is bitwise that of the same steps on the whole array.  The one row
     softmax of the package; it does no validation."""
-    row_max = s.max(axis=1, keepdims=True)
-    e = np.subtract(s, row_max)
-    e = np.exp(e, out=e)
-    denom = e.sum(axis=1, keepdims=True)
-    e /= denom
-    return e, row_max[:, 0] + np.log(denom[:, 0])
+    log_z = np.empty(s.shape[0])
+    for start in range(0, s.shape[0], SPLIT_BLOCK_ROWS):
+        blk = s[start:start + SPLIT_BLOCK_ROWS]
+        row_max = blk.max(axis=1, keepdims=True)
+        blk -= row_max
+        np.exp(blk, out=blk)
+        denom = blk.sum(axis=1, keepdims=True)
+        blk /= denom
+        log_z[start:start + SPLIT_BLOCK_ROWS] = row_max[:, 0] + np.log(denom[:, 0])
+    return s, log_z
 
 
 def softmax_attention(s) -> AttentionMatrix:
-    """`row_softmax` of a square, finite logit matrix."""
+    """`row_softmax` of a square, finite logit matrix.  A float64 array is
+    consumed: the attention is written over it."""
     s = as_matrix(s)
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square logit matrix, got {s.shape}")
@@ -104,11 +123,6 @@ def background_inf_norm(attn: AttentionMatrix, dec: Decomposition) -> float:
 # Absolute slack used when comparing accumulated probability mass against a
 # target fraction, so fp dust cannot force an extra retained entry.
 _MASS_SLACK = 1e-12
-
-# Rows handled together by `row_energy_split`; its temporaries are
-# SPLIT_BLOCK_ROWS x L whatever the row count, small enough that they do not
-# raise the peak RSS of a sweep.
-SPLIT_BLOCK_ROWS = 64
 
 
 def count_for_mass(sorted_desc: np.ndarray, target: float) -> np.ndarray:

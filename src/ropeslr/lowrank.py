@@ -11,16 +11,19 @@ approximation error lives on the background.
 The features are row-max stabilised and the renormalisation is done in log
 space, so any finite logits work: no partition value exp(log_z) is formed.
 The low-rank matrix diag(1/z) phi(Q) phi(K)^T is a product of two L x R
-factors; when R < L its rank is certified from their R x R Grams, with QRs
-and an SVD of the R x R core as the fallback, never a dense L x L SVD.  When
-R >= L it is certified from a QR of the L x L matrix and the blocked inverse
-of its triangular factor, with the dense SVD as the fallback.
+factors; when R < L its rank is certified by a Cholesky of each factor's
+R x R Gram, shifted by its rounding allowance, with QRs and an SVD of the
+R x R core as the fallback, never a dense L x L SVD.  When R >= L it is
+certified from a QR of the L x L matrix and the blocked inverse of its
+triangular factor, with the dense SVD as the fallback.
 
-The back half runs over blocks of SPLIT_BLOCK_ROWS rows: the product of the
-features is scaled to a_lowrank one block at a time, and the errors are read
-and a_final written block by block into the attention's own buffer, which
-reconstruct does not return.  So the back half allocates no L x L array but
-a_lowrank: a_final is the attention's buffer.
+The attention is built in the logits' own buffer, and the spike mask only
+after the rank stage.  The back half runs over blocks of SPLIT_BLOCK_ROWS
+rows: the product of the features is scaled to a_lowrank one block at a
+time, and the errors are read and a_final written block by block into the
+attention's own buffer, which reconstruct does not return.  So reconstruct
+allocates two L x L float arrays, the logits and a_lowrank: the attention
+and then a_final are written over the logits.
 """
 
 from __future__ import annotations
@@ -84,7 +87,9 @@ def _log_features_rows(m, fmap: FavorMap) -> np.ndarray:
     if m.shape[1] != fmap.input_dim:
         raise ValueError(f"expected {fmap.input_dim} columns, got {m.shape[1]}")
     sq = 0.5 * np.sum(m * m, axis=1, keepdims=True)
-    return m @ fmap.omegas - sq
+    out = m @ fmap.omegas
+    out -= sq
+    return out
 
 
 def favor_features_rows(m, fmap: FavorMap) -> np.ndarray:
@@ -166,24 +171,61 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
 
 # How far a rank certificate must clear RANK_REL_TOL; see _lowrank_rank.
 RANK_CERT_MARGIN = 2.0
+# The smallest Gram row sum _rank_certificate accepts, 2^-969: above it the
+# absolute errors of underflow, at most 2^-1074 per operation, stay below
+# u mu in every entry's row (see _rank_certificate).
+_CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53
 
 
-def _rank_certificate(left, right) -> float:
-    """A lower bound on sigma_R / sigma_1 of left @ right.T for nonnegative
-    L x R factors, or 0.0.  It is 1 / (kappa(left) kappa(right)), each kappa
-    from the extreme eigenvalues of the R x R Gram.  For a nonnegative factor
-    |A|^T |A| = A^T A, so the Gram's rounding is at most about L eps
-    lambda_max in norm (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 3.5), and eigvalsh adds about R eps lambda_max;
-    the eigenvalues are widened by twice their sum."""
-    bound = 1.0
+def _rank_certificate(left, right) -> bool:
+    """Whether sigma_R / sigma_1 of left @ right.T, for nonnegative L x R
+    factors, is proved to be at least theta = RANK_CERT_MARGIN *
+    RANK_REL_TOL.  Each factor f must pass: with g the computed Gram f^T f,
+    mu bounds lambda_max(f^T f) and np.linalg.cholesky(g - s I) succeeds at
+    s = (theta + eps) mu.  Then lambda_min / lambda_max >= theta for both
+    Grams, so sigma_R / sigma_1 >= 1 / (kappa(left) kappa(right)) >= theta.
+
+    With u = eps_mach / 2 and gamma_n = n u / (1 - n u): for a nonnegative
+    factor every Gram entry is a sum of nonnegative products, so |g - f^T f|
+    <= gamma_L f^T f entrywise and in norm (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 3.5).  lambda_max(f^T f) is at
+    most its largest row sum (Perron-Frobenius), hence at most mu = (1 +
+    2 gamma_{L+R+4}) times g's computed largest row sum: the widening covers
+    the Gram's rounding, the sum's and the 4 roundings that form s.  A
+    successful Cholesky of the computed g - s I gives R^T R = g - s I + D +
+    dA with D the rounding of the diagonal subtraction, |D| <= u mu, and
+    |dA| <= gamma_{R+1} |R^T| |R| (ibid., Theorem 10.3).  ||(|R^T| |R|)||_2
+    is at most its trace, the trace of R^T R, so ||dA||_2 <= gamma_{R+1} R
+    mu / (1 - gamma_{R+1}).  Hence lambda_min(f^T f) >= s - (2 u + gamma_L +
+    gamma_{R+1} R / (1 - gamma_{R+1})) mu >= theta mu: eps is that sum, its
+    second u for underflow, whose errors, at most 2^-1074 per operation,
+    stay below u mu for mu >= _CERT_MIN_NORM (S. M. Rump, Verification of
+    positive definiteness, BIT 46, 2006, uses the same argument).
+
+    A factor fails when its Cholesky meets a non-positive pivot, or when g's
+    largest row sum is not finite or is below _CERT_MIN_NORM.  A failure
+    costs the Gram and a Cholesky that stops at its first non-positive
+    pivot."""
+    u = np.finfo(np.float64).eps / 2.0
+
+    def gamma(n):
+        return n * u / (1.0 - n * u)
+
+    theta = RANK_CERT_MARGIN * RANK_REL_TOL
     for f in (left, right):
-        lam = np.linalg.eigvalsh(f.T @ f)
-        slack = 2.0 * sum(f.shape) * np.finfo(np.float64).eps * lam[-1]
-        if lam[0] <= slack:
-            return 0.0
-        bound *= math.sqrt((lam[0] - slack) / (lam[-1] + slack))
-    return bound
+        ell, r = f.shape
+        eps = 2.0 * u + gamma(ell) + gamma(r + 1) * r / (1.0 - gamma(r + 1))
+        g = f.T @ f
+        row_sum = g.sum(axis=1).max()
+        if not _CERT_MIN_NORM <= row_sum < np.inf:
+            return False
+        # s = (theta + eps) mu, with the factor below 1 taken first
+        g[np.diag_indices(r)] -= (theta + eps) * (1.0 + 2.0 * gamma(ell + r + 4)) * row_sum
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 # Blocks of at most this many rows are inverted by np.linalg.inv; see
@@ -252,17 +294,19 @@ def _lowrank_rank(a_lowrank, left, right) -> int:
     """Numerical rank of a_lowrank = c left @ right.T, c > 0.  A certificate
     of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R) singular values
     above the threshold: when R >= L it comes from a QR of a_lowrank and the
-    inverse of its triangular factor, when R < L from the R x R Grams of
-    the factors.  The fallbacks, the SVD of a_lowrank or of the QR core,
-    compute the singular values to a small multiple of sqrt(L R) eps sigma_1
-    (5e-13 sigma_1 at L = 4096, R = 1024), so the margin's 1e-9 sigma_1 of
-    room means they count min(L, R) too."""
+    inverse of its triangular factor, when R < L from a shifted Cholesky of
+    each factor's R x R Gram, which proves lambda_min >= theta lambda_max
+    for both (_rank_certificate; Rump, BIT 46, 2006; Higham, 2002, Theorem
+    10.3).  The fallbacks, the SVD of a_lowrank or of the QR core, compute
+    the singular values to a small multiple of sqrt(L R) eps sigma_1 (5e-13
+    sigma_1 at L = 4096, R = 1024), so the margin's 1e-9 sigma_1 of room
+    means they count min(L, R) too."""
     ell, r = left.shape
     if r >= ell:
         if _qr_rank_certificate(a_lowrank) >= RANK_CERT_MARGIN * RANK_REL_TOL:
             return ell
         return numerical_rank(a_lowrank)
-    if _rank_certificate(left, right) >= RANK_CERT_MARGIN * RANK_REL_TOL:
+    if _rank_certificate(left, right):
         return r
     return numerical_rank(_factored_core(left, right, keep_q=False)[1])
 
@@ -360,7 +404,6 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
         raise ValueError(f"grid has {grid.size} tokens, above the desk cap {DESK_CAP}")
 
     attn = softmax_attention(logit_matrix(q_mat, k_mat, grid, cfg))
-    dec = energy_split(attn, tau)
 
     delta = e_tol / (4.0 * tau)
     cutoffs = choose_truncation(q_mat, k_mat, cfg, delta)
@@ -369,6 +412,8 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
     a_lowrank, left, right = _lowrank_branch(q_fac, k_fac, attn.log_z, favor_dim, seed)
     rank = _lowrank_rank(a_lowrank, left, right)
     del left, right
+    # split only now, so the L x L spike mask is not held through the rank stage
+    dec = energy_split(attn, tau)
     # _error_fields writes a_final over attn.a, which is not used after it
     return Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
                           a_lowrank=a_lowrank, rank_lowrank=rank, nnz_sparse=dec.nnz,

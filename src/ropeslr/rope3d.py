@@ -175,10 +175,13 @@ def logit_direct(q, k, p: int, q_pos: int, grid: GridShape, cfg: RopeConfig) -> 
 
 
 def logit_matrix(q_mat, k_mat, grid: GridShape, cfg: RopeConfig) -> np.ndarray:
-    """Full L x L pre-softmax logit matrix, 1/sqrt(d_h) scaled."""
+    """Full L x L pre-softmax logit matrix, 1/sqrt(d_h) scaled in place, so
+    the product is the only L x L array made."""
     rq = rotate_rows(q_mat, grid, cfg)
     rk = rotate_rows(k_mat, grid, cfg)
-    return (rq @ rk.T) / math.sqrt(cfg.d_h)
+    s = rq @ rk.T
+    s /= math.sqrt(cfg.d_h)
+    return s
 
 
 @dataclass(frozen=True)

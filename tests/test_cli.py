@@ -4,6 +4,7 @@ The goldens under tests/golden/ hold, per case, the standard output
 (`<case>.stdout`) and every file the case wrote (`<case>.<file name>`).
 """
 
+import argparse
 import contextlib
 import io
 import math
@@ -178,6 +179,21 @@ def test_library_error_is_not_a_config_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="library fault"):
         cli.main(["reconstruct", "--grid", "2,2,2"])
     assert "config error" not in capsys.readouterr().err
+
+
+def test_two_calls_build_the_parser_once(monkeypatch):
+    builds = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(1)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(["flops"])[0] == 0
+    assert len(builds) == 1
 
 
 def test_module_help_lists_every_subcommand():

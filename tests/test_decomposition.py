@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ropeslr.decomposition import (
     theorem_scaling_sweep,
     verify_sparsity_bound,
 )
-from ropeslr.rope3d import GridShape, RopeConfig
+from ropeslr.rope3d import GridShape, RopeConfig, logit_matrix
 
 CFG = RopeConfig(4, 4, 4)
 
@@ -56,7 +57,7 @@ def test_softmax_against_mpmath():
     mp.mp.dps = 60
     rng = np.random.default_rng(1)
     s = rng.standard_normal((5, 5)) * 3.0
-    attn = softmax_attention(s)
+    attn = softmax_attention(s.copy())  # the softmax consumes its logits
     for i in range(5):
         exps = [mp.e ** mp.mpf(v) for v in s[i]]
         z = sum(exps)
@@ -74,7 +75,7 @@ def test_softmax_rejects_bad_input():
 def test_row_softmax_rectangular_rows_and_log_partition():
     s = np.random.default_rng(3).standard_normal((3, 7)) * 4.0
     s[0, 2] = 800.0  # exp(800) overflows; the row and log_z stay finite
-    a, log_z = row_softmax(s)
+    a, log_z = row_softmax(s.copy())
     np.testing.assert_allclose(a.sum(axis=1), np.ones(3), rtol=0, atol=1e-12)
     expect = [np.logaddexp.reduce(row) for row in s]
     np.testing.assert_allclose(log_z, expect, rtol=1e-13)
@@ -83,10 +84,65 @@ def test_row_softmax_rectangular_rows_and_log_partition():
 
 def test_softmax_attention_is_row_softmax():
     s = np.random.default_rng(4).standard_normal((6, 6)) * 5.0
-    attn = softmax_attention(s)
+    attn = softmax_attention(s.copy())
     a, log_z = row_softmax(s)
     np.testing.assert_array_equal(attn.a, a)
     np.testing.assert_array_equal(attn.log_z, log_z)
+
+
+def row_softmax_whole(s):
+    """The oracle of row_softmax: the same steps on the whole array, into a
+    new one, with s left unchanged."""
+    row_max = s.max(axis=1, keepdims=True)
+    e = np.subtract(s, row_max)
+    e = np.exp(e, out=e)
+    denom = e.sum(axis=1, keepdims=True)
+    e /= denom
+    return e, row_max[:, 0] + np.log(denom[:, 0])
+
+
+SOFTMAX_ROWS = [1, decomposition.SPLIT_BLOCK_ROWS - 1, decomposition.SPLIT_BLOCK_ROWS,
+                decomposition.SPLIT_BLOCK_ROWS + 1, 2 * decomposition.SPLIT_BLOCK_ROWS + 2]
+
+
+def softmax_case(what):
+    if what == "exp overflow":
+        s = np.random.default_rng(3).standard_normal((3, 7)) * 4.0
+        s[0, 2] = 800.0
+        return s
+    if what == "synthetic logits":
+        grid = GridShape(13, 13, 13)  # L = 2197: 34 full blocks and a ragged one
+        q, k = synthetic_qk(grid, CFG, 0)
+        return logit_matrix(q, k, grid, CFG)
+    return np.random.default_rng(what).standard_normal((what, 50)) * 6.0
+
+
+@pytest.mark.parametrize("what", SOFTMAX_ROWS + ["exp overflow", "synthetic logits"])
+def test_row_softmax_is_bitwise_the_whole_array_oracle_written_over_its_input(what):
+    s = softmax_case(what)
+    want_a, want_log_z = row_softmax_whole(s)
+    a, log_z = row_softmax(s)
+    assert np.shares_memory(a, s)
+    assert a.tobytes() == want_a.tobytes()
+    assert log_z.tobytes() == want_log_z.tobytes()
+
+
+def test_attention_peaks_near_one_logit_matrix():
+    # the logits are the attention's buffer: the product is divided and the
+    # softmax written in place, so only block temporaries and the finiteness
+    # check's boolean matrix (L^2 bytes) join the one L x L float array
+    grid = GridShape(8, 8, 8)
+    q, k = synthetic_qk(grid, CFG, 0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        attn = softmax_attention(logit_matrix(q, k, grid, CFG))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = grid.size ** 2 * 8
+    assert attn.a.nbytes == one
+    assert peak < 1.4 * one, peak / one
 
 
 def test_energy_split_no_spikes_when_tau_above_max():

@@ -316,14 +316,16 @@ RANK_CASES = [
 ]
 
 
-def lowrank_branch(grid, favor_dim, row_norm, seed, tau=0.05, e_tol=0.02):
+def lowrank_branch(grid, favor_dim, row_norm, seed, tau=0.05, e_tol=0.02, favor_seed=None):
     """The low-rank stage of reconstruct(q, k, grid, CFG, tau, e_tol,
-    favor_dim, seed) on synthetic_qk inputs: (a_lowrank, left, right)."""
+    favor_dim, favor_seed) on the synthetic_qk inputs of seed: (a_lowrank,
+    left, right).  favor_seed defaults to seed."""
     q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
     log_z = softmax_attention(logit_matrix(q, k, grid, CFG)).log_z
-    return _lowrank_branch(q_fac, k_fac, log_z, favor_dim, seed)
+    return _lowrank_branch(q_fac, k_fac, log_z, favor_dim,
+                           seed if favor_seed is None else favor_seed)
 
 
 @pytest.mark.parametrize("shape,favor_dim,row_norm,seeds", RANK_CASES)
@@ -343,15 +345,28 @@ def test_reconstruct_rank_matches_the_dense_rank(shape, favor_dim, row_norm, see
 
 
 @pytest.mark.parametrize("shape,favor_dim,row_norm,certified,rank", [
-    ((12, 12, 12), 1024, None, True, 1024),  # bound about 3.2e-8
-    ((8, 8, 8), 256, 8.0, False, 227),  # bound about 4e-13
+    ((12, 12, 12), 1024, None, True, 1024),  # per-factor ratios 1.1e-8 and 7.9e-9
+    ((8, 8, 8), 256, 8.0, False, 227),  # ratios about 1e-12
 ])
 def test_rank_certificate_fires_only_above_its_margin(shape, favor_dim, row_norm,
                                                       certified, rank):
     a_lowrank, left, right = lowrank_branch(GridShape(*shape), favor_dim, row_norm, 0)
-    bound = _rank_certificate(left, right)
-    assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == certified, bound
+    assert _rank_certificate(left, right) is certified
     assert _lowrank_rank(a_lowrank, left, right) == rank
+
+
+THETA = RANK_CERT_MARGIN * RANK_REL_TOL
+
+
+def diagonal_factor(ell, r, ratio, scale=1.0):
+    """An ell x r factor, nonzero only on its diagonal: column 0 is scale and
+    the others scale sqrt(ratio), so its Gram is diagonal, with
+    lambda_min / lambda_max and lambda_min / (largest row sum) both ratio,
+    to the rounding of its entries."""
+    f = np.zeros((ell, r))
+    f[np.arange(r), np.arange(r)] = scale * math.sqrt(ratio)
+    f[0, 0] = scale
+    return f
 
 
 @pytest.mark.parametrize("s,bound,rank", [
@@ -361,14 +376,75 @@ def test_rank_certificate_fires_only_above_its_margin(shape, favor_dim, row_norm
 ])
 def test_rank_certificate_of_factors_with_known_condition(s, bound, rank):
     # left = diag(1, sqrt(s)) padded to 8 rows has kappa = 1/sqrt(s), so the
-    # bound for left @ left.T is s, widened only by the Gram rounding slack
-    left = np.zeros((8, 2))
-    left[0, 0], left[1, 1] = 1.0, math.sqrt(s)
-    got = _rank_certificate(left, left)
-    assert got <= s
-    assert got == pytest.approx(bound, rel=1e-4, abs=0.0)
-    assert (got >= RANK_CERT_MARGIN * RANK_REL_TOL) == (s >= 2.5e-9)
+    # Grams bound sigma_2 / sigma_1 of left @ left.T by s, less its rounding;
+    # the certificate fires when that bound clears theta
+    left = diagonal_factor(8, 2, s)
+    assert _rank_certificate(left, left) is (bound >= THETA)
     assert _lowrank_rank(left @ left.T, left, left) == rank
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
+@pytest.mark.parametrize("ratio,certified", [
+    (THETA * (1.0 + 1e-5), True), (THETA * (1.0 - 1e-5), False),
+])
+def test_rank_certificate_decides_either_side_of_theta(ratio, certified, scale):
+    good = diagonal_factor(8, 2, 0.5, scale)
+    near = diagonal_factor(8, 2, ratio, scale)
+    assert _rank_certificate(near, good) is certified
+    assert _rank_certificate(good, near) is certified
+    assert _rank_certificate(good, good)
+
+
+def stated_threshold(ell, r):
+    """The least lambda_min / (largest computed row sum) of an ell x r
+    factor's Gram that _rank_certificate's docstring allows it to certify:
+    (theta + eps) (1 + 2 gamma_{L+R+4}), eps = 2u + gamma_L + gamma_{R+1} R /
+    (1 - gamma_{R+1})."""
+    u = np.finfo(np.float64).eps / 2.0
+
+    def gamma(n):
+        return n * u / (1.0 - n * u)
+
+    eps = 2.0 * u + gamma(ell) + gamma(r + 1) * r / (1.0 - gamma(r + 1))
+    return (THETA + eps) * (1.0 + 2.0 * gamma(ell + r + 4))
+
+
+@pytest.mark.parametrize("ell,r", [(8, 2), (1025, 1024)])
+def test_rank_certificate_keeps_its_rounding_allowance(ell, r):
+    # at R = 1024 the allowance is about 6 % of theta, so a factor between
+    # theta and theta + eps is one the rounding could fake
+    good = diagonal_factor(ell, r, 0.5)
+    threshold = stated_threshold(ell, r)
+    assert (threshold - THETA) / THETA > (0.05 if r == 1024 else 0.0)
+    for ratio, certified in ((THETA * 1.001, r < 1024),
+                             (threshold * (1.0 - 1e-14), False),
+                             (threshold * (1.0 + 1e-14), True)):
+        near = diagonal_factor(ell, r, ratio)
+        assert _rank_certificate(near, good) is certified, ratio / THETA
+
+
+def test_rank_certificate_of_underflowing_factors_is_no_without_warnings():
+    underflowing_column = diagonal_factor(8, 2, 1.0)
+    underflowing_column[1, 1] = 1e-170  # its Gram entry 1e-340 is 0
+    tiny = diagonal_factor(8, 2, 1.0, 2.0 ** -500)  # Gram 2^-1000 I, below 2^-969
+    good = diagonal_factor(8, 2, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _rank_certificate(underflowing_column, good)
+        assert not _rank_certificate(good, tiny)
+        assert not _rank_certificate(np.zeros((8, 2)), good)
+
+
+@pytest.mark.parametrize("seed,rank", [(10, 1023), (17, 1022)])
+def test_rank_certificate_falls_back_below_full_rank(seed, rank):
+    # seeds 10 and 17 of the 12^3 loop of the main-schedule test
+    tau = 0.5 / math.sqrt(1728)
+    a_lowrank, left, right = lowrank_branch(GridShape(12, 12, 12), 1024, 1.5, seed,
+                                            tau=tau, e_tol=tau / 2.0,
+                                            favor_seed=1000 + seed)
+    assert not _rank_certificate(left, right)
+    assert _lowrank_rank(a_lowrank, left, right) == rank
+    assert numerical_rank(_factored_core(left, right, keep_q=False)[1]) == rank
 
 
 @pytest.mark.parametrize("ell", [1, 5, TRI_INV_LEAF, TRI_INV_LEAF + 1, 200])
