@@ -5,8 +5,10 @@ Each value, from the defaults, a --config file or a --key flag, is parsed
 once by the parser PARSERS names for its key (a positive integer otherwise).
 
 Exit codes: 0 success, 1 a checked property is violated, 2 bad input (a value
-that does not parse or is out of range, an unknown key, an unreadable config
-file).  Any other error is a library fault and propagates with its traceback.
+that does not parse or is out of range, an unknown key, a config file that
+cannot be read or is not UTF-8, an --out or --modes-out path that cannot be
+written).  Any other error is a library fault and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def _load_config_file(path: str) -> Dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -169,9 +171,12 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: Sequence[Sequenc
         text += ",".join(_fmt(v) for v in row) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +316,10 @@ def _trained_forward(v, **settings_kw):
     settings = mechanism.ForwardSettings(sparse=sparse, **settings_kw)
     params = mechanism.init_params(v["heads"], task.cfg.d_h, v["rank"], v["seed"])
     if v["steps"] > 0:
-        mechanism.train_stage1(task.dataset, task.grid, task.cfg, task.backbone,
-                               params, settings, v["lr"], v["steps"])
+        samples = mechanism.prepare_samples(task.dataset, task.grid, task.cfg, task.backbone,
+                                            sparse)
+        mechanism.train_stage1(samples, task.grid, task.cfg, task.backbone, params, settings,
+                               v["lr"], v["steps"])
     x = task.dataset[0][0]
     return task, mechanism.forward(x, task.grid, task.cfg, task.backbone, params, settings)
 
@@ -363,8 +370,8 @@ def cmd_train_align(v, out: Optional[str]) -> int:
         settings = mechanism.ForwardSettings(sparse=sparse, compensator=compensator,
                                              use_pe=use_pe)
         params = mechanism.init_params(v["heads"], task.cfg.d_h, v["rank"], v["seed"])
-        result = mechanism.train_stage1(task.dataset, task.grid, task.cfg, task.backbone,
-                                        params, settings, v["lr"], v["steps"], samples)
+        result = mechanism.train_stage1(samples, task.grid, task.cfg, task.backbone, params,
+                                        settings, v["lr"], v["steps"])
         if result.diverged:
             print(f"train-align: variant {name} diverged at step {result.losses.size - 1} "
                   f"(loss {result.final_loss})", file=sys.stderr)

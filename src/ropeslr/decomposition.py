@@ -42,10 +42,6 @@ class AttentionMatrix:
     a: np.ndarray
     log_z: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.a.shape[0]
-
 
 def row_softmax(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Softmax of each row of a 2-D float64 array and the rows' log partition
@@ -215,15 +211,12 @@ def scaling_sweep_point(grid: GridShape, cfg: RopeConfig, c: float, seed: int) -
     attn = synthetic_attention(grid, cfg, seed)
     dec = energy_split(attn, tau)
     report = verify_sparsity_bound(dec)
-    nnz = dec.nnz
     return {
         "L": ell,
         "tau": tau,
-        "nnz": nnz,
+        "nnz": dec.nnz,
         "nnz_bound": ell * report.bound,
-        "nnz_over_l15": nnz / ell ** 1.5,
         "bg_inf_norm": background_inf_norm(attn, dec),
-        "sparsity": 1.0 - nnz / ell ** 2,
         "holds": report.holds,
     }
 

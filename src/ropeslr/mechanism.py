@@ -10,7 +10,9 @@ a central finite-difference check validates coordinate by coordinate.
 
 Each branch has one implementation, reached through `_fused_forward` and
 `_fused_backward`, with the heads as an array axis of (H, L, d_h) values.
-Training computes each value only as often as it can change:
+`train_stage1` takes its training data in one form, the list that
+`prepare_samples` makes of the (x, target) pairs, and computes each value
+only as often as it can change:
 
 - once per task, `prepare_samples`: the RMS-normalised sparse branch of each
   sample, which reads the raw input through the frozen backbone and so is
@@ -163,17 +165,6 @@ def _leaves(params: MechanismParams) -> List[np.ndarray]:
 
 def zero_grads(params: MechanismParams) -> MechanismParams:
     return MechanismParams(*[np.zeros_like(a) for a in _leaves(params)])
-
-
-def save_params(path, params: MechanismParams) -> None:
-    """Checkpoint as a key -> array map with shape headers; float64 round
-    trips exactly."""
-    np.savez(path, **{f.name: getattr(params, f.name) for f in fields(params)})
-
-
-def load_params(path) -> MechanismParams:
-    with np.load(path) as data:
-        return MechanismParams(**{f.name: data[f.name] for f in fields(MechanismParams)})
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +455,13 @@ class PreparedSample:
 def prepare_samples(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridShape,
                     cfg: RopeConfig, backbone: Backbone,
                     sparse: SparseSettings) -> List[PreparedSample]:
-    """Check the (x, target) pairs and RMS-normalise the sparse branch of each.
-    The sparse branch reads the raw input through the frozen backbone, so it
-    is the same for every variant and step: every `train_stage1` on one task
-    can share these samples."""
+    """Check the (x, target) pairs and RMS-normalise the sparse branch of each,
+    the form in which `train_stage1` takes its training data.  The sparse
+    branch reads the raw input through the frozen backbone, so it is the same
+    for every variant and step: every `train_stage1` on one task can share
+    these samples."""
+    if not dataset:
+        raise ValueError("dataset must be non-empty")
     pairs = [(as_matrix(x), as_matrix(target)) for x, target in dataset]
     for x, target in pairs:
         if x.shape != (grid.size, backbone.d_model) or target.shape != x.shape:
@@ -489,12 +483,6 @@ def _variant_inputs(samples, grid, cfg, backbone, settings):
             constant.append(replace(s, fixed_compensator=(o_lr, *_rms(o_lr))))
         samples = constant
     return samples, pe
-
-
-def _prepare(dataset, grid, cfg, backbone, settings) -> Tuple[List[PreparedSample], Optional[np.ndarray]]:
-    """The prepared samples and position table of one variant."""
-    samples = prepare_samples(dataset, grid, cfg, backbone, settings.sparse)
-    return _variant_inputs(samples, grid, cfg, backbone, settings)
 
 
 def _loss_and_grads(samples, pe, backbone, params, settings, want_grads: bool = True):
@@ -526,24 +514,19 @@ class TrainResult:
         return float(self.losses[-1])
 
 
-def train_stage1(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], grid: GridShape,
-                 cfg: RopeConfig, backbone: Backbone, params: MechanismParams,
-                 settings: ForwardSettings, lr: float, steps: int,
-                 samples: Optional[List[PreparedSample]] = None) -> TrainResult:
+def train_stage1(samples: Sequence[PreparedSample], grid: GridShape, cfg: RopeConfig,
+                 backbone: Backbone, params: MechanismParams, settings: ForwardSettings,
+                 lr: float, steps: int) -> TrainResult:
     """Plain gradient descent on the new parameters against fixed targets.
 
-    Mutates `params` in place; a NaN loss aborts the run and reports it.
-    `samples`, when given, are the `prepare_samples` of `dataset` under
+    `samples` are the `prepare_samples` of the training pairs under
     `settings.sparse`; variants trained on one task pass the same list, so
-    the sparse branch is computed once for all of them."""
+    the sparse branch is computed once for all of them.  Mutates `params` in
+    place; a NaN loss aborts the run and reports it."""
     if not (np.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be a non-negative real, got {lr}")
     if steps < 0:
         raise ValueError("step count must be non-negative")
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
-    if samples is None:
-        samples = prepare_samples(dataset, grid, cfg, backbone, settings.sparse)
     losses = []
     # overflow in an exploding run shows up as a non-finite loss and aborts
     # the loop; the warnings themselves are noise.  A constant compensator is
@@ -570,7 +553,8 @@ def grad_check(params: MechanismParams, x, target, grid: GridShape, cfg: RopeCon
     finite difference over every trainable coordinate."""
     if not (1e-7 <= epsilon <= 1e-4):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
-    samples, pe = _prepare([(x, target)], grid, cfg, backbone, settings)
+    samples = prepare_samples([(x, target)], grid, cfg, backbone, settings.sparse)
+    samples, pe = _variant_inputs(samples, grid, cfg, backbone, settings)
 
     def loss_only():
         val, _ = _loss_and_grads(samples, pe, backbone, params, settings, want_grads=False)

@@ -125,8 +125,8 @@ def test_every_subcommand_has_a_golden():
     assert {argv[0] for argv, _, _ in CASES.values()} == set(SUBCOMMANDS) == set(cli._COMMANDS)
 
 
-# Each of these is bad input: exit 2 with a config error.  {dir} holds the
-# config file of the last two.
+# Each of these is bad input: exit 2 with a config error.  {dir} holds a config
+# file with unknown keys, one that is not UTF-8, and no directory "missing".
 BAD_INPUT = [
     ["train-align", "--lr", "nan"],
     ["train-align", "--lr", "inf"],
@@ -159,12 +159,17 @@ BAD_INPUT = [
     ["gram-spectral", "--use-pe", "maybe"],
     ["flops", "--config", "{dir}/cfg.txt"],
     ["flops", "--config", "{dir}/missing.txt"],
+    ["flops", "--config", "{dir}/latin1.txt"],
+    ["flops", "--out", "{dir}/missing/flops.csv"],
+    ["train-align", "--steps", "0", "--out", "{dir}/missing/loss"],
+    ["gram-spectral", "--out", "{dir}/sigma.csv", "--modes-out", "{dir}/missing/modes.csv"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=[" ".join(a) for a in BAD_INPUT])
 def test_bad_input_exits_2(argv, tmp_path):
     (tmp_path / CONFIG_NAME).write_text("l=64\nwidth=3\n", encoding="utf-8")
+    (tmp_path / "latin1.txt").write_bytes(b"seed=\xff\n")
     rc, stdout, stderr = run_cli([a.replace("{dir}", str(tmp_path)) for a in argv])
     assert rc == 2
     assert stderr.startswith("config error: ")

@@ -15,16 +15,14 @@ from ropeslr.mechanism import (
     full_attention_reference,
     grad_check,
     init_params,
-    load_params,
     make_alignment_task,
     prepare_samples,
     random_backbone,
-    save_params,
     sigmoid,
     train_stage1,
     _leaves,
     _loss_and_grads,
-    _prepare,
+    _variant_inputs,
     build_pe3d,
 )
 from ropeslr.rope3d import AXES, GridShape, RopeConfig
@@ -37,6 +35,10 @@ def small_task(seed=0, samples=2, heads=2):
     grid = GridShape(2, 5, 5)
     task = make_alignment_task(grid, RopeConfig(4, 2, 2, 10000.0), heads, samples, seed)
     return task, SparseSettings(block=(1, 5, 5), keep=0.5)
+
+
+def prepared(task, sparse):
+    return prepare_samples(task.dataset, task.grid, task.cfg, task.backbone, sparse)
 
 
 @pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
@@ -103,29 +105,11 @@ def test_block_sparse_partial_keep_is_sparse():
     assert res.selected.any(axis=1).all()  # never fewer than one key block
 
 
-def test_save_load_round_trip_is_exact(tmp_path):
-    task, sparse = small_task()
-    params = init_params(2, task.cfg.d_h, 3, seed=1)
-    # a few steps move every parameter, the gate bias included, off its init
-    train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
-                 ForwardSettings(sparse=sparse), lr=2.0, steps=3)
-    path = tmp_path / "params.npz"
-    save_params(path, params)
-    loaded = load_params(path)
-    for f in dataclasses.fields(params):
-        want = np.asarray(getattr(params, f.name))
-        got = np.asarray(getattr(loaded, f.name))
-        assert got.dtype == want.dtype == np.float64, f.name
-        assert got.shape == want.shape, f.name
-        assert got.tobytes() == want.tobytes(), f.name
-    assert float(params.b_g) != -2.0
-
-
 def test_float_gate_bias_is_trained():
     task, sparse = small_task()
     params = init_params(2, task.cfg.d_h, 4, seed=0)
     params = dataclasses.replace(params, b_g=-2.0)
-    train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+    train_stage1(prepared(task, sparse), task.grid, task.cfg, task.backbone, params,
                  ForwardSettings(sparse=sparse), lr=2.0, steps=1)
     assert float(params.b_g) != -2.0
 
@@ -133,7 +117,7 @@ def test_float_gate_bias_is_trained():
 def test_train_stage1_lowers_loss():
     task, sparse = small_task()
     params = init_params(2, task.cfg.d_h, 4, seed=0)
-    result = train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+    result = train_stage1(prepared(task, sparse), task.grid, task.cfg, task.backbone, params,
                           ForwardSettings(sparse=sparse), lr=2.0, steps=20)
     assert not result.diverged
     assert result.losses.shape == (21,)
@@ -144,7 +128,7 @@ def test_train_stage1_lowers_loss():
 def test_train_stage1_flags_divergence():
     task, sparse = small_task()
     params = init_params(2, task.cfg.d_h, 4, seed=0)
-    result = train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
+    result = train_stage1(prepared(task, sparse), task.grid, task.cfg, task.backbone, params,
                           ForwardSettings(sparse=sparse), lr=1e8, steps=50)
     assert result.diverged
     assert not np.isfinite(result.final_loss)
@@ -155,10 +139,17 @@ def test_train_stage1_rejects_bad_arguments():
     task, sparse = small_task()
     params = init_params(2, task.cfg.d_h, 4, seed=0)
     settings = ForwardSettings(sparse=sparse)
+    samples = prepared(task, sparse)
     for lr, steps in ((float("nan"), 1), (-1.0, 1), (1.0, -1)):
         with pytest.raises(ValueError):
-            train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
-                         settings, lr, steps)
+            train_stage1(samples, task.grid, task.cfg, task.backbone, params, settings,
+                         lr, steps)
+
+
+def test_prepare_samples_rejects_an_empty_dataset():
+    task, sparse = small_task()
+    with pytest.raises(ValueError, match="non-empty"):
+        prepare_samples([], task.grid, task.cfg, task.backbone, sparse)
 
 
 @pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
@@ -166,8 +157,8 @@ def test_forward_trace_invariants(compensator, use_pe):
     task, sparse = small_task()
     params = init_params(2, task.cfg.d_h, 4, seed=3)
     settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
-    train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params, settings,
-                 lr=2.0, steps=2)
+    train_stage1(prepared(task, sparse), task.grid, task.cfg, task.backbone, params,
+                 settings, lr=2.0, steps=2)
     x = task.dataset[0][0]
     trace = forward(x, task.grid, task.cfg, task.backbone, params, settings)
     ell, d_h, n_heads = task.grid.size, task.cfg.d_h, 2
@@ -216,7 +207,8 @@ def test_two_sample_gradients_are_the_mean_of_the_single_sample_ones(compensator
     settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
     params = init_params(3, task.cfg.d_h, 4, seed=5)
     params.w_g[:] = np.linspace(-0.5, 0.5, params.w_g.size)
-    samples, pe = _prepare(task.dataset, task.grid, task.cfg, task.backbone, settings)
+    samples, pe = _variant_inputs(prepared(task, sparse), task.grid, task.cfg, task.backbone,
+                                  settings)
     loss, grads = _loss_and_grads(samples, pe, task.backbone, params, settings)
     singles = [_loss_and_grads([s], pe, task.backbone, params, settings) for s in samples]
     np.testing.assert_allclose(loss, (singles[0][0] + singles[1][0]) / 2, rtol=1e-12)
@@ -258,12 +250,12 @@ def test_trained_loss_is_bitwise_the_loss_of_forward(compensator, use_pe):
     # every branch from x
     task, sparse = small_task()
     settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
-    shared = prepare_samples(task.dataset, task.grid, task.cfg, task.backbone, sparse)
+    shared = prepared(task, sparse)
     results = []
-    for samples in (None, shared, shared):
+    for samples in (prepared(task, sparse), shared, shared):
         params = init_params(2, task.cfg.d_h, 4, seed=3)
-        results.append(train_stage1(task.dataset, task.grid, task.cfg, task.backbone, params,
-                                    settings, lr=2.0, steps=3, samples=samples))
+        results.append(train_stage1(samples, task.grid, task.cfg, task.backbone, params,
+                                    settings, lr=2.0, steps=3))
     assert not results[0].diverged
     for other in results[1:]:
         assert other.losses.tobytes() == results[0].losses.tobytes()
