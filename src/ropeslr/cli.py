@@ -7,8 +7,9 @@ once by the parser PARSERS names for its key (a positive integer otherwise).
 Exit codes: 0 success, 1 a checked property is violated, 2 bad input (a value
 that does not parse or is out of range, an unknown key, a config file that
 cannot be read or is not UTF-8, an --out or --modes-out path that cannot be
-written).  Any other error is a library fault and propagates with its
-traceback.
+written).  Output paths are checked before any work starts, so a bad one
+leaves no partial output.  Any other error is a library fault and propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -177,6 +179,21 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: Sequence[Sequenc
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that is a directory, whose directory is missing,
+    or that cannot be written; the file is neither created nor truncated."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(directory):
+        problem = f"no directory {directory}"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +377,11 @@ TRAIN_VARIANTS = (
 )
 
 
+def _variant_csv(out: str, name: str) -> str:
+    """The loss CSV of one train-align variant under the --out prefix."""
+    return f"{out}.{name}.csv"
+
+
 @_command("train-align", **TASK_DEFAULTS, steps="500", lr="2.0")
 def cmd_train_align(v, out: Optional[str]) -> int:
     task, sparse = _task(v)
@@ -380,7 +402,7 @@ def cmd_train_align(v, out: Optional[str]) -> int:
             sys.stdout.write(f"# variant={name}\n")
             _write_csv(None, ["step", "loss"], rows)
         else:
-            _write_csv(f"{out}.{name}.csv", ["step", "loss"], rows)
+            _write_csv(_variant_csv(out, name), ["step", "loss"], rows)
     return 0
 
 
@@ -434,11 +456,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_paths(command: str, v, out: Optional[str]) -> List[str]:
+    """Every file a run of `command` writes."""
+    paths = [v["modes_out"]] if v.get("modes_out") else []
+    if out is not None:
+        paths += ([_variant_csv(out, name) for name, _, _ in TRAIN_VARIANTS]
+                  if command == "train-align" else [out])
+    return paths
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     defaults, handler = _COMMANDS[args.command]
     try:
-        return handler(_config(defaults, args), args.out)
+        v = _config(defaults, args)
+        for path in _output_paths(args.command, v, args.out):
+            _check_writable(path)
+        return handler(v, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,11 @@ gradient descent on the new parameters only, with hand-derived gradients that
 a central finite-difference check validates coordinate by coordinate.
 
 Each branch has one implementation, reached through `_fused_forward` and
-`_fused_backward`, with the heads as an array axis of (H, L, d_h) values.
+`_fused_backward`, with per-head values in token-major (L, H, d_h) arrays
+that reshape for free to (L, d_model); a head-wise matmul writes through the
+(H, L, d_h) view.  Reductions keep numpy's order, sequential over L and over
+heads (from 0) and pairwise over d_h: a matmul or einsum would round them
+differently, and the trained loss would no longer be that of `forward`.
 `train_stage1` takes its training data in one form, the list that
 `prepare_samples` makes of the (x, target) pairs, and computes each value
 only as often as it can change:
@@ -46,20 +50,22 @@ RMS_EPS = 1e-6
 
 def sigmoid(x):
     """1 / (1 + exp(-x)) without overflow: with t = exp(-|x|), 1 / (t + 1) for
-    x >= 0 and t / (t + 1) below, worked out in one buffer."""
+    x >= 0 and t / (t + 1) below, worked out in one buffer.  The numerator is
+    max(t, x >= 0), as t <= 1: a masked copy would branch on the sign."""
     x = np.asarray(x, dtype=np.float64)
     t = np.abs(x, out=np.empty_like(x))
     np.negative(t, out=t)
     np.exp(t, out=t)
     d = t + 1.0
-    np.copyto(t, 1.0, where=x >= 0.0)
+    np.maximum(t, x >= 0.0, out=t)
     return np.divide(t, d, out=t)
 
 
 def elu_plus_one(x):
-    """Positive C1 feature map x -> elu(x) + 1 of the linear compensator."""
+    """Positive C1 feature map x -> elu(x) + 1 of the linear compensator, as
+    exp(min(x, 0)) + max(x, 0), one term of which is exactly 0 or 1."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0.0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+    return np.exp(np.minimum(x, 0.0)) + np.maximum(x, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +274,11 @@ def _heads(a, n_heads):
     return a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2)
 
 
-def _merge_heads(a):
-    """(H, L, d_h) -> (L, H·d_h), the inverse of `_heads`."""
-    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
-
-
 def _linear_forward(x_hat, backbone):
     """Kernelized linear attention of every head through the frozen backbone,
-    (H, L, d_h), O(L) in token count; the positive feature map cannot carry
-    rotary structure, which is the gap the low-rank compensator closes."""
+    (L, H, d_h), O(L) in token count; the positive feature map cannot carry
+    rotary structure, which is the gap the low-rank compensator closes.  Its
+    intermediates are head-major."""
     q = x_hat @ backbone.w_q
     k = x_hat @ backbone.w_k
     v = x_hat @ backbone.w_v
@@ -287,14 +289,17 @@ def _linear_forward(x_hat, backbone):
     raw = (pq @ svec[:, :, None])[:, :, 0]
     denom = np.maximum(raw, _LINEAR_FLOOR)
     numer = pq @ smat
-    out = numer / denom[:, :, None]
+    out = np.empty_like(numer.swapaxes(0, 1), order="C")
+    np.divide(numer, denom[:, :, None], out=out.swapaxes(0, 1))
     return out, (q, k, v, pq, pk, smat, svec, raw, denom, numer)
 
 
 def _linear_backward(g_out, cache, backbone):
-    """Gradient of the linear branch with respect to its input matrix, one
-    (L, d_model) term per head."""
+    """Gradient of the linear branch with respect to its input matrix, from
+    that of its (L, H, d_h) output: per head the q + k + v term, added to a
+    sum from 0 in head order, without making an (H, L, d_model) array."""
     q, k, v, pq, pk, smat, svec, raw, denom, numer = cache
+    g_out = g_out.swapaxes(0, 1)
     d_numer = g_out / denom[:, :, None]
     d_denom = -np.sum(g_out * numer, axis=2) / (denom * denom)
     d_raw = np.where(raw > _LINEAR_FLOOR, d_denom, 0.0)
@@ -303,11 +308,17 @@ def _linear_backward(g_out, cache, backbone):
     d_svec = (pq.swapaxes(1, 2) @ d_raw[:, :, None])[:, :, 0]
     d_pk = v @ d_smat.swapaxes(1, 2) + d_svec[:, None, :]
     d_v = pk @ d_smat
-    # the derivative of elu(x) + 1 is 1 above 0 and the feature itself below
-    d_q = d_pq * np.where(q > 0.0, 1.0, pq)
-    d_k = d_pk * np.where(k > 0.0, 1.0, pk)
-    return (d_q @ backbone.w_q.swapaxes(1, 2) + d_k @ backbone.w_k.swapaxes(1, 2)
-            + d_v @ backbone.w_v.swapaxes(1, 2))
+    # the derivative of elu(x) + 1 is 1 above 0, where the feature is at least 1,
+    # and the feature itself below
+    d_q = d_pq * np.minimum(pq, 1.0)
+    d_k = d_pk * np.minimum(pk, 1.0)
+    total = np.zeros((q.shape[1], backbone.d_model))
+    for h in range(backbone.n_heads):
+        t = d_q[h] @ backbone.w_q[h].T
+        t += d_k[h] @ backbone.w_k[h].T
+        t += d_v[h] @ backbone.w_v[h].T
+        total += t
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +348,9 @@ class ForwardTrace:
     sparsity: np.ndarray  # (H,) achieved per head
 
 
-# The intermediates of one `_fused_forward`: (H, L, d_h) arrays, except x_hat
-# (L, d_model), g (L,), inv_lowrank (H, L, 1) and the compensator's own `branch`,
-# which is None for a compensator fixed in training.
+# The intermediates of one `_fused_forward`: (L, H, d_h) arrays, except x_hat
+# (L, d_model), g (L,), inv_lowrank (L, H, 1) and the compensator's own
+# head-major `branch`, which is None for a compensator fixed in training.
 _Fused = namedtuple("_Fused", "x_hat g u_sparse y_sparse o_lowrank u_lowrank inv_lowrank "
                     "y_lowrank branch")
 
@@ -351,7 +362,7 @@ def _rms(o):
 
 
 def _fused_forward(x, u_sparse, pe, backbone, params, settings, fixed_compensator=None):
-    """Forward pass against the RMS-normalised (H, L, d_h) sparse branch
+    """Forward pass against the RMS-normalised (L, H, d_h) sparse branch
     `u_sparse`; returns the fused output and its `_Fused` intermediates.
     `fixed_compensator`, when given, is the (o_lowrank, u_lowrank,
     inv_lowrank) of a compensator that is constant in training (linear, no
@@ -366,14 +377,16 @@ def _fused_forward(x, u_sparse, pe, backbone, params, settings, fixed_compensato
         if settings.compensator == "lowrank":
             xh = _heads(x_hat, backbone.n_heads)
             h1 = sigmoid(xh @ params.w_a)
-            o_lr = sigmoid(h1 @ params.w_b)
+            z2 = np.empty_like(u_sparse)
+            np.matmul(h1, params.w_b, out=z2.swapaxes(0, 1))
+            o_lr = sigmoid(z2)
             branch = (xh, h1)
         else:
             o_lr, branch = _linear_forward(x_hat, backbone)
         u_lr, inv_lr = _rms(o_lr)
     y_sp = u_sparse * params.rms_sparse
     y_lr = u_lr * params.rms_lowrank
-    out = _merge_heads(y_sp + g[:, None] * y_lr)
+    out = (y_sp + g[:, None, None] * y_lr).reshape(x.shape)
     return out, _Fused(x_hat, g, u_sparse, y_sp, o_lr, u_lr, inv_lr, y_lr, branch)
 
 
@@ -383,15 +396,20 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
     into `grads`; only the new-parameter set receives gradient.  The sparse
     branch is constant, so its only gradient is that of its RMS scale."""
     c = fwd_cache
-    gh = _heads(g_out, backbone.n_heads)
-    d_y_lr = gh * c.g[:, None]
-    # the RMS scales are shared by all heads: add their gradients head by head,
-    # as one sum over heads and tokens would round a second sample differently
-    for d_sp, d_lr in zip(np.sum(gh * c.u_sparse, axis=1),
-                          np.sum(d_y_lr * c.u_lowrank, axis=1)):
+    g3 = g_out.reshape(c.u_sparse.shape)
+    d_y_lr = g3 * c.g[:, None, None]
+    # the RMS scales are shared by all heads: sum each head over L in token
+    # order, then add the heads one by one, as one sum over heads and tokens
+    # would round a second sample differently
+    for d_sp, d_lr in zip(np.sum(g3 * c.u_sparse, axis=0),
+                          np.sum(d_y_lr * c.u_lowrank, axis=0)):
         grads.rms_sparse += d_sp
         grads.rms_lowrank += d_lr
-    d_zg = np.sum(gh * c.y_lowrank, axis=2).sum(axis=0) * c.g * (1.0 - c.g)
+    # the gate's gradient: per head a pairwise sum over d_h, then the heads from 0
+    d_zg = np.zeros_like(c.g)
+    for per_head in np.sum(g3 * c.y_lowrank, axis=2).T:
+        d_zg += per_head
+    d_zg = d_zg * c.g * (1.0 - c.g)
     grads.w_g += c.x_hat.T @ d_zg
     grads.b_g += d_zg.sum()
     lowrank = settings.compensator == "lowrank"
@@ -404,36 +422,42 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
     d_o_lr = d_u * c.inv_lowrank - c.o_lowrank * (c.inv_lowrank ** 3 * dot / backbone.d_h)
     if lowrank:
         xh, h1 = c.branch
-        d_z2 = d_o_lr * c.o_lowrank * (1.0 - c.o_lowrank)
+        d_z2 = (d_o_lr * c.o_lowrank * (1.0 - c.o_lowrank)).swapaxes(0, 1)
         grads.w_b += h1.swapaxes(1, 2) @ d_z2
         d_z1 = (d_z2 @ params.w_b.swapaxes(1, 2)) * h1 * (1.0 - h1)
         grads.w_a += xh.swapaxes(1, 2) @ d_z1
     if settings.use_pe:
-        d_branch = (_merge_heads(d_z1 @ params.w_a.swapaxes(1, 2)) if lowrank
-                    else _linear_backward(d_o_lr, c.branch, backbone).sum(axis=0))
+        if lowrank:
+            d_branch = np.empty_like(pe)
+            np.matmul(d_z1, params.w_a.swapaxes(1, 2), out=_heads(d_branch, backbone.n_heads))
+        else:
+            d_branch = _linear_backward(d_o_lr, c.branch, backbone)
         grads.alpha += np.sum((d_branch + np.outer(d_zg, params.w_g)) * pe, axis=0)
 
 
 def _sparse_branch(x, grid, cfg, backbone, sparse: SparseSettings):
     """The block-sparse result of every head of one input, and their outputs
-    stacked, (H, L, d_h)."""
+    stacked token-major, (L, H, d_h)."""
     results = [block_sparse_attention(x, grid, cfg, backbone, h, sparse)
                for h in range(backbone.n_heads)]
-    return results, np.stack([r.output for r in results])
+    return results, np.stack([r.output for r in results], axis=1)
 
 
 def forward(x, grid: GridShape, cfg: RopeConfig, backbone: Backbone,
             params: MechanismParams, settings: ForwardSettings) -> ForwardTrace:
     """Full mechanism forward pass from x, every branch computed afresh;
-    deterministic for identical inputs."""
+    deterministic for identical inputs.  The per-head trace fields are
+    (H, L, d_h) views of the token-major values."""
     x = as_matrix(x)
     if x.shape != (grid.size, backbone.d_model):
         raise ValueError(f"expected input shape {(grid.size, backbone.d_model)}, got {x.shape}")
     results, o_sparse = _sparse_branch(x, grid, cfg, backbone, settings.sparse)
     pe = build_pe3d(grid, backbone.d_model, cfg) if settings.use_pe else None
     out, c = _fused_forward(x, _rms(o_sparse)[0], pe, backbone, params, settings)
-    return ForwardTrace(x_hat=c.x_hat, o_sparse=o_sparse, o_lowrank=c.o_lowrank,
-                        norm_sparse=c.y_sparse, norm_lowrank=c.y_lowrank, g=c.g, output=out,
+    return ForwardTrace(x_hat=c.x_hat, o_sparse=o_sparse.swapaxes(0, 1),
+                        o_lowrank=c.o_lowrank.swapaxes(0, 1),
+                        norm_sparse=c.y_sparse.swapaxes(0, 1),
+                        norm_lowrank=c.y_lowrank.swapaxes(0, 1), g=c.g, output=out,
                         sparsity=np.array([r.sparsity for r in results]))
 
 
@@ -447,8 +471,8 @@ class PreparedSample:
 
     x: np.ndarray
     target: np.ndarray
-    u_sparse: np.ndarray  # (H, L, d_h) sparse branch, RMS-normalised
-    # (o_lowrank, u_lowrank, inv_lowrank) of a compensator constant in training
+    u_sparse: np.ndarray  # (L, H, d_h) sparse branch, RMS-normalised, token-major
+    # token-major (o_lowrank, u_lowrank, inv_lowrank) of a compensator constant in training
     fixed_compensator: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 

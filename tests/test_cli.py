@@ -163,6 +163,10 @@ BAD_INPUT = [
     ["flops", "--out", "{dir}/missing/flops.csv"],
     ["train-align", "--steps", "0", "--out", "{dir}/missing/loss"],
     ["gram-spectral", "--out", "{dir}/sigma.csv", "--modes-out", "{dir}/missing/modes.csv"],
+    ["gram-spectral", "--modes-out", "{dir}/missing/modes.csv"],
+    ["train-align", "--steps", "2", "--out", "{dir}/missing/loss"],
+    ["flops", "--out", "{dir}"],
+    ["gate-map", "--out", "{dir}/"],
 ]
 
 
@@ -174,6 +178,22 @@ def test_bad_input_exits_2(argv, tmp_path):
     assert rc == 2
     assert stderr.startswith("config error: ")
     assert stdout == ""
+
+
+def test_bad_output_path_fails_before_any_work_or_output(monkeypatch, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(mechanism, "make_alignment_task", never)
+    sigma = tmp_path / "sigma.csv"
+    sigma.write_text("kept\n", encoding="utf-8")
+    for argv in (["gram-spectral", "--out", str(sigma), "--modes-out", f"{tmp_path}/no/m.csv"],
+                 ["train-align", "--out", f"{tmp_path}/no/loss"]):
+        rc, stdout, stderr = run_cli(argv)
+        assert (rc, stdout) == (2, "")
+        assert stderr.startswith("config error: cannot write ")
+    assert sigma.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sigma.csv"]
 
 
 def test_library_error_is_not_a_config_error(monkeypatch, capsys):

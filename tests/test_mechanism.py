@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ropeslr.analysis import gate_map, gram_spectral
 from ropeslr.mechanism import (
@@ -266,11 +269,198 @@ def test_trained_loss_is_bitwise_the_loss_of_forward(compensator, use_pe):
     assert loss == results[0].final_loss
 
 
+# ---------------------------------------------------------------------------
+# The fused step as it was written head-major, with the heads as the leading
+# axis of (H, L, d_h) arrays and the activations in their first formulas: the
+# oracle that the token-major step must match bit for bit.
+
+
+def heads_oracle(a, n_heads):
+    return a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def merge_heads_oracle(a):
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def rms_oracle(o):
+    inv = 1.0 / np.sqrt(np.mean(o * o, axis=-1, keepdims=True) + RMS_EPS)
+    return o * inv, inv
+
+
+def linear_forward_oracle(x_hat, backbone):
+    q = x_hat @ backbone.w_q
+    k = x_hat @ backbone.w_k
+    v = x_hat @ backbone.w_v
+    pq = elu_plus_one_oracle(q)
+    pk = elu_plus_one_oracle(k)
+    smat = pk.swapaxes(1, 2) @ v
+    svec = pk.sum(axis=1)
+    raw = (pq @ svec[:, :, None])[:, :, 0]
+    denom = np.maximum(raw, 1e-8)
+    numer = pq @ smat
+    return numer / denom[:, :, None], (q, k, v, pq, pk, smat, svec, raw, denom, numer)
+
+
+def linear_backward_oracle(g_out, cache, backbone):
+    q, k, v, pq, pk, smat, svec, raw, denom, numer = cache
+    d_numer = g_out / denom[:, :, None]
+    d_denom = -np.sum(g_out * numer, axis=2) / (denom * denom)
+    d_raw = np.where(raw > 1e-8, d_denom, 0.0)
+    d_pq = d_numer @ smat.swapaxes(1, 2) + d_raw[:, :, None] * svec[:, None, :]
+    d_smat = pq.swapaxes(1, 2) @ d_numer
+    d_svec = (pq.swapaxes(1, 2) @ d_raw[:, :, None])[:, :, 0]
+    d_pk = v @ d_smat.swapaxes(1, 2) + d_svec[:, None, :]
+    d_v = pk @ d_smat
+    d_q = d_pq * np.where(q > 0.0, 1.0, pq)
+    d_k = d_pk * np.where(k > 0.0, 1.0, pk)
+    return (d_q @ backbone.w_q.swapaxes(1, 2) + d_k @ backbone.w_k.swapaxes(1, 2)
+            + d_v @ backbone.w_v.swapaxes(1, 2))
+
+
+def fused_forward_oracle(x, u_sparse, pe, backbone, params, settings, fixed=None):
+    x_hat = x + params.alpha[None, :] * pe if settings.use_pe else x
+    g = sigmoid_oracle(x_hat @ params.w_g + params.b_g)
+    branch = None
+    if fixed is not None:
+        o_lr, u_lr, inv_lr = fixed
+    else:
+        if settings.compensator == "lowrank":
+            xh = heads_oracle(x_hat, backbone.n_heads)
+            h1 = sigmoid_oracle(xh @ params.w_a)
+            o_lr = sigmoid_oracle(h1 @ params.w_b)
+            branch = (xh, h1)
+        else:
+            o_lr, branch = linear_forward_oracle(x_hat, backbone)
+        u_lr, inv_lr = rms_oracle(o_lr)
+    y_sp = u_sparse * params.rms_sparse
+    y_lr = u_lr * params.rms_lowrank
+    out = merge_heads_oracle(y_sp + g[:, None] * y_lr)
+    return out, (x_hat, g, u_sparse, y_sp, o_lr, u_lr, inv_lr, y_lr, branch)
+
+
+def fused_backward_oracle(g_out, cache, pe, backbone, params, settings, grads):
+    x_hat, g, u_sparse, y_sp, o_lr, u_lr, inv_lr, y_lr, branch = cache
+    gh = heads_oracle(g_out, backbone.n_heads)
+    d_y_lr = gh * g[:, None]
+    for d_sp, d_lr in zip(np.sum(gh * u_sparse, axis=1), np.sum(d_y_lr * u_lr, axis=1)):
+        grads.rms_sparse += d_sp
+        grads.rms_lowrank += d_lr
+    d_zg = np.sum(gh * y_lr, axis=2).sum(axis=0) * g * (1.0 - g)
+    grads.w_g += x_hat.T @ d_zg
+    grads.b_g += d_zg.sum()
+    lowrank = settings.compensator == "lowrank"
+    if not (lowrank or settings.use_pe):
+        return
+    d_u = d_y_lr * params.rms_lowrank
+    dot = np.sum(d_u * o_lr, axis=2, keepdims=True)
+    d_o_lr = d_u * inv_lr - o_lr * (inv_lr ** 3 * dot / backbone.d_h)
+    if lowrank:
+        xh, h1 = branch
+        d_z2 = d_o_lr * o_lr * (1.0 - o_lr)
+        grads.w_b += h1.swapaxes(1, 2) @ d_z2
+        d_z1 = (d_z2 @ params.w_b.swapaxes(1, 2)) * h1 * (1.0 - h1)
+        grads.w_a += xh.swapaxes(1, 2) @ d_z1
+    if settings.use_pe:
+        d_branch = (merge_heads_oracle(d_z1 @ params.w_a.swapaxes(1, 2)) if lowrank
+                    else linear_backward_oracle(d_o_lr, branch, backbone).sum(axis=0))
+        grads.alpha += np.sum((d_branch + np.outer(d_zg, params.w_g)) * pe, axis=0)
+
+
+def prepared_oracle(task, settings):
+    """(x, target, head-major u_sparse, fixed compensator) of each sample."""
+    out = []
+    for x, target in task.dataset:
+        o_sp = np.stack([block_sparse_attention(x, task.grid, task.cfg, task.backbone, h,
+                                                settings.sparse).output
+                         for h in range(task.backbone.n_heads)])
+        fixed = None
+        if settings.compensator == "linear" and not settings.use_pe:
+            o_lr, _ = linear_forward_oracle(x, task.backbone)
+            fixed = (o_lr, *rms_oracle(o_lr))
+        out.append((x, target, rms_oracle(o_sp)[0], fixed))
+    return out
+
+
+def loss_and_grads_oracle(samples, pe, backbone, params, settings):
+    total = 0.0
+    grads = init_params(backbone.n_heads, backbone.d_h, params.rank, seed=0)
+    for leaf in _leaves(grads):
+        leaf[...] = 0.0
+    for x, target, u_sparse, fixed in samples:
+        out, cache = fused_forward_oracle(x, u_sparse, pe, backbone, params, settings, fixed)
+        diff = out - target
+        total += float(np.mean(diff * diff)) / len(samples)
+        g_out = 2.0 * diff / (diff.size * len(samples))
+        fused_backward_oracle(g_out, cache, pe, backbone, params, settings, grads)
+    return total, grads
+
+
+def differential_task(rope, heads, seed):
+    """An alignment task at head dim 8 or 16, and parameters with every
+    leaf moved off its initial value."""
+    cfg = RopeConfig(*rope, 10000.0)
+    task = make_alignment_task(GridShape(2, 4, 4), cfg, heads, 2, seed)
+    params = init_params(heads, cfg.d_h, 3, seed + 100)
+    rng = np.random.default_rng(seed + 200)
+    for leaf in _leaves(params):
+        leaf += 0.1 * rng.standard_normal(leaf.shape)
+    return task, params, SparseSettings(block=(1, 2, 2), keep=0.5)
+
+
+# (rope, heads, seed); at nine heads numpy would sum a contiguous row of
+# heads pairwise, not in head order
+DIFFERENTIAL_CASES = [(rope, heads, seed) for rope in ((4, 2, 2), (8, 4, 4))
+                      for heads in (2, 4) for seed in (0, 1, 2)] + [((8, 4, 4), 9, 0)]
+
+
+@pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
+def test_token_major_step_is_bitwise_the_head_major_step(compensator, use_pe):
+    for rope, heads, seed in DIFFERENTIAL_CASES:
+        task, params, sparse = differential_task(rope, heads, seed)
+        settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
+        samples, pe = _variant_inputs(prepared(task, sparse), task.grid, task.cfg,
+                                      task.backbone, settings)
+        loss, grads = _loss_and_grads(samples, pe, task.backbone, params, settings)
+        want_loss, want = loss_and_grads_oracle(prepared_oracle(task, settings), pe,
+                                                task.backbone, params, settings)
+        case = (rope, heads, seed)
+        assert loss == want_loss, case
+        for f, got, exp in zip(dataclasses.fields(params), _leaves(grads), _leaves(want)):
+            assert got.tobytes() == exp.tobytes(), (case, f.name)
+
+
+@pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
+def test_forward_trace_is_bitwise_the_head_major_step(compensator, use_pe):
+    for rope, heads, seed in DIFFERENTIAL_CASES:
+        task, params, sparse = differential_task(rope, heads, seed)
+        settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
+        case, x = (rope, heads, seed), task.dataset[0][0]
+        trace = forward(x, task.grid, task.cfg, task.backbone, params, settings)
+        o_sp = np.stack([block_sparse_attention(x, task.grid, task.cfg, task.backbone, h,
+                                                sparse).output for h in range(heads)])
+        pe = build_pe3d(task.grid, task.backbone.d_model, task.cfg) if use_pe else None
+        out, (x_hat, g, _, y_sp, o_lr, _, _, y_lr, _) = fused_forward_oracle(
+            x, rms_oracle(o_sp)[0], pe, task.backbone, params, settings)
+        want = dict(x_hat=x_hat, o_sparse=o_sp, o_lowrank=o_lr, norm_sparse=y_sp,
+                    norm_lowrank=y_lr, g=g, output=out)
+        for name, value in want.items():
+            got = getattr(trace, name)
+            assert got.shape == value.shape, name
+            assert np.ascontiguousarray(got).tobytes() == value.tobytes(), (case, name)
+
+
 def sigmoid_oracle(x):
     """The sigmoid as first written: both branches over the whole array."""
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def elu_plus_one_oracle(x):
+    """elu(x) + 1 as first written: both branches over the whole array."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > 0.0, x + 1.0, np.exp(np.minimum(x, 0.0)))
 
 
 def elu_plus_one_grad_oracle(x):
@@ -281,7 +471,12 @@ def elu_plus_one_grad_oracle(x):
 def elu_plus_one_grad(x):
     """The derivative as the linear branch's backward pass forms it, from
     the features elu(x) + 1."""
-    return np.where(x > 0.0, 1.0, elu_plus_one(x))
+    return np.minimum(elu_plus_one(x), 1.0)
+
+
+ACTIVATIONS = [(sigmoid, sigmoid_oracle), (elu_plus_one, elu_plus_one_oracle),
+               (elu_plus_one_grad, elu_plus_one_grad_oracle)]
+ACTIVATION_IDS = ("sigmoid", "elu_plus_one", "elu_plus_one_grad")
 
 
 EDGE = np.array([0.0, 5e-324, 1e-300, 36.7, 709.0, 745.0, np.inf])
@@ -305,9 +500,7 @@ def outcome(f, x, **errstate):
     return value, [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("new,oracle", [(sigmoid, sigmoid_oracle),
-                                        (elu_plus_one_grad, elu_plus_one_grad_oracle)],
-                         ids=("sigmoid", "elu_plus_one_grad"))
+@pytest.mark.parametrize("new,oracle", ACTIVATIONS, ids=ACTIVATION_IDS)
 def test_activation_is_bitwise_its_first_formula(new, oracle):
     for x in activation_inputs():
         got = new(x)
@@ -322,3 +515,13 @@ def test_activation_is_bitwise_its_first_formula(new, oracle):
     x = np.array([-2.0, 0.5])
     sigmoid(x)
     np.testing.assert_array_equal(x, [-2.0, 0.5])  # the input is not written
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@hypothesis.given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=9),
+                         elements=st.floats(allow_nan=True, allow_infinity=True,
+                                            allow_subnormal=True)))
+def test_activations_are_bitwise_their_first_formulas_on_any_float64(x):
+    with np.errstate(all="ignore"):
+        for new, oracle in ACTIVATIONS:
+            assert np.asarray(new(x)).tobytes() == oracle(x).tobytes(), new.__name__
