@@ -12,8 +12,20 @@ Each branch has one implementation, reached through `_fused_forward` and
 `_fused_backward`, with per-head values in token-major (L, H, d_h) arrays
 that reshape for free to (L, d_model); a head-wise matmul writes through the
 (H, L, d_h) view.  Reductions keep numpy's order, sequential over L and over
-heads (from 0) and pairwise over d_h: a matmul or einsum would round them
-differently, and the trained loss would no longer be that of `forward`.
+heads (from 0) and pairwise over d_h: a matmul would round them differently,
+and the trained loss would no longer be that of `forward`.  The L-axis sums
+of products in the backward pass are einsums (`_token_sum`), which add in
+the same token order without making the product array.
+
+A step holds one sample's arrays at a time.  `_loss_and_grads` lets go of a
+sample's output, forward cache and output gradient before the next sample's
+forward pass, and writes the error and then the output gradient over the
+output.  `_fused_forward` keeps the `_Fused` intermediates and no other
+(L, H, d_h) array; `_fused_backward` writes d_u over d_y_lr and d_o_lr over
+d_u; the linear branch caches its features but not its projections, builds
+the projection gradients in place and reuses two (L, d_model) arrays across
+its head loop.  No buffer outlives a step.
+
 `train_stage1` takes its training data in one form, the list that
 `prepare_samples` makes of the (x, target) pairs, and computes each value
 only as often as it can change:
@@ -112,9 +124,17 @@ def full_attention_reference(x, grid: GridShape, cfg: RopeConfig,
     x = as_matrix(x)
     out = np.empty((grid.size, backbone.d_model))
     d_h = backbone.d_h
+    # One head's L x L attention is live at a time: it is let go before the
+    # next head's logits are made.  Each stays whole.  Freeing it raises
+    # glibc's dynamic mmap threshold to its size, so the trainer's later
+    # (L, d_model) arrays come from the reused heap.  With 64-row blocks no
+    # free exceeds those arrays, and each of them is mapped and unmapped
+    # afresh: at L = 1152 a train-align pass then took about 1.0 M minor
+    # page faults against 3.7 k, and 1.8 times the wall time.
     for h in range(backbone.n_heads):
         a, _ = row_softmax(logit_matrix(x @ backbone.w_q[h], x @ backbone.w_k[h], grid, cfg))
         out[:, h * d_h:(h + 1) * d_h] = a @ (x @ backbone.w_v[h])
+        del a
     return out
 
 
@@ -278,12 +298,12 @@ def _linear_forward(x_hat, backbone):
     """Kernelized linear attention of every head through the frozen backbone,
     (L, H, d_h), O(L) in token count; the positive feature map cannot carry
     rotary structure, which is the gap the low-rank compensator closes.  Its
-    intermediates are head-major."""
-    q = x_hat @ backbone.w_q
-    k = x_hat @ backbone.w_k
+    intermediates are head-major; the cache is (v, pq, pk, smat, svec, raw,
+    denom, numer), without the projections q and k, which the backward pass
+    reads only through their features."""
+    pq = elu_plus_one(x_hat @ backbone.w_q)
+    pk = elu_plus_one(x_hat @ backbone.w_k)
     v = x_hat @ backbone.w_v
-    pq = elu_plus_one(q)
-    pk = elu_plus_one(k)
     smat = pk.swapaxes(1, 2) @ v
     svec = pk.sum(axis=1)
     raw = (pq @ svec[:, :, None])[:, :, 0]
@@ -291,32 +311,39 @@ def _linear_forward(x_hat, backbone):
     numer = pq @ smat
     out = np.empty_like(numer.swapaxes(0, 1), order="C")
     np.divide(numer, denom[:, :, None], out=out.swapaxes(0, 1))
-    return out, (q, k, v, pq, pk, smat, svec, raw, denom, numer)
+    return out, (v, pq, pk, smat, svec, raw, denom, numer)
 
 
 def _linear_backward(g_out, cache, backbone):
     """Gradient of the linear branch with respect to its input matrix, from
     that of its (L, H, d_h) output: per head the q + k + v term, added to a
-    sum from 0 in head order, without making an (H, L, d_model) array."""
-    q, k, v, pq, pk, smat, svec, raw, denom, numer = cache
+    sum from 0 in head order, without making an (H, L, d_model) array.  The
+    feature gradients are built in the buffers of the projection gradients,
+    and the head loop writes its products into two (L, d_model) arrays."""
+    v, pq, pk, smat, svec, raw, denom, numer = cache
     g_out = g_out.swapaxes(0, 1)
     d_numer = g_out / denom[:, :, None]
     d_denom = -np.sum(g_out * numer, axis=2) / (denom * denom)
     d_raw = np.where(raw > _LINEAR_FLOOR, d_denom, 0.0)
-    d_pq = d_numer @ smat.swapaxes(1, 2) + d_raw[:, :, None] * svec[:, None, :]
+    d_q = d_numer @ smat.swapaxes(1, 2)
+    d_q += d_raw[:, :, None] * svec[:, None, :]
     d_smat = pq.swapaxes(1, 2) @ d_numer
+    del d_numer
     d_svec = (pq.swapaxes(1, 2) @ d_raw[:, :, None])[:, :, 0]
-    d_pk = v @ d_smat.swapaxes(1, 2) + d_svec[:, None, :]
+    d_k = v @ d_smat.swapaxes(1, 2)
+    d_k += d_svec[:, None, :]
     d_v = pk @ d_smat
     # the derivative of elu(x) + 1 is 1 above 0, where the feature is at least 1,
     # and the feature itself below
-    d_q = d_pq * np.minimum(pq, 1.0)
-    d_k = d_pk * np.minimum(pk, 1.0)
-    total = np.zeros((q.shape[1], backbone.d_model))
+    d_q *= np.minimum(pq, 1.0)
+    d_k *= np.minimum(pk, 1.0)
+    total = np.zeros((v.shape[1], backbone.d_model))
+    t = np.empty_like(total)
+    u = np.empty_like(total)
     for h in range(backbone.n_heads):
-        t = d_q[h] @ backbone.w_q[h].T
-        t += d_k[h] @ backbone.w_k[h].T
-        t += d_v[h] @ backbone.w_v[h].T
+        np.matmul(d_q[h], backbone.w_q[h].T, out=t)
+        t += np.matmul(d_k[h], backbone.w_k[h].T, out=u)
+        t += np.matmul(d_v[h], backbone.w_v[h].T, out=u)
         total += t
     return total
 
@@ -380,6 +407,7 @@ def _fused_forward(x, u_sparse, pe, backbone, params, settings, fixed_compensato
             z2 = np.empty_like(u_sparse)
             np.matmul(h1, params.w_b, out=z2.swapaxes(0, 1))
             o_lr = sigmoid(z2)
+            del z2
             branch = (xh, h1)
         else:
             o_lr, branch = _linear_forward(x_hat, backbone)
@@ -388,6 +416,16 @@ def _fused_forward(x, u_sparse, pe, backbone, params, settings, fixed_compensato
     y_lr = u_lr * params.rms_lowrank
     out = (y_sp + g[:, None, None] * y_lr).reshape(x.shape)
     return out, _Fused(x_hat, g, u_sparse, y_sp, o_lr, u_lr, inv_lr, y_lr, branch)
+
+
+def _token_sum(a, b):
+    """np.sum(a * b, axis=0) without the product array: an einsum over the
+    token axis 0, which adds the products in token order as that sum does.
+    It starts from +0 where the sum starts from the first product, so an
+    exact zero may differ in sign; that cannot reach a gradient, which is
+    accumulated onto +0.  A one-element result would be summed with several
+    accumulators; every result here has at least d_h >= 2 elements."""
+    return np.einsum("l...,l...->...", a, b)
 
 
 def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
@@ -401,8 +439,7 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
     # the RMS scales are shared by all heads: sum each head over L in token
     # order, then add the heads one by one, as one sum over heads and tokens
     # would round a second sample differently
-    for d_sp, d_lr in zip(np.sum(g3 * c.u_sparse, axis=0),
-                          np.sum(d_y_lr * c.u_lowrank, axis=0)):
+    for d_sp, d_lr in zip(_token_sum(g3, c.u_sparse), _token_sum(d_y_lr, c.u_lowrank)):
         grads.rms_sparse += d_sp
         grads.rms_lowrank += d_lr
     # the gate's gradient: per head a pairwise sum over d_h, then the heads from 0
@@ -417,9 +454,11 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
     # its output reaches none, and neither does the input gradient
     if not (lowrank or settings.use_pe):
         return
-    d_u = d_y_lr * params.rms_lowrank
+    # d_u is written over d_y_lr, and d_o_lr over d_u once dot is taken
+    d_u = np.multiply(d_y_lr, params.rms_lowrank, out=d_y_lr)
     dot = np.sum(d_u * c.o_lowrank, axis=2, keepdims=True)
-    d_o_lr = d_u * c.inv_lowrank - c.o_lowrank * (c.inv_lowrank ** 3 * dot / backbone.d_h)
+    d_o_lr = np.multiply(d_u, c.inv_lowrank, out=d_u)
+    d_o_lr -= c.o_lowrank * (c.inv_lowrank ** 3 * dot / backbone.d_h)
     if lowrank:
         xh, h1 = c.branch
         d_z2 = (d_o_lr * c.o_lowrank * (1.0 - c.o_lowrank)).swapaxes(0, 1)
@@ -432,7 +471,8 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
             np.matmul(d_z1, params.w_a.swapaxes(1, 2), out=_heads(d_branch, backbone.n_heads))
         else:
             d_branch = _linear_backward(d_o_lr, c.branch, backbone)
-        grads.alpha += np.sum((d_branch + np.outer(d_zg, params.w_g)) * pe, axis=0)
+        d_branch += np.outer(d_zg, params.w_g)
+        grads.alpha += _token_sum(d_branch, pe)
 
 
 def _sparse_branch(x, grid, cfg, backbone, sparse: SparseSettings):
@@ -510,17 +550,25 @@ def _variant_inputs(samples, grid, cfg, backbone, settings):
 
 
 def _loss_and_grads(samples, pe, backbone, params, settings, want_grads: bool = True):
+    """Mean squared error over the samples, and its gradients when asked.
+
+    One sample's step arrays are live at a time: its output, forward cache
+    and backward temporaries are let go before the next sample's forward
+    pass.  The error and then the output gradient are written over the
+    output: out - target, then 2 * diff, then / (size * n)."""
     total = 0.0
     grads = zero_grads(params) if want_grads else None
     n = len(samples)
     for s in samples:
-        out, cache = _fused_forward(s.x, s.u_sparse, pe, backbone, params, settings,
-                                    s.fixed_compensator)
-        diff = out - s.target
+        diff, cache = _fused_forward(s.x, s.u_sparse, pe, backbone, params, settings,
+                                     s.fixed_compensator)
+        diff -= s.target
         total += float(np.mean(diff * diff)) / n
         if want_grads:
-            g_out = 2.0 * diff / (diff.size * n)
-            _fused_backward(g_out, cache, pe, backbone, params, settings, grads)
+            diff *= 2.0
+            diff /= diff.size * n
+            _fused_backward(diff, cache, pe, backbone, params, settings, grads)
+        del diff, cache
     return total, grads
 
 

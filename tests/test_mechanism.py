@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from ropeslr.mechanism import (
     train_stage1,
     _leaves,
     _loss_and_grads,
+    _token_sum,
     _variant_inputs,
     build_pe3d,
 )
@@ -525,3 +528,76 @@ def test_activations_are_bitwise_their_first_formulas_on_any_float64(x):
     with np.errstate(all="ignore"):
         for new, oracle in ACTIVATIONS:
             assert np.asarray(new(x)).tobytes() == oracle(x).tobytes(), new.__name__
+
+
+# ---------------------------------------------------------------------------
+# What a step and the reference keep alive
+
+
+def traced_peak(f, *args):
+    """Bytes that f(*args) allocates at its peak, above what is live before
+    the call, as tracemalloc counts them; the call is made once untraced
+    first, so that lazily made state does not count."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("compensator,use_pe", VARIANTS, ids=VARIANT_IDS)
+def test_a_step_holds_one_sample_at_a_time(compensator, use_pe):
+    """A second sample adds nothing to a step's peak but room for the
+    gradients, with and without them: the first sample's output, cache and
+    output gradient are let go before the second sample's forward pass."""
+    task, params, sparse = differential_task((4, 2, 2), 2, 0)
+    settings = ForwardSettings(sparse=sparse, compensator=compensator, use_pe=use_pe)
+    samples, pe = _variant_inputs(prepared(task, sparse), task.grid, task.cfg,
+                                  task.backbone, settings)
+    assert len(samples) == 2
+    grads_bytes = sum(leaf.nbytes for leaf in _leaves(params))
+
+    for want_grads in (True, False):
+        def step(samples):
+            _loss_and_grads(samples, pe, task.backbone, params, settings, want_grads)
+
+        one, two = traced_peak(step, samples[:1]), traced_peak(step, samples)
+        assert two <= one + grads_bytes, (want_grads, one, two, grads_bytes)
+
+
+def test_reference_holds_one_head_attention_at_a_time():
+    """Four heads peak no higher than one head plus their output: a head's
+    L x L attention is let go before the next head's logits are made."""
+    grid, cfg = GridShape(2, 6, 6), RopeConfig(4, 2, 2, 10000.0)
+    peaks = {}
+    for heads in (1, 4):
+        backbone = random_backbone(heads, cfg.d_h, 0)
+        x = np.random.default_rng(1).standard_normal((grid.size, backbone.d_model))
+        peaks[heads] = traced_peak(full_attention_reference, x, grid, cfg, backbone)
+    out_bytes = grid.size * 4 * cfg.d_h * 8
+    assert grid.size ** 2 * 8 > out_bytes  # a second L x L array would not fit
+    assert peaks[4] <= peaks[1] + out_bytes, (peaks, out_bytes)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@hypothesis.given(st.data())
+def test_token_sum_is_the_sum_of_products_over_tokens(data):
+    """The einsum form of the backward pass's L-axis sums equals
+    np.sum(a * b, axis=0) element by element, NaNs in the same places, at
+    the (L, H, d_h) and (L, d_model) ranks it is used at, with d_h >= 2.
+    Only the sign of an exact zero may differ, and it cannot reach the
+    gradients: they are accumulated onto +0, and +0 + -0 is +0."""
+    shape = data.draw(array_shapes(min_dims=2, max_dims=3, max_side=8)
+                      .filter(lambda s: math.prod(s[1:]) >= 2))
+    # one factor of any float64, NaN, infinities and subnormals included, and
+    # one at moderate scale, so that many sums stay finite and round
+    a = data.draw(arrays(np.float64, shape, elements=st.floats(
+        allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    b = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    with np.errstate(all="ignore"):
+        got, want = _token_sum(a, b), np.sum(a * b, axis=0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
