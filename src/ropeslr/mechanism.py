@@ -318,8 +318,9 @@ def _linear_backward(g_out, cache, backbone):
     """Gradient of the linear branch with respect to its input matrix, from
     that of its (L, H, d_h) output: per head the q + k + v term, added to a
     sum from 0 in head order, without making an (H, L, d_model) array.  The
-    feature gradients are built in the buffers of the projection gradients,
-    and the head loop writes its products into two (L, d_model) arrays."""
+    projection gradients d_q and d_k are made in place from the feature
+    gradients, and the head loop writes its products into two (L, d_model)
+    arrays."""
     v, pq, pk, smat, svec, raw, denom, numer = cache
     g_out = g_out.swapaxes(0, 1)
     d_numer = g_out / denom[:, :, None]
