@@ -8,6 +8,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from . import InvalidInput
 from .decomposition import (
     AttentionMatrix,
     RowEnergySplit,
@@ -22,21 +23,13 @@ from .rope3d import AXES, GridShape, RopeConfig, by_axis, frequency_term_matrix,
 EXHAUSTIVE_LIMIT = 64
 
 
-def _term_values_sampled(q_mat, k_mat, grid, cfg, axis, m, sample_pairs, seed):
-    term = frequency_term_matrix(q_mat, k_mat, axis, m, grid, cfg)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, grid.size, size=(sample_pairs, 2))
-    return np.abs(term[idx[:, 0], idx[:, 1]])
-
-
 def interaction_magnitude(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, axis: str,
                           m: int, sample_pairs: int = 10000, seed: int = 0) -> float:
     """99th-percentile magnitude of one (axis, frequency) interaction over
     uniformly sampled token pairs; nearest-rank, deterministic per seed."""
-    if sample_pairs < 100:
-        raise ValueError(f"need at least 100 sampled pairs, got {sample_pairs}")
-    vals = _term_values_sampled(q_mat, k_mat, grid, cfg, axis, m, sample_pairs, seed)
-    return percentile(vals, 0.99)
+    term = frequency_term_matrix(q_mat, k_mat, axis, m, grid, cfg)
+    idx = np.random.default_rng(seed).integers(0, grid.size, size=(sample_pairs, 2))
+    return percentile(np.abs(term[idx[:, 0], idx[:, 1]]), 0.99)
 
 
 def interaction_magnitude_exhaustive(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
@@ -59,7 +52,9 @@ def spectral_decay_report(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
     """Magnitude and cumulative-tail tables for every axis, plot ready.
     Enumerates all pairs when the grid is small enough, samples otherwise;
     pair j's sample stream is seeded seed + j, so results do not depend on
-    evaluation order."""
+    evaluation order.  sample_pairs must be at least 100 on every grid."""
+    if sample_pairs < 100:
+        raise InvalidInput(f"need at least 100 sampled pairs, got {sample_pairs}")
     _, axis_idx, ms = pair_table(cfg)
     mags = np.zeros(ms.size)
     for j, (ai, m) in enumerate(zip(axis_idx, ms.tolist())):

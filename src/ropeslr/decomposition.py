@@ -20,6 +20,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from . import InvalidInput
 from .linalg import as_matrix
 from .rope3d import GridShape, RopeConfig, logit_matrix
 
@@ -145,7 +146,7 @@ class RowEnergySplit:
 
 def row_energy_split(attn: AttentionMatrix, energy: float) -> RowEnergySplit:
     if not (0.0 < energy < 1.0):
-        raise ValueError(f"energy fraction must lie in (0, 1), got {energy}")
+        raise InvalidInput(f"energy fraction must lie in (0, 1), got {energy}")
     a = attn.a
     keep = np.empty_like(a, dtype=bool)
     for start in range(0, a.shape[0], SPLIT_BLOCK_ROWS):
@@ -194,20 +195,18 @@ def check_grids(grids: Sequence[GridShape]) -> None:
     """A sweep's grid list: non-empty, ascending in token count, and within
     the desk cap."""
     if not grids:
-        raise ValueError("sweep needs at least one grid")
+        raise InvalidInput("sweep needs at least one grid")
     sizes = [g.size for g in grids]
     if sizes != sorted(sizes):
-        raise ValueError("grids must be sorted ascending in token count")
+        raise InvalidInput("grids must be sorted ascending in token count")
     if sizes[-1] > DESK_CAP:
-        raise ValueError(f"largest grid exceeds the desk cap {DESK_CAP}")
+        raise InvalidInput(f"largest grid exceeds the desk cap {DESK_CAP}")
 
 
 def scaling_sweep_point(grid: GridShape, cfg: RopeConfig, c: float, seed: int) -> dict:
     """One sweep row at threshold tau = c / sqrt(L) on synthetic attention."""
     ell = grid.size
     tau = c / math.sqrt(ell)
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau = c/sqrt(L) = {tau} outside (0, 1); need 0 < c < sqrt(L)")
     attn = synthetic_attention(grid, cfg, seed)
     dec = energy_split(attn, tau)
     report = verify_sparsity_bound(dec)
@@ -227,7 +226,7 @@ def theorem_scaling_sweep(grids: Sequence[GridShape], cfg: RopeConfig, c: float,
     so points are independent of execution order."""
     check_grids(grids)
     if not (np.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be a positive real, got {c}")
+        raise InvalidInput(f"c must be a positive real, got {c}")
     if c >= math.sqrt(grids[0].size):
-        raise ValueError(f"c={c} makes tau >= 1 at L={grids[0].size}; need c < sqrt(L_min)")
+        raise InvalidInput(f"c={c} makes tau >= 1 at L={grids[0].size}; need c < sqrt(L_min)")
     return [scaling_sweep_point(g, cfg, c, seed + i) for i, g in enumerate(grids)]

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InvalidInput
+
 
 @dataclass(frozen=True)
 class FlopsConfig:
@@ -22,9 +24,9 @@ class FlopsConfig:
 
     def __post_init__(self):
         if min(self.b, self.h, self.l, self.d_h, self.r) < 1:
-            raise ValueError("b, h, l, d_h and r must be positive counts")
+            raise InvalidInput("b, h, l, d_h and r must be positive counts")
         if not (np.isfinite(self.s) and 0.0 <= self.s < 1.0):
-            raise ValueError(f"sparsity must lie in [0, 1), got {self.s}")
+            raise InvalidInput(f"sparsity must lie in [0, 1), got {self.s}")
 
 
 def c_sparse(cfg: FlopsConfig) -> float:

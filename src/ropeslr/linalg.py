@@ -54,11 +54,11 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def numerical_rank(a, rel_tol: float = RANK_REL_TOL) -> int:
+def numerical_rank(a) -> int:
     s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
 def _certified_spectral_energy(a) -> float | None:

@@ -34,6 +34,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import InvalidInput
 from .decomposition import (
     DESK_CAP,
     SPLIT_BLOCK_ROWS,
@@ -171,6 +172,15 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
 
 # How far a rank certificate must clear RANK_REL_TOL; see _lowrank_rank.
 RANK_CERT_MARGIN = 2.0
+# The rounding model of both rank certificates: unit roundoff u = _U, and
+# gamma_n = _gamma(n) = n u / (1 - n u) bounds n roundings (Higham, 2002, 3.1).
+_U = np.finfo(np.float64).eps / 2.0
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1.0 - n * _U)
+
+
 # The smallest Gram row sum _rank_certificate accepts, 2^-969: above it the
 # absolute errors of underflow, at most 2^-1074 per operation, stay below
 # u mu in every entry's row (see _rank_certificate).
@@ -185,10 +195,10 @@ def _rank_certificate(left, right) -> bool:
     s = (theta + eps) mu.  Then lambda_min / lambda_max >= theta for both
     Grams, so sigma_R / sigma_1 >= 1 / (kappa(left) kappa(right)) >= theta.
 
-    With u = eps_mach / 2 and gamma_n = n u / (1 - n u): for a nonnegative
-    factor every Gram entry is a sum of nonnegative products, so |g - f^T f|
-    <= gamma_L f^T f entrywise and in norm (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, section 3.5).  lambda_max(f^T f) is at
+    With u and gamma_n as defined above _gamma: for a nonnegative factor
+    every Gram entry is a sum of nonnegative products, so |g - f^T f| <=
+    gamma_L f^T f entrywise and in norm (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.5).  lambda_max(f^T f) is at
     most its largest row sum (Perron-Frobenius), hence at most mu = (1 +
     2 gamma_{L+R+4}) times g's computed largest row sum: the widening covers
     the Gram's rounding, the sum's and the 4 roundings that form s.  A
@@ -206,21 +216,16 @@ def _rank_certificate(left, right) -> bool:
     largest row sum is not finite or is below _CERT_MIN_NORM.  A failure
     costs the Gram and a Cholesky that stops at its first non-positive
     pivot."""
-    u = np.finfo(np.float64).eps / 2.0
-
-    def gamma(n):
-        return n * u / (1.0 - n * u)
-
     theta = RANK_CERT_MARGIN * RANK_REL_TOL
     for f in (left, right):
         ell, r = f.shape
-        eps = 2.0 * u + gamma(ell) + gamma(r + 1) * r / (1.0 - gamma(r + 1))
+        eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
         g = f.T @ f
         row_sum = g.sum(axis=1).max()
         if not _CERT_MIN_NORM <= row_sum < np.inf:
             return False
         # s = (theta + eps) mu, with the factor below 1 taken first
-        g[np.diag_indices(r)] -= (theta + eps) * (1.0 + 2.0 * gamma(ell + r + 4)) * row_sum
+        g[np.diag_indices(r)] -= (theta + eps) * (1.0 + 2.0 * _gamma(ell + r + 4)) * row_sum
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -267,9 +272,8 @@ def _qr_rank_certificate(m) -> float:
     of two, which is exact and keeps the norms finite.  A zero or non-finite
     pivot, a non-finite ||X||_F or rho >= 1 gives 0.0."""
     ell = m.shape[0]
-    u = np.finfo(np.float64).eps / 2.0
-    delta = 8.0 * ell * ell * u
-    gamma = (ell + 1) * u / (1.0 - (ell + 1) * u)
+    delta = 8.0 * ell * ell * _U
+    gamma = _gamma(ell + 1)
     t = np.linalg.qr(m, mode="r")
     with np.errstate(all="ignore"):
         np.ldexp(t, -np.frexp(max(t.max(), -t.min()))[1], out=t)
@@ -386,6 +390,21 @@ class Reconstruction:
     support_matches_spikes: bool
 
 
+def check_reconstruct(grid: GridShape, tau: float, e_tol: float, favor_dim: int) -> None:
+    """Reject out-of-range `reconstruct` arguments: reconstruct checks them
+    first, and a caller may check them before it draws q and k."""
+    if not (np.isfinite(e_tol) and e_tol > 0.0):
+        raise InvalidInput(f"e_tol must be a positive real, got {e_tol}")
+    if not (2.0 * e_tol <= tau < 1.0):
+        raise InvalidInput(f"tau must lie in [2*e_tol, 1) = [{2.0 * e_tol}, 1), got {tau}")
+    if not e_tol / (4.0 * tau) > 0.0:
+        raise InvalidInput(f"e_tol={e_tol} is so small that e_tol / (4 tau) underflows to 0")
+    if favor_dim < 1:
+        raise InvalidInput("favor_dim must be a positive count")
+    if grid.size > DESK_CAP:
+        raise InvalidInput(f"grid has {grid.size} tokens, above the desk cap {DESK_CAP}")
+
+
 def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
                 e_tol: float, favor_dim: int, seed: int) -> Reconstruction:
     """End-to-end rebuild against the exact attention built from (q, k).
@@ -394,15 +413,7 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
     budget that makes the background error at most e_tol when the random
     feature estimate concentrates.
     """
-    if not (np.isfinite(e_tol) and e_tol > 0.0):
-        raise ValueError(f"e_tol must be a positive real, got {e_tol}")
-    if not (2.0 * e_tol <= tau < 1.0):
-        raise ValueError(f"tau must lie in [2*e_tol, 1) = [{2.0 * e_tol}, 1), got {tau}")
-    if favor_dim < 1:
-        raise ValueError("favor_dim must be a positive count")
-    if grid.size > DESK_CAP:
-        raise ValueError(f"grid has {grid.size} tokens, above the desk cap {DESK_CAP}")
-
+    check_reconstruct(grid, tau, e_tol, favor_dim)
     attn = softmax_attention(logit_matrix(q_mat, k_mat, grid, cfg))
 
     delta = e_tol / (4.0 * tau)

@@ -22,7 +22,8 @@ sample's output, forward cache and output gradient before the next sample's
 forward pass, and writes the error and then the output gradient over the
 output.  `_fused_forward` keeps the `_Fused` intermediates and no other
 (L, H, d_h) array; `_fused_backward` writes d_u over d_y_lr and d_o_lr over
-d_u; the linear branch caches its features but not its projections, builds
+d_u, and with the lowrank compensator lets that buffer and d_z2 go once d_z1
+is made; the linear branch caches its features but not its projections, builds
 the projection gradients in place and reuses two (L, d_model) arrays across
 its head loop.  No buffer outlives a step.
 
@@ -53,6 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import InvalidInput
 from .decomposition import count_for_mass, row_softmax
 from .linalg import as_matrix
 from .rope3d import GridShape, RopeConfig, logit_matrix, pair_angles, rotate_rows
@@ -169,7 +171,7 @@ def init_params(n_heads: int, d_h: int, rank: int, seed: int) -> MechanismParams
     fusion gate weights at zero with bias -2 so training starts near the pure
     sparse output, unit RMS scales."""
     if min(n_heads, d_h, rank) < 1:
-        raise ValueError("head count, head dim and rank must be positive")
+        raise InvalidInput("head count, head dim and rank must be positive")
     rng = np.random.default_rng(seed)
     d_model = n_heads * d_h
     return MechanismParams(
@@ -187,10 +189,6 @@ def _leaves(params: MechanismParams) -> List[np.ndarray]:
     """Every parameter array in field order, the gate bias as a 0-d array, so
     that an in-place update of a leaf updates the parameter."""
     return [getattr(params, f.name) for f in fields(params)]
-
-
-def zero_grads(params: MechanismParams) -> MechanismParams:
-    return MechanismParams(*[np.zeros_like(a) for a in _leaves(params)])
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +224,9 @@ class SparseSettings:
 
     def __post_init__(self):
         if len(self.block) != 3 or min(self.block) < 1:
-            raise ValueError(f"block dims must be three positive counts, got {self.block}")
+            raise InvalidInput(f"block dims must be three positive counts, got {self.block}")
         if not (0.0 < self.keep <= 1.0):
-            raise ValueError(f"keep must lie in (0, 1], got {self.keep}")
+            raise InvalidInput(f"keep must lie in (0, 1], got {self.keep}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,7 @@ class BlockSparseResult:
 def _block_ids(grid: GridShape, block: Tuple[int, int, int]) -> Tuple[np.ndarray, int]:
     b_t, b_x, b_y = block
     if grid.t % b_t or grid.h % b_x or grid.w % b_y:
-        raise ValueError(f"block dims {block} do not divide grid {(grid.t, grid.h, grid.w)}")
+        raise InvalidInput(f"block dims {block} do not divide grid {(grid.t, grid.h, grid.w)}")
     n_x, n_y = grid.h // b_x, grid.w // b_y
     coords = grid.coords()
     ids = (coords[:, 0] // b_t) * (n_x * n_y) + (coords[:, 1] // b_x) * n_y + (coords[:, 2] // b_y)
@@ -465,6 +463,8 @@ def _fused_backward(g_out, fwd_cache, pe, backbone, params, settings,
         d_z2 = (d_o_lr * c.o_lowrank * (1.0 - c.o_lowrank)).swapaxes(0, 1)
         grads.w_b += h1.swapaxes(1, 2) @ d_z2
         d_z1 = (d_z2 @ params.w_b.swapaxes(1, 2)) * h1 * (1.0 - h1)
+        # d_z2 and the d_y_lr buffer are not read again: free them before d_branch
+        del d_z2, d_o_lr, d_u, d_y_lr
         grads.w_a += xh.swapaxes(1, 2) @ d_z1
     if settings.use_pe:
         if lowrank:
@@ -558,7 +558,7 @@ def _loss_and_grads(samples, pe, backbone, params, settings, want_grads: bool = 
     pass.  The error and then the output gradient are written over the
     output: out - target, then 2 * diff, then / (size * n)."""
     total = 0.0
-    grads = zero_grads(params) if want_grads else None
+    grads = MechanismParams(*map(np.zeros_like, _leaves(params))) if want_grads else None
     n = len(samples)
     for s in samples:
         diff, cache = _fused_forward(s.x, s.u_sparse, pe, backbone, params, settings,
@@ -597,9 +597,9 @@ def train_stage1(samples: Sequence[PreparedSample], grid: GridShape, cfg: RopeCo
     the sparse branch is computed once for all of them.  Mutates `params` in
     place; a NaN loss aborts the run and reports it."""
     if not (np.isfinite(lr) and lr >= 0.0):
-        raise ValueError(f"learning rate must be a non-negative real, got {lr}")
+        raise InvalidInput(f"learning rate must be a non-negative real, got {lr}")
     if steps < 0:
-        raise ValueError("step count must be non-negative")
+        raise InvalidInput("step count must be non-negative")
     losses = []
     # overflow in an exploding run shows up as a non-finite loss and aborts
     # the loop; the warnings themselves are noise.  A constant compensator is
@@ -625,7 +625,7 @@ def grad_check(params: MechanismParams, x, target, grid: GridShape, cfg: RopeCon
     """Max relative deviation between the analytic gradient and a central
     finite difference over every trainable coordinate."""
     if not (1e-7 <= epsilon <= 1e-4):
-        raise ValueError(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
+        raise InvalidInput(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
     samples = prepare_samples([(x, target)], grid, cfg, backbone, settings.sparse)
     samples, pe = _variant_inputs(samples, grid, cfg, backbone, settings)
 
@@ -680,7 +680,7 @@ def make_alignment_task(grid: GridShape, cfg: RopeConfig, n_heads: int,
     scale so targets are magnitude-matched to the normalized branches.
     """
     if n_samples < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidInput("need at least one sample")
     base = random_backbone(n_heads, cfg.d_h, seed)
     backbone = Backbone(w_q=base.w_q * QK_GAIN, w_k=base.w_k * QK_GAIN, w_v=base.w_v)
     rng = np.random.default_rng(seed + 1)

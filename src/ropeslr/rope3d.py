@@ -21,6 +21,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from . import InvalidInput
 from .linalg import as_matrix
 
 AXES = ("t", "x", "y")
@@ -48,11 +49,11 @@ class RopeConfig:
     def __post_init__(self):
         for name, d in (("d_t", self.d_t), ("d_x", self.d_x), ("d_y", self.d_y)):
             if d < 0 or d % 2 != 0:
-                raise ValueError(f"{name} must be an even non-negative count, got {d}")
+                raise InvalidInput(f"{name} must be an even non-negative count, got {d}")
         if self.d_h < 2:
-            raise ValueError("total head dimension must be at least 2")
+            raise InvalidInput("total head dimension must be at least 2")
         if not (np.isfinite(self.base) and self.base > 0.0):
-            raise ValueError(f"frequency base must be a positive real, got {self.base}")
+            raise InvalidInput(f"frequency base must be a positive real, got {self.base}")
 
     @property
     def d_h(self) -> int:
@@ -78,7 +79,7 @@ class GridShape:
 
     def __post_init__(self):
         if min(self.t, self.h, self.w) < 1:
-            raise ValueError(f"grid dimensions must be positive, got {(self.t, self.h, self.w)}")
+            raise InvalidInput(f"grid dimensions must be positive, got {(self.t, self.h, self.w)}")
 
     @property
     def size(self) -> int:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from ropeslr import InvalidInput
 from ropeslr.analysis import (
     EXHAUSTIVE_LIMIT,
-    interaction_magnitude,
     residual_stable_rank,
     residual_stable_rank_sweep,
     spectral_decay_report,
@@ -83,9 +83,11 @@ def test_certified_spectral_energy_matches_the_svd_on_residuals(n):
         assert abs(certified - s1_sq) <= 1e-11 * s1_sq
 
 
-def test_interaction_magnitude_rejects_too_few_pairs():
-    grid = GridShape(2, 2, 2)
+@pytest.mark.parametrize("grid", [GridShape(2, 2, 2), GridShape(3, 5, 5)])
+def test_spectral_report_rejects_too_few_pairs_on_every_grid(grid):
+    # the exhaustive path (L <= EXHAUSTIVE_LIMIT) samples nothing, and still checks
     q, k = synthetic_qk(grid, CFG, 0)
-    with pytest.raises(ValueError):
-        interaction_magnitude(q, k, grid, CFG, "t", 1, sample_pairs=99)
-    assert interaction_magnitude(q, k, grid, CFG, "t", 1, sample_pairs=100) >= 0.0
+    with pytest.raises(InvalidInput, match="at least 100"):
+        spectral_decay_report(q, k, grid, CFG, sample_pairs=99)
+    report = spectral_decay_report(q, k, grid, CFG, sample_pairs=100)
+    assert all(np.all(v >= 0.0) for v in report.magnitude.values())

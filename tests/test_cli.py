@@ -11,12 +11,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
+import hypothesis
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from ropeslr import cli, lowrank, mechanism
+from ropeslr import InvalidInput, cli, decomposition, flops, linalg, lowrank, mechanism, rope3d
 
 GOLDEN = Path(__file__).parent / "golden"
 REAL_RTOL = 1e-9
@@ -26,8 +30,7 @@ CONFIG_NAME = "cfg.txt"
 # case's own scratch directory, which holds the config file and every output.
 CASES = {
     "fourier_verify": (["fourier-verify", "--pairs", "200"], 0, None),
-    "fourier_verify_corrupt": (["fourier-verify", "--pairs", "200", "--corrupt-freq", "true"],
-                               1, None),
+    "fourier_verify_corrupt": (["fourier-verify", "--pairs", "200"], 1, None),
     "decompose_sweep": (["decompose-sweep", "--grids", "2,2,2;3,3,3;4,4,4"], 0, None),
     "reconstruct": (["reconstruct", "--grid", "3,3,3", "--favor-r", "16,256"], 0, None),
     "reconstruct_config": (["reconstruct", "--config", "{dir}/cfg.txt", "--seed", "3",
@@ -50,6 +53,22 @@ CASES = {
     "flops_config": (["flops", "--config", "{dir}/cfg.txt", "--r", "32"], 0,
                      "l=4096\ns = 0.5\nd_h=64\n"),
 }
+
+
+
+def corrupt_schedule(monkeypatch):
+    """Evaluate the trigonometric expansion on a perturbed schedule, which
+    must trip fourier-verify's exactness check."""
+    real = cli.rope3d.logit_fourier
+
+    def perturbed(coeffs, delta, cfg):
+        return real(coeffs, tuple(np.asarray(delta) * (1.0 + 1e-3)), cfg)
+
+    monkeypatch.setattr(cli.rope3d, "logit_fourier", perturbed)
+
+
+# case -> what it patches in the library before it runs
+PATCHES = {"fourier_verify_corrupt": corrupt_schedule}
 
 SUBCOMMANDS = ("fourier-verify", "decompose-sweep", "reconstruct", "spectral",
                "stable-rank-sweep", "gram-spectral", "gate-map", "train-align",
@@ -106,7 +125,9 @@ def assert_same_csv(got: str, want: str, what: str):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, tmp_path):
+def test_golden(name, tmp_path, monkeypatch):
+    if name in PATCHES:
+        PATCHES[name](monkeypatch)
     first, second = tmp_path / "1", tmp_path / "2"
     first.mkdir()
     second.mkdir()
@@ -144,6 +165,11 @@ BAD_INPUT = [
     ["grad-check", "--epsilon", "1"],
     ["flops", "--s", "1.5"],
     ["spectral", "--pairs", "10"],
+    ["spectral", "--grid", "3,5,5", "--pairs", "99"],
+    ["reconstruct", "--tau", "0.5", "--e-tol", "5e-324"],
+    ["gram-spectral", "--grid", "1,1,1", "--rope", "4,4,4", "--block", "1,1,1", "--steps", "1",
+     "--lr", "1e300"],
+    ["gate-map", "--grid", "2,2,2", "--block", "1,1,1", "--steps", "2", "--lr", "1e300"],
     ["fourier-verify", "--pairs", "0"],
     ["fourier-verify", "--grid", "0,4,4"],
     ["spectral", "--rope", "3,4,4"],
@@ -196,6 +222,113 @@ def test_bad_output_path_fails_before_any_work_or_output(monkeypatch, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sigma.csv"]
 
 
+# Values the contract property draws for each config key: (good or edge
+# values, bad values).  A good value may still be bad next to another key's
+# (tau under 2 e_tol, a block that does not divide the grid).  A grid has at
+# most 64 tokens and a sweep at most three grids; the keys in ALWAYS_GIVEN
+# are always set, as their defaults make larger runs or do not divide these
+# grids.  {dir} is the run's own scratch directory.
+COUNTS = (["1", "64"], ["0", "-3", "1.5"])
+CONTRACT_VALUES = {
+    "grid": (["1,1,1", "2,2,2", "2,3,4", "2,4,4", "1,5,5", "4,4,4"],
+             ["0,2,2", "2,2", "x,1,1"]),
+    "grids": (["2,2,2", "1,1,1;2,2,2", "2,2,2;2,3,4;4,4,4", "2,2,2;;3,3,3"],
+              ["3,3,3;2,2,2", "", "2,2,2;17,17,17"]),
+    "rope": (["4,4,4", "2,2,0", "4,2,2", "2,0,0"], ["0,0,0", "3,2,2", "2,2"]),
+    "base": (["10000", "1", "2.5", "1e-300"], ["0", "-1", "nan", "inf"]),
+    "seed": (["0", "7"], ["-1", "x"]),
+    "pairs": (["100", "1", "50"], ["99", "0"]),
+    "tol": (["1e-9", "1"], ["0", "-1", "nan"]),
+    "c": (["0.5", "1e-300", "1.4", "2.8"], ["0", "-1", "nan", "10"]),
+    "tau": (["0.05", "0.04", "0.5", "0.99"], ["1", "0.01", "nan"]),
+    "e_tol": (["0.02", "0.025", "1e-300", "5e-324"], ["0", "-0.01", "nan"]),
+    "favor_r": (["16", "1", "4,64"], ["0", "", "1,x"]),
+    "energy": (["0.9", "0.5", "1e-300"], ["1", "0", "nan"]),
+    "heads": (["1", "2"], ["0"]),
+    "rank": (["1", "2"], ["0"]),
+    "block": (["1,1,1", "1,2,2", "1,5,5", "2,2,2"], ["0,1,1", "1,1"]),
+    "keep": (["0.5", "1", "1e-300"], ["0", "1.5", "nan"]),
+    "samples": (["1", "2"], ["0"]),
+    "steps": (["0", "1", "2"], ["-1"]),
+    "lr": (["2.0", "0", "1e300"], ["-1", "nan", "inf"]),
+    "use_pe": (["true", "false"], ["maybe"]),
+    "modes": (["1", "4"], ["0"]),
+    "modes_out": (["", "{dir}/modes.csv"], ["{dir}/missing/modes.csv"]),
+    "instances": (["1", "2"], ["0"]),
+    "epsilon": (["1e-5", "1e-7", "1e-4"], ["1", "1e-8", "nan"]),
+    "b": COUNTS, "h": COUNTS, "l": COUNTS, "d_h": COUNTS, "r": COUNTS,
+    "s": (["0.9", "0", "0.999"], ["1", "-0.1", "nan"]),
+}
+ALWAYS_GIVEN = {"grid", "grids", "block", "pairs", "steps", "instances"}
+OUTS = ([None, "{dir}/out.csv"], ["{dir}/missing/out.csv", "{dir}"])
+
+
+def test_contract_values_cover_every_key_and_its_good_ones_parse():
+    keys = {key for defaults, _ in cli._COMMANDS.values() for key in defaults}
+    assert keys == set(CONTRACT_VALUES)
+    for key, (good, _) in CONTRACT_VALUES.items():
+        for value in good:
+            cli.PARSERS.get(key, cli._COUNT)(value)
+
+
+@st.composite
+def contract_cases(draw):
+    """(argv, config file text or None) of one run: each chosen key given as
+    a flag or a config-file line, the file perhaps with an unknown key or
+    missing, and an output path that is good, missing or a directory.  Each
+    choice is bad about one time in eight, so that many runs do work."""
+
+    def pick(values):
+        good, bad = values
+        return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good))
+
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv, lines = [command], []
+    for key in sorted(cli._COMMANDS[command][0]):
+        if key in ALWAYS_GIVEN or draw(st.booleans()):
+            value = pick(CONTRACT_VALUES[key])
+            if draw(st.booleans()):
+                argv += [f"--{key.replace('_', '-')}", value]
+            else:
+                lines.append(f"{key}={value}\n")
+    if pick(([False], [True])):
+        lines.append("width=3\n")
+    if lines:
+        argv += ["--config", "{dir}/" + pick(([CONFIG_NAME], ["missing.txt"]))]
+    out = pick(OUTS)
+    if out is not None:
+        argv += ["--out", out]
+    return argv, "".join(lines) if lines else None
+
+
+def run_contract_case(argv, config):
+    """Run one case in a fresh directory: (exit code, stdout, stderr, the
+    names of the files it wrote)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        if config is not None:
+            (work / CONFIG_NAME).write_text(config, encoding="utf-8")
+        rc, stdout, stderr = run_cli([a.replace("{dir}", tmp) for a in argv])
+        written = sorted(str(p.relative_to(work)) for p in work.rglob("*")
+                         if p.name != CONFIG_NAME)
+    return rc, stdout, stderr, written
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                     suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(contract_cases())
+def test_cli_contract_on_generated_argvs(case):
+    """Every run exits 0, 1 or 2; exit 2 reports a config error and writes
+    nothing, to stdout or to a file."""
+    rc, stdout, stderr, written = run_contract_case(*case)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert stderr.startswith("config error: ")
+        assert (stdout, written) == ("", [])
+    else:
+        assert "config error" not in stderr
+
+
 def test_library_error_is_not_a_config_error(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("library fault")
@@ -204,6 +337,62 @@ def test_library_error_is_not_a_config_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="library fault"):
         cli.main(["reconstruct", "--grid", "2,2,2"])
     assert "config error" not in capsys.readouterr().err
+
+
+GRID, ROPE = rope3d.GridShape(2, 2, 2), rope3d.RopeConfig(2, 0, 0)
+RANGE_CHECKS = {
+    "GridShape": lambda: rope3d.GridShape(0, 1, 1),
+    "RopeConfig": lambda: rope3d.RopeConfig(3, 0, 0),
+    "FlopsConfig": lambda: flops.FlopsConfig(1, 1, 1, 1, 1.0, 1),
+    "SparseSettings": lambda: mechanism.SparseSettings((1, 1, 1), 0.0),
+    "_block_ids": lambda: mechanism._block_ids(GRID, (1, 3, 1)),
+    "init_params": lambda: mechanism.init_params(1, 2, 0, 0),
+    "check_grids": lambda: decomposition.check_grids([]),
+    "check_reconstruct": lambda: lowrank.check_reconstruct(GRID, 0.5, 0.3, 16),
+}
+SHAPE_CHECKS = {
+    "as_matrix": lambda: linalg.as_matrix(np.zeros(3)),
+    "rotate_rows": lambda: rope3d.rotate_rows(np.zeros((3, 2)), GRID, ROPE),
+    "freq": lambda: rope3d.freq(ROPE, "t", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_CHECKS))
+def test_range_check_raises_invalid_input(name):
+    with pytest.raises(InvalidInput):
+        RANGE_CHECKS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_CHECKS))
+def test_shape_check_raises_a_plain_value_error(name):
+    with pytest.raises(ValueError) as raised:
+        SHAPE_CHECKS[name]()
+    assert not isinstance(raised.value, InvalidInput)
+
+
+def test_a_shape_check_in_a_handler_is_a_library_fault(monkeypatch, capsys):
+    # a non-finite factor trips as_matrix's check inside reconstruct, a plain
+    # ValueError that must propagate, not exit 2
+    def non_finite(q_mat, k_mat, grid, cfg, cutoffs):
+        return np.full((grid.size, 1), np.nan), np.ones((grid.size, 1))
+
+    monkeypatch.setattr(lowrank, "_truncated_svd_factors", non_finite)
+    with pytest.raises(ValueError, match="finite") as raised:
+        cli.main(["reconstruct", "--grid", "2,2,2"])
+    assert not isinstance(raised.value, InvalidInput)
+    assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--grid", "17,17,17"], ["--grid", "100,100,100"],
+                                  ["--tau", "0.01"], ["--favor-r", "16,0"]])
+def test_bad_reconstruct_arguments_fail_before_any_work(argv, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the inputs were drawn")
+
+    monkeypatch.setattr(cli.decomposition, "synthetic_qk", never)
+    rc, stdout, stderr = run_cli(["reconstruct"] + argv)
+    assert (rc, stdout) == (2, "")
+    assert stderr.startswith("config error: ")
 
 
 def test_two_calls_build_the_parser_once(monkeypatch):

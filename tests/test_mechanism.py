@@ -568,6 +568,25 @@ def test_a_step_holds_one_sample_at_a_time(compensator, use_pe):
         assert two <= one + grads_bytes, (want_grads, one, two, grads_bytes)
 
 
+def test_lowrank_pe_step_frees_the_branch_gradients_before_the_alpha_gradient():
+    """With PE a lowrank step peaks at most two (L, d_model) arrays above the
+    same step without it, x_hat and the alpha gradient's d_branch: d_z2 and
+    the d_y_lr buffer are let go before d_branch is made."""
+    grid, cfg, heads = GridShape(2, 6, 6), RopeConfig(4, 2, 2, 10000.0), 4
+    task = make_alignment_task(grid, cfg, heads, 1, 0)
+    sparse = SparseSettings(block=(1, 2, 2), keep=0.5)
+    params = init_params(heads, cfg.d_h, 3, 100)
+    peaks = {}
+    for use_pe in (True, False):
+        settings = ForwardSettings(sparse=sparse, use_pe=use_pe)
+        samples, pe = _variant_inputs(prepared(task, sparse), grid, cfg, task.backbone,
+                                      settings)
+        peaks[use_pe] = traced_peak(_loss_and_grads, samples, pe, task.backbone, params,
+                                    settings)
+    array_bytes = grid.size * task.backbone.d_model * 8
+    assert peaks[True] <= peaks[False] + 2 * array_bytes, (peaks, array_bytes)
+
+
 def test_reference_holds_one_head_attention_at_a_time():
     """Four heads peak no higher than one head plus their output: a head's
     L x L attention is let go before the next head's logits are made."""
