@@ -1,5 +1,8 @@
 """Measurement toolkit: per-frequency interaction decay, residual stable-rank
-scaling, Gram spectra of compensator outputs, and gate maps."""
+scaling, Gram spectra of compensator outputs, and gate maps.
+
+The stable-rank sweep consumes each grid's attention, zeroing the kept
+entries in place, so it holds one L x L float array (and a bool mask) at a time."""
 
 from __future__ import annotations
 
@@ -10,8 +13,7 @@ import numpy as np
 
 from . import InvalidInput
 from .decomposition import (
-    AttentionMatrix,
-    RowEnergySplit,
+    check_energy,
     check_grids,
     row_energy_split,
     synthetic_attention,
@@ -68,33 +70,24 @@ def spectral_decay_report(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
                           tail={axis: np.cumsum(v[::-1])[::-1] for axis, v in magnitude.items()})
 
 
-def _split_stable_rank(attn: AttentionMatrix, split: RowEnergySplit) -> float:
-    """Stable rank of a split's residual, the attention off its keep mask; an
-    all-zero residual reports 0 by convention."""
-    residual = np.where(split.keep_mask, 0.0, attn.a)
-    return stable_rank(residual) if np.any(residual) else 0.0
-
-
-def residual_stable_rank(attn: AttentionMatrix, energy: float) -> float:
-    """Stable rank of the low-energy residual after the per-row energy split."""
-    return _split_stable_rank(attn, row_energy_split(attn, energy))
+def _sweep_row(grid: GridShape, cfg: RopeConfig, energy: float, seed: int) -> dict:
+    """One sweep row; its attention and mask are consumed and go on return."""
+    attn = synthetic_attention(grid, cfg, seed)
+    keep = row_energy_split(attn, energy)
+    retained = int(keep.sum())
+    # zero the kept entries in place, branch-free: a * 1 = a, a * 0 = 0 on a >= 0
+    residual = np.multiply(attn.a, np.logical_not(keep, out=keep), out=attn.a)
+    return {"L": grid.size, "retained_fraction": retained / grid.size ** 2,
+            "residual_stable_rank": stable_rank(residual) if np.any(residual) else 0.0}
 
 
 def residual_stable_rank_sweep(grids: Sequence[GridShape], cfg: RopeConfig,
                                energy: float = 0.9, seed: int = 0) -> List[dict]:
-    """Residual stable rank of synthetic rotary attention across grid sizes;
-    row i is seeded seed + i."""
+    """Stable rank of the low-energy residual of synthetic rotary attention
+    across grid sizes; row i is seeded seed + i."""
     check_grids(grids)
-    rows = []
-    for i, grid in enumerate(grids):
-        attn = synthetic_attention(grid, cfg, seed + i)
-        split = row_energy_split(attn, energy)
-        rows.append({
-            "L": grid.size,
-            "retained_fraction": split.retained_count / grid.size ** 2,
-            "residual_stable_rank": _split_stable_rank(attn, split),
-        })
-    return rows
+    check_energy(energy)
+    return [_sweep_row(grid, cfg, energy, seed + i) for i, grid in enumerate(grids)]
 
 
 @dataclass(frozen=True)

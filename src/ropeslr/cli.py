@@ -394,6 +394,7 @@ def cmd_train_align(v, out: Optional[str]) -> int:
 def cmd_grad_check(v, out: Optional[str]) -> int:
     grid, rope_cfg, heads, seed = v["grid"], _rope(v), v["heads"], v["seed"]
     settings = mechanism.ForwardSettings(sparse=_sparse(v, grid))
+    mechanism.check_epsilon(v["epsilon"])  # fail fast, before any task is built
     devs = []
     for i in range(v["instances"]):
         task = mechanism.make_alignment_task(grid, rope_cfg, heads, 1, seed + i)

@@ -130,23 +130,16 @@ def count_for_mass(sorted_desc: np.ndarray, target: float) -> np.ndarray:
                     sorted_desc.shape[-1])
 
 
-@dataclass(frozen=True)
-class RowEnergySplit:
-    """Per-row cumulative-energy split: the fewest largest entries whose mass
-    reaches the energy fraction are retained (keep_mask), the entries off the
-    mask are the residual."""
-
-    energy: float
-    keep_mask: np.ndarray
-
-    @property
-    def retained_count(self) -> int:
-        return int(self.keep_mask.sum())
-
-
-def row_energy_split(attn: AttentionMatrix, energy: float) -> RowEnergySplit:
+def check_energy(energy: float) -> None:
     if not (0.0 < energy < 1.0):
         raise InvalidInput(f"energy fraction must lie in (0, 1), got {energy}")
+
+
+def row_energy_split(attn: AttentionMatrix, energy: float) -> np.ndarray:
+    """Per-row cumulative-energy split: the mask of the fewest largest
+    entries of each row whose mass reaches the energy fraction; the entries
+    off the mask are the residual."""
+    check_energy(energy)
     a = attn.a
     keep = np.empty_like(a, dtype=bool)
     for start in range(0, a.shape[0], SPLIT_BLOCK_ROWS):
@@ -164,7 +157,7 @@ def row_energy_split(attn: AttentionMatrix, energy: float) -> RowEnergySplit:
         room = n_keep - np.count_nonzero(block > cut, axis=1)
         keep[start:start + SPLIT_BLOCK_ROWS] = (block > cut) | (
             tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return RowEnergySplit(energy=float(energy), keep_mask=keep)
+    return keep
 
 
 def synthetic_qk(grid: GridShape, cfg: RopeConfig, seed: int,

@@ -8,6 +8,10 @@ nonnegative sums.  The quotient is returned once the bracket is narrower
 than SPECTRAL_CERT_TOL relative.  A matrix with a negative entry, a step
 whose iterate underflows or overflows, or no certificate within
 SPECTRAL_CERT_STEPS steps takes the full SVD instead.
+
+Its Frobenius energy is float(np.sum(a * a)) bit for bit, with no a * a:
+numpy's pairwise-sum tree over memory order is followed down to leaves of
+ENERGY_LEAF elements, squared one at a time (see stable_rank).
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ RANK_REL_TOL = 1e-9
 # the SVD, and the relative width of the bracket on sigma_1^2 that it accepts.
 SPECTRAL_CERT_STEPS = 200
 SPECTRAL_CERT_TOL = 1e-11
+# Elements stable_rank squares at a time: a leaf of numpy's pairwise sum.
+ENERGY_LEAF = 1 << 16
 
 
 def as_matrix(a) -> np.ndarray:
@@ -96,15 +102,38 @@ def _certified_spectral_energy(a) -> float | None:
     return None
 
 
+def _frobenius_energy(a: np.ndarray, buf: np.ndarray | None = None) -> float:
+    """float(np.sum(a * a)) bit for bit, without a * a: numpy sums it over
+    a.ravel(order="K") as one pairwise tree, split at n // 2 rounded down to
+    a multiple of 8, so this splits there too, down to leaves squared in buf."""
+    flat = a.ravel(order="K")
+    if buf is None:
+        buf = np.empty(min(flat.size, ENERGY_LEAF))
+    n = flat.size
+    if n <= buf.size:
+        return float(np.multiply(flat, flat, out=buf[:n]).sum())
+    n2 = n // 2 - n // 2 % 8
+    return _frobenius_energy(flat[:n2], buf) + _frobenius_energy(flat[n2:], buf)
+
+
 def stable_rank(a) -> float:
     """Frobenius energy over spectral energy; lies in [1, min(rows, cols)].
 
+    The Frobenius energy is float(np.sum(a * a)) bit for bit, summed in
+    numpy's pairwise leaves with no L x L temporary, for a matrix in any
+    layout (a sliced one is copied, as a * a would be) whose largest |entry|
+    lies in [2^-256, 2^256].  Outside it, where a square or a power step could
+    over- or underflow, the matrix is first scaled by a power of two (exact
+    above 2^-1022 of that entry): the only case that copies it.
     sigma_1^2 is the certified power-step value of
     _certified_spectral_energy, O(rows cols) per step, when the matrix is
     nonnegative and the certificate closes; otherwise it is the square of
     the largest singular value from the full SVD."""
     a = as_matrix(a)
-    fro2 = float(np.sum(a * a))
+    top = max(a.max(), -a.min()) if a.size else 1.0
+    if not 2.0 ** -256 <= top <= 2.0 ** 256:
+        a = np.ldexp(a, -np.frexp(top)[1])
+    fro2 = _frobenius_energy(a)
     if fro2 == 0.0:
         raise ValueError("stable rank of the zero matrix is undefined")
     s1_sq = _certified_spectral_energy(a)

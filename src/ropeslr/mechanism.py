@@ -619,13 +619,17 @@ def train_stage1(samples: Sequence[PreparedSample], grid: GridShape, cfg: RopeCo
     return TrainResult(losses=np.asarray(losses), diverged=False)
 
 
+def check_epsilon(epsilon: float) -> None:
+    if not (1e-7 <= epsilon <= 1e-4):
+        raise InvalidInput(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
+
+
 def grad_check(params: MechanismParams, x, target, grid: GridShape, cfg: RopeConfig,
                backbone: Backbone, settings: ForwardSettings,
                epsilon: float = 1e-5) -> float:
     """Max relative deviation between the analytic gradient and a central
     finite difference over every trainable coordinate."""
-    if not (1e-7 <= epsilon <= 1e-4):
-        raise InvalidInput(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
+    check_epsilon(epsilon)
     samples = prepare_samples([(x, target)], grid, cfg, backbone, settings.sparse)
     samples, pe = _variant_inputs(samples, grid, cfg, backbone, settings)
 

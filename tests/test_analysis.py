@@ -1,13 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ropeslr import InvalidInput
-from ropeslr.analysis import (
-    EXHAUSTIVE_LIMIT,
-    residual_stable_rank,
-    residual_stable_rank_sweep,
-    spectral_decay_report,
-)
+from ropeslr import InvalidInput, analysis
+from ropeslr.analysis import EXHAUSTIVE_LIMIT, residual_stable_rank_sweep, spectral_decay_report
 from ropeslr.decomposition import (
     AttentionMatrix,
     row_energy_split,
@@ -46,37 +43,45 @@ def test_spectral_magnitudes_enumerate_every_pair_on_small_grids():
         assert report.magnitude[axis].tolist() == expect
 
 
-def test_residual_stable_rank_is_the_stable_rank_of_the_unkept_entries():
-    attn = synthetic_attention(GridShape(3, 3, 3), CFG, 4)
-    for energy in (0.5, 0.9):
-        split = row_energy_split(attn, energy)
-        expect = stable_rank(np.where(split.keep_mask, 0.0, attn.a))
-        assert residual_stable_rank(attn, energy) == expect
-
-
-def test_all_zero_residual_reports_zero():
-    attn = AttentionMatrix(a=np.eye(4), log_z=np.zeros(4))
-    split = row_energy_split(attn, 0.9)
-    assert not np.any(np.where(split.keep_mask, 0.0, attn.a))
-    assert residual_stable_rank(attn, 0.9) == 0.0
-
-
-def test_stable_rank_sweep_rows_match_the_single_point():
+@pytest.mark.parametrize("energy", [0.5, 0.9])
+def test_stable_rank_sweep_rows_are_the_stable_rank_of_the_unkept_entries(energy):
     grids = [GridShape(2, 2, 2), GridShape(3, 3, 3)]
-    rows = residual_stable_rank_sweep(grids, CFG, energy=0.9, seed=5)
+    rows = residual_stable_rank_sweep(grids, CFG, energy=energy, seed=5)
     for i, (grid, row) in enumerate(zip(grids, rows)):
         attn = synthetic_attention(grid, CFG, 5 + i)
-        split = row_energy_split(attn, 0.9)
+        keep = row_energy_split(attn, energy)
         assert row["L"] == grid.size
-        assert row["retained_fraction"] == split.retained_count / grid.size ** 2
-        assert row["residual_stable_rank"] == residual_stable_rank(attn, 0.9)
+        assert row["retained_fraction"] == keep.sum() / grid.size ** 2
+        assert row["residual_stable_rank"] == stable_rank(np.where(keep, 0.0, attn.a))
+
+
+def test_all_zero_residual_reports_zero(monkeypatch):
+    # every row of the identity keeps its one nonzero entry
+    monkeypatch.setattr(analysis, "synthetic_attention",
+                        lambda grid, cfg, seed: AttentionMatrix(a=np.eye(8), log_z=np.zeros(8)))
+    [row] = residual_stable_rank_sweep([GridShape(2, 2, 2)], CFG)
+    assert row["retained_fraction"] == 8 / 64
+    assert row["residual_stable_rank"] == 0.0
+
+
+def test_stable_rank_sweep_holds_one_attention_at_a_time():
+    grids = [GridShape(5, 5, 5), GridShape(8, 8, 8), GridShape(10, 10, 10)]
+    residual_stable_rank_sweep(grids[:1], CFG)  # first-call imports are not the sweep's
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        residual_stable_rank_sweep(grids, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * grids[-1].size ** 2 * 8, peak
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_certified_spectral_energy_matches_the_svd_on_residuals(n):
     for seed in range(3):
         attn = synthetic_attention(GridShape(n, n, n), CFG, seed)
-        residual = np.where(row_energy_split(attn, 0.9).keep_mask, 0.0, attn.a)
+        residual = np.where(row_energy_split(attn, 0.9), 0.0, attn.a)
         certified = _certified_spectral_energy(residual)
         assert certified is not None
         s1_sq = np.linalg.svd(residual, compute_uv=False)[0] ** 2

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ropeslr import InvalidInput, cli, decomposition, flops, linalg, lowrank, mechanism, rope3d
+from ropeslr import (InvalidInput, analysis, cli, decomposition, flops, linalg, lowrank,
+                     mechanism, rope3d)
 
 GOLDEN = Path(__file__).parent / "golden"
 REAL_RTOL = 1e-9
@@ -391,6 +392,21 @@ def test_bad_reconstruct_arguments_fail_before_any_work(argv, monkeypatch):
 
     monkeypatch.setattr(cli.decomposition, "synthetic_qk", never)
     rc, stdout, stderr = run_cli(["reconstruct"] + argv)
+    assert (rc, stdout) == (2, "")
+    assert stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv,module,work", [
+    (["grad-check", "--epsilon", "1"], mechanism, "make_alignment_task"),
+    (["stable-rank-sweep", "--grids", "2,2,2;3,3,3", "--energy", "1"], analysis,
+     "synthetic_attention"),
+], ids=["grad-check", "stable-rank-sweep"])
+def test_bad_energy_and_epsilon_fail_before_any_work(argv, module, work, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(module, work, never)
+    rc, stdout, stderr = run_cli(argv)
     assert (rc, stdout) == (2, "")
     assert stderr.startswith("config error: ")
 

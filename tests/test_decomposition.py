@@ -249,34 +249,31 @@ def test_count_for_mass_counts_each_row():
 
 def test_row_energy_split_one_hot():
     attn = manual_attention(np.eye(4))
-    split = row_energy_split(attn, 0.9)
-    assert split.retained_count == 4
-    np.testing.assert_array_equal(split.keep_mask, np.eye(4, dtype=bool))
+    np.testing.assert_array_equal(row_energy_split(attn, 0.9), np.eye(4, dtype=bool))
 
 
 def test_row_energy_split_uniform_by_hand():
     attn = manual_attention(np.full((1, 10), 0.1))
-    split = row_energy_split(attn, 0.9)
-    assert split.retained_count == 9
+    assert row_energy_split(attn, 0.9).sum() == 9
 
 
 def test_row_energy_split_recomposition_and_tie_break():
     attn = manual_attention([[0.4, 0.4, 0.2]])
-    split = row_energy_split(attn, 0.4)
+    keep = row_energy_split(attn, 0.4)
     # equal tied entries resolve to the lower column index
-    np.testing.assert_array_equal(split.keep_mask, [[True, False, False]])
-    assert attn.a[split.keep_mask].sum() == 0.4
+    np.testing.assert_array_equal(keep, [[True, False, False]])
+    assert attn.a[keep].sum() == 0.4
 
 
 def test_row_energy_split_random_recomposition():
     attn = synthetic_attention(GridShape(3, 3, 3), CFG, 6)
-    split = row_energy_split(attn, 0.9)
+    keep = row_energy_split(attn, 0.9)
     # each row keeps the fewest largest entries whose mass reaches 0.9
-    retained = np.where(split.keep_mask, attn.a, 0.0)
-    smallest = np.min(attn.a, where=split.keep_mask, initial=1.0, axis=1)
+    retained = np.where(keep, attn.a, 0.0)
+    smallest = np.min(attn.a, where=keep, initial=1.0, axis=1)
     assert np.all(retained.sum(axis=1) >= 0.9 - 1e-12)
     assert np.all(retained.sum(axis=1) - smallest < 0.9)
-    assert np.all(np.max(attn.a, where=~split.keep_mask, initial=0.0, axis=1) <= smallest)
+    assert np.all(np.max(attn.a, where=~keep, initial=0.0, axis=1) <= smallest)
 
 
 def test_row_energy_split_rejects_bad_fraction():
@@ -287,11 +284,12 @@ def test_row_energy_split_rejects_bad_fraction():
 
 def test_split_results_hold_only_their_mask():
     attn = synthetic_attention(GridShape(3, 3, 3), CFG, 8)
-    for result, mask in ((energy_split(attn, 0.05), "spike_mask"),
-                         (row_energy_split(attn, 0.9), "keep_mask")):
-        arrays = {k: v for k, v in vars(result).items() if isinstance(v, np.ndarray)}
-        assert list(arrays) == [mask]
-        assert arrays[mask].dtype == bool and arrays[mask].shape == attn.a.shape
+    result = energy_split(attn, 0.05)
+    arrays = {k: v for k, v in vars(result).items() if isinstance(v, np.ndarray)}
+    assert list(arrays) == ["spike_mask"]
+    keep = row_energy_split(attn, 0.9)
+    for mask in (arrays["spike_mask"], keep):
+        assert mask.dtype == bool and mask.shape == attn.a.shape
 
 
 def test_synthetic_qk_row_norms():
@@ -363,6 +361,5 @@ def test_row_energy_split_matches_the_per_row_reference():
         for p in range(rows):
             order = np.argsort(-a[p], kind="stable")
             expect[p, order[:count_for_mass(a[p][order], energy)]] = True
-        split = row_energy_split(attn, energy)
-        np.testing.assert_array_equal(split.keep_mask, expect)
+        np.testing.assert_array_equal(row_energy_split(attn, energy), expect)
         assert np.any(expect.sum(axis=1) == a.shape[1])  # the unreached-target rows

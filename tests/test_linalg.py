@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ropeslr import linalg
 from ropeslr.linalg import numerical_rank, percentile, stable_rank, svd
@@ -69,12 +72,19 @@ def test_stable_rank_diag_by_hand():
     assert stable_rank(np.diag([2.0, 1.0])) == pytest.approx(1.25, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # no overflow, underflow or 0/0 on the way
 def test_stable_rank_scale_invariant():
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6))
-    base = stable_rank(a)
-    for c in (2.0, -0.5, 1e6):
-        assert abs(stable_rank(c * a) - base) <= 1e-10 * base
+    signed = rng.standard_normal((6, 6))
+    by_hand = np.array([[2.0, 1.0], [0.5, 3.0]])
+    # the SVD path and (c > 0) the certified path, with the squares of the
+    # second underflowing (1e-160), overflowing (1e160) or vanishing (1e-170)
+    # unscaled
+    for a in (signed, by_hand):
+        base = stable_rank(a)
+        for c in [s * 2.0 ** k for k in range(-1000, 1001) for s in (1.0, -1.0)] + [
+                1e160, 1e-160, 1e-170]:
+            assert abs(stable_rank(c * a) - base) <= 1e-12 * base, c
 
 
 def test_stable_rank_zero_matrix_rejected():
@@ -87,6 +97,46 @@ def test_stable_rank_range():
     a = rng.standard_normal((5, 9))
     sr = stable_rank(a)
     assert 1.0 <= sr <= 5.0
+
+
+LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "sliced": lambda a: a[::2, 1:],
+    "reversed": lambda a: a[::-1, ::-3],
+}
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@hypothesis.given(
+    # total sizes near 0 to 3 leaves, most of them not a multiple of 8
+    shape=st.tuples(st.sampled_from([1, 3, 8, 64, 255]), st.integers(0, 3),
+                    st.integers(-300, 300)).map(
+                        lambda t: (t[0], max(1, (t[1] * linalg.ENERGY_LEAF + t[2]) // t[0]))),
+    layout=st.sampled_from(sorted(LAYOUTS)), seed=st.integers(0, 2 ** 32 - 1))
+@hypothesis.example(shape=(1, linalg.ENERGY_LEAF), layout="C", seed=0)
+@hypothesis.example(shape=(1, linalg.ENERGY_LEAF + 1), layout="C", seed=0)
+@hypothesis.example(shape=(3, 2 * linalg.ENERGY_LEAF + 7), layout="F", seed=1)
+def test_frobenius_energy_is_numpys_sum_of_squares_bitwise(shape, layout, seed):
+    # mixed signs and magnitudes, so that a different order of the sums
+    # changes the bits; a numpy whose sum changes its order fails here
+    rng = np.random.default_rng(seed)
+    a = LAYOUTS[layout](rng.standard_normal(shape) * np.exp2(rng.integers(-20, 21, shape)))
+    assert linalg._frobenius_energy(a) == float(np.sum(a * a))
+
+
+def test_stable_rank_makes_no_matrix_sized_temporary():
+    n = 1000
+    a = np.random.default_rng(7).random((n, n))
+    stable_rank(np.eye(2))  # first-call imports are not stable_rank's
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        stable_rank(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * n * n * 8, peak
 
 
 def svd_stable_rank(a):
