@@ -27,10 +27,10 @@ from .rope3d import GridShape, RopeConfig, logit_matrix
 # Largest token count for which dense L x L matrices are considered tractable.
 DESK_CAP = 4096
 
-# Rows handled together by `row_softmax` and `row_energy_split`, and by the
-# back half of `lowrank.reconstruct`; their temporaries are SPLIT_BLOCK_ROWS x
-# L whatever the row count, small enough to stay in cache and not to raise the
-# peak RSS of a sweep.
+# Rows handled together by `row_softmax`, `row_energy_split` and
+# `background_inf_norm`, and by the back half of `lowrank.reconstruct`; their
+# temporaries are SPLIT_BLOCK_ROWS x L whatever the row count, small enough to
+# stay in cache and not to raise the peak RSS of a sweep.
 SPLIT_BLOCK_ROWS = 64
 
 
@@ -113,8 +113,15 @@ def verify_sparsity_bound(dec: Decomposition) -> SparsityReport:
 
 def background_inf_norm(attn: AttentionMatrix, dec: Decomposition) -> float:
     """Largest background entry; attention is non-negative, so this is the
-    background's sup-norm, and 0 when every entry is a spike."""
-    return float(np.max(attn.a, where=~dec.spike_mask, initial=0.0))
+    background's sup-norm, and 0 when every entry is a spike.  The max is
+    folded over blocks of SPLIT_BLOCK_ROWS rows, so the background mask is
+    never a second L x L array; a max does not depend on the order it is
+    taken in, so the result is bitwise that of one whole-matrix max."""
+    best = 0.0
+    for start in range(0, attn.a.shape[0], SPLIT_BLOCK_ROWS):
+        blk = slice(start, start + SPLIT_BLOCK_ROWS)
+        best = np.maximum(best, np.max(attn.a[blk], where=~dec.spike_mask[blk], initial=0.0))
+    return float(best)
 
 
 # Absolute slack used when comparing accumulated probability mass against a

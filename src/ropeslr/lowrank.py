@@ -18,12 +18,22 @@ certified from a QR of the L x L matrix and the blocked inverse of its
 triangular factor, with the dense SVD as the fallback.
 
 The attention is built in the logits' own buffer, and the spike mask only
-after the rank stage.  The back half runs over blocks of SPLIT_BLOCK_ROWS
-rows: the product of the features is scaled to a_lowrank one block at a
-time, and the errors are read and a_final written block by block into the
-attention's own buffer, which reconstruct does not return.  So reconstruct
-allocates two L x L float arrays, the logits and a_lowrank: the attention
-and then a_final are written over the logits.
+after the low-rank branch, which runs in three phases.  First the key
+features are made whole; they stay until the product is done.  Second, when
+R < L, the rank is certified before a_lowrank exists: the scaled key factor
+is a copy of the key features, certified and dropped before the whole query
+features are made and scaled in place, so at most two L x R factors are live
+beside the attention (and, on the QR-core fallback, the QR's own copy).
+Third, a_lowrank is filled in blocks of PRODUCT_BLOCK_ROWS rows: each block
+featurises its rows of the query factor, multiplies them by the key features
+into its rows of a_lowrank, and scales them in sub-blocks of SPLIT_BLOCK_ROWS
+rows; when R >= L the QR certificate then reads a_lowrank, with the key
+features dropped.  The back half runs over blocks of SPLIT_BLOCK_ROWS rows:
+the errors are read and a_final written block by block into the attention's
+own buffer, which reconstruct does not return.  So reconstruct allocates two
+L x L float arrays, the logits and a_lowrank: the attention and then a_final
+are written over the logits, and the query features are never whole beside
+a_lowrank.
 """
 
 from __future__ import annotations
@@ -134,18 +144,13 @@ def residual_sparse(attn: AttentionMatrix, a_lowrank, spike_mask) -> np.ndarray:
     return np.where(spike_mask, attn.a - a_lowrank, 0.0)
 
 
-def _factored_core(left, right, keep_q: bool):
+def _factored_core(left, right):
     """Thin QRs left = Ql Rl and right = Qr Rr of two tall factors, so that
     left @ right.T = Ql (Rl Rr^T) Qr^T and the small core Rl Rr^T has the
-    product's singular values.  Returns ((Ql, Qr), core); the Q factors are
-    formed only when keep_q, and are None otherwise."""
-    if keep_q:
-        ql, rl = np.linalg.qr(left)
-        qr_, rr = np.linalg.qr(right)
-        return (ql, qr_), rl @ rr.T
-    rl = np.linalg.qr(left, mode="r")
-    rr = np.linalg.qr(right, mode="r")
-    return (None, None), rl @ rr.T
+    product's singular values.  Returns ((Ql, Qr), core)."""
+    ql, rl = np.linalg.qr(left)
+    qr_, rr = np.linalg.qr(right)
+    return (ql, qr_), rl @ rr.T
 
 
 def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
@@ -159,7 +164,7 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
         return np.zeros((ell, 1)), np.zeros((ell, 1))
     f = rotate_rows(q_mat, grid, cfg)[:, cols]
     g = rotate_rows(k_mat, grid, cfg)[:, cols]
-    (qf, qg), core = _factored_core(f, g, keep_q=True)
+    (qf, qg), core = _factored_core(f, g)
     uc, sv, vct = np.linalg.svd(core / math.sqrt(cfg.d_h))
     if sv[0] == 0.0:
         return np.zeros((ell, 1)), np.zeros((ell, 1))
@@ -170,7 +175,7 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
     return q_fac, k_fac
 
 
-# How far a rank certificate must clear RANK_REL_TOL; see _lowrank_rank.
+# How far a rank certificate must clear RANK_REL_TOL; see _lowrank_branch.
 RANK_CERT_MARGIN = 2.0
 # The rounding model of both rank certificates: unit roundoff u = _U, and
 # gamma_n = _gamma(n) = n u / (1 - n u) bounds n roundings (Higham, 2002, 3.1).
@@ -181,19 +186,19 @@ def _gamma(n: int) -> float:
     return n * _U / (1.0 - n * _U)
 
 
-# The smallest Gram row sum _rank_certificate accepts, 2^-969: above it the
+# The smallest Gram row sum _gram_certificate accepts, 2^-969: above it the
 # absolute errors of underflow, at most 2^-1074 per operation, stay below
-# u mu in every entry's row (see _rank_certificate).
+# u mu in every entry's row (see _gram_certificate).
 _CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53
 
 
-def _rank_certificate(left, right) -> bool:
-    """Whether sigma_R / sigma_1 of left @ right.T, for nonnegative L x R
-    factors, is proved to be at least theta = RANK_CERT_MARGIN *
-    RANK_REL_TOL.  Each factor f must pass: with g the computed Gram f^T f,
-    mu bounds lambda_max(f^T f) and np.linalg.cholesky(g - s I) succeeds at
-    s = (theta + eps) mu.  Then lambda_min / lambda_max >= theta for both
-    Grams, so sigma_R / sigma_1 >= 1 / (kappa(left) kappa(right)) >= theta.
+def _gram_certificate(f) -> bool:
+    """Whether lambda_min / lambda_max of f^T f, for a nonnegative L x R
+    factor f, is proved to be at least theta = RANK_CERT_MARGIN *
+    RANK_REL_TOL: with g the computed Gram f^T f, mu bounds lambda_max(f^T
+    f) and np.linalg.cholesky(g - s I) succeeds at s = (theta + eps) mu.
+    When both factors of left @ right.T pass, sigma_R / sigma_1 >= 1 /
+    (kappa(left) kappa(right)) >= theta.
 
     With u and gamma_n as defined above _gamma: for a nonnegative factor
     every Gram entry is a sum of nonnegative products, so |g - f^T f| <=
@@ -212,24 +217,24 @@ def _rank_certificate(left, right) -> bool:
     stay below u mu for mu >= _CERT_MIN_NORM (S. M. Rump, Verification of
     positive definiteness, BIT 46, 2006, uses the same argument).
 
-    A factor fails when its Cholesky meets a non-positive pivot, or when g's
+    f fails when its Cholesky meets a non-positive pivot, or when g's
     largest row sum is not finite or is below _CERT_MIN_NORM.  A failure
     costs the Gram and a Cholesky that stops at its first non-positive
-    pivot."""
+    pivot.  The Gram is the only R x R array held beside the Cholesky
+    factor."""
     theta = RANK_CERT_MARGIN * RANK_REL_TOL
-    for f in (left, right):
-        ell, r = f.shape
-        eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
-        g = f.T @ f
-        row_sum = g.sum(axis=1).max()
-        if not _CERT_MIN_NORM <= row_sum < np.inf:
-            return False
-        # s = (theta + eps) mu, with the factor below 1 taken first
-        g[np.diag_indices(r)] -= (theta + eps) * (1.0 + 2.0 * _gamma(ell + r + 4)) * row_sum
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            return False
+    ell, r = f.shape
+    eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
+    g = f.T @ f
+    row_sum = g.sum(axis=1).max()
+    if not _CERT_MIN_NORM <= row_sum < np.inf:
+        return False
+    # s = (theta + eps) mu, with the factor below 1 taken first
+    g[np.diag_indices(r)] -= (theta + eps) * (1.0 + 2.0 * _gamma(ell + r + 4)) * row_sum
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 
@@ -294,48 +299,84 @@ def _qr_rank_certificate(m) -> float:
     return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_t) - delta)
 
 
-def _lowrank_rank(a_lowrank, left, right) -> int:
-    """Numerical rank of a_lowrank = c left @ right.T, c > 0.  A certificate
-    of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R) singular values
-    above the threshold: when R >= L it comes from a QR of a_lowrank and the
-    inverse of its triangular factor, when R < L from a shifted Cholesky of
-    each factor's R x R Gram, which proves lambda_min >= theta lambda_max
-    for both (_rank_certificate; Rump, BIT 46, 2006; Higham, 2002, Theorem
-    10.3).  The fallbacks, the SVD of a_lowrank or of the QR core, compute
-    the singular values to a small multiple of sqrt(L R) eps sigma_1 (5e-13
-    sigma_1 at L = 4096, R = 1024), so the margin's 1e-9 sigma_1 of room
-    means they count min(L, R) too."""
-    ell, r = left.shape
-    if r >= ell:
-        if _qr_rank_certificate(a_lowrank) >= RANK_CERT_MARGIN * RANK_REL_TOL:
-            return ell
-        return numerical_rank(a_lowrank)
-    if _rank_certificate(left, right):
+def _factored_rank(r: int, left, right) -> int:
+    """Numerical rank of c left @ right.T, c > 0, for nonnegative L x R
+    factors with R = r < L.  left and right are functions that make the
+    factors; each result is dropped after its one use, so at most one
+    factor is whole at a time, right first.  r when both pass
+    _gram_certificate, else the count of the SVD of the R x R core of the
+    factors' QRs (the core of _factored_core), never a dense L x L SVD."""
+    if _gram_certificate(right()) and _gram_certificate(left()):
         return r
-    return numerical_rank(_factored_core(left, right, keep_q=False)[1])
+    return numerical_rank(np.linalg.qr(left(), mode="r") @ np.linalg.qr(right(), mode="r").T)
 
 
-def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int):
-    """(a_lowrank, left, right) with a_lowrank = c left @ right.T, c > 0.
+def _qr_rank(m) -> int:
+    """Numerical rank of a square matrix m: L when _qr_rank_certificate
+    clears RANK_CERT_MARGIN * RANK_REL_TOL, else the count of its SVD."""
+    if _qr_rank_certificate(m) >= RANK_CERT_MARGIN * RANK_REL_TOL:
+        return m.shape[0]
+    return numerical_rank(m)
+
+
+# Rows of a_lowrank featurised and multiplied together in _lowrank_branch.
+# Each product call repacks fk.T, so small blocks pay for it: at L = 4096,
+# R = 1024 on a 2-core OpenBLAS host (best of 8), the product took 0.25 s as
+# one GEMM, 0.26 s in blocks of 1024 rows, 0.28 s in blocks of 512 and 0.45 s
+# in blocks of 64.  A block of query features is then 4 MB.
+PRODUCT_BLOCK_ROWS = 512
+
+
+def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int) -> Tuple[np.ndarray, int]:
+    """(a_lowrank, rank): the low-rank attention and its numerical rank.
 
     a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j): the
     stabilised features are at most 1 and the exponent is a log attention
-    weight, so neither side overflows.  The product fq @ fk.T is scaled in
-    place one block of SPLIT_BLOCK_ROWS rows at a time, so the exponent is
-    never an L x L array.  left and right are fq and fk scaled in place by
-    their sides of it, each shifted by its largest; the row scaling must be
-    there, as the rank threshold is not invariant under it."""
+    weight, so neither side overflows.  fk is made whole; fq is made one
+    block of PRODUCT_BLOCK_ROWS rows at a time and multiplied into its rows
+    of a_lowrank, which are scaled in place SPLIT_BLOCK_ROWS rows at a time,
+    so neither fq nor the exponent is ever an L x L array.
+
+    a_lowrank = c left @ right.T, c > 0, with left and right fq and fk scaled
+    by their sides of the exponent, each shifted by its largest; the row
+    scaling must be there, as the rank threshold is not invariant under it.
+    A certificate of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R)
+    singular values above the threshold: when R < L it comes from a shifted
+    Cholesky of each factor's R x R Gram, which proves lambda_min >= theta
+    lambda_max for both (_gram_certificate; Rump, BIT 46, 2006; Higham,
+    2002, Theorem 10.3), and runs before a_lowrank exists; when R >= L from
+    a QR of a_lowrank and the inverse of its triangular factor.  The
+    fallbacks, the SVD of the QR core or of a_lowrank, compute the singular
+    values to a small multiple of sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L
+    = 4096, R = 1024), so the margin's 1e-9 sigma_1 of room means they
+    count min(L, R) too."""
+    ell = q_fac.shape[0]
+    log_r = math.log(favor_dim)
     fmap = favor_map(q_fac.shape[1], favor_dim, seed)
-    fq, mq = _stabilised_features_rows(q_fac, fmap)
     fk, mk = _stabilised_features_rows(k_fac, fmap)
-    row_log = mq - log_z - math.log(favor_dim)
-    a_lowrank = fq @ fk.T
-    for start in range(0, a_lowrank.shape[0], SPLIT_BLOCK_ROWS):
-        scale = np.add.outer(row_log[start:start + SPLIT_BLOCK_ROWS], mk)
-        a_lowrank[start:start + SPLIT_BLOCK_ROWS] *= np.exp(scale, out=scale)
-    fq *= np.exp(row_log - row_log.max())[:, None]
-    fk *= np.exp(mk - mk.max())[:, None]
-    return a_lowrank, fq, fk
+    if favor_dim < ell:
+        def left():
+            fq, mq = _stabilised_features_rows(q_fac, fmap)
+            row_log = mq - log_z - log_r
+            fq *= np.exp(row_log - row_log.max())[:, None]
+            return fq
+
+        rank = _factored_rank(favor_dim, left, lambda: fk * np.exp(mk - mk.max())[:, None])
+    a_lowrank = np.empty((ell, ell))
+    for start in range(0, ell, PRODUCT_BLOCK_ROWS):
+        blk = a_lowrank[start:start + PRODUCT_BLOCK_ROWS]
+        fq, mq = _stabilised_features_rows(q_fac[start:start + PRODUCT_BLOCK_ROWS], fmap)
+        np.matmul(fq, fk.T, out=blk)
+        del fq
+        row_log = mq - log_z[start:start + PRODUCT_BLOCK_ROWS] - log_r
+        for sub in range(0, len(blk), SPLIT_BLOCK_ROWS):
+            scale = np.add.outer(row_log[sub:sub + SPLIT_BLOCK_ROWS], mk)
+            blk[sub:sub + SPLIT_BLOCK_ROWS] *= np.exp(scale, out=scale)
+        del scale  # not held through the next block's product
+    del fk  # not held through the QR certificate
+    if favor_dim >= ell:
+        rank = _qr_rank(a_lowrank)
+    return a_lowrank, rank
 
 
 def _error_fields(a, a_lowrank, spike_mask) -> dict:
@@ -420,10 +461,8 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
     cutoffs = choose_truncation(q_mat, k_mat, cfg, delta)
     q_fac, k_fac = _truncated_svd_factors(q_mat, k_mat, grid, cfg, cutoffs)
 
-    a_lowrank, left, right = _lowrank_branch(q_fac, k_fac, attn.log_z, favor_dim, seed)
-    rank = _lowrank_rank(a_lowrank, left, right)
-    del left, right
-    # split only now, so the L x L spike mask is not held through the rank stage
+    a_lowrank, rank = _lowrank_branch(q_fac, k_fac, attn.log_z, favor_dim, seed)
+    # split only now, so the L x L spike mask is not held through the branch
     dec = energy_split(attn, tau)
     # _error_fields writes a_final over attn.a, which is not used after it
     return Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,

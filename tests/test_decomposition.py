@@ -7,6 +7,7 @@ import pytest
 from ropeslr import decomposition
 from ropeslr.analysis import residual_stable_rank_sweep
 from ropeslr.decomposition import (
+    SPLIT_BLOCK_ROWS,
     AttentionMatrix,
     background_inf_norm,
     count_for_mass,
@@ -218,6 +219,30 @@ def test_background_inf_norm_one_hot_spike_rows_contribute_zero():
     attn = softmax_attention(s)
     dec = energy_split(attn, 0.5)
     assert background_inf_norm(attn, dec) <= 1e-15
+
+
+@pytest.mark.parametrize("row", [SPLIT_BLOCK_ROWS - 1, SPLIT_BLOCK_ROWS, 6 * SPLIT_BLOCK_ROWS + 4])
+def test_background_inf_norm_across_block_edges_is_the_whole_matrix_max(row):
+    # the largest background entry sits on one side of a block edge, beside
+    # spikes that are larger still, and one block holds nothing but spikes
+    rng = np.random.default_rng(row)
+    a = rng.random((6 * SPLIT_BLOCK_ROWS + 5, 300)) * 0.5
+    mask = a > 0.45
+    mask[:SPLIT_BLOCK_ROWS] |= row >= SPLIT_BLOCK_ROWS
+    a[row, 7], mask[row, 7] = 0.6, False
+    a[row - 1:row + 2, 8], mask[row - 1:row + 2, 8] = 0.9, True
+    attn, dec = manual_attention(a), decomposition.Decomposition(tau=0.45, spike_mask=mask)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = background_inf_norm(attn, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = float(np.max(a, where=~mask, initial=0.0))
+    assert got == want == 0.6
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert peak < 0.5 * mask.nbytes, peak / mask.nbytes  # no whole inverted mask
 
 
 def test_count_for_mass_one_dimensional():

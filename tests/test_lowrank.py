@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,15 +15,16 @@ from ropeslr.decomposition import (
 from ropeslr.linalg import RANK_REL_TOL, numerical_rank, singular_values
 from ropeslr.lowrank import (
     FavorMap,
+    PRODUCT_BLOCK_ROWS,
     RANK_CERT_MARGIN,
     TRI_INV_LEAF,
     Reconstruction,
     _error_fields,
-    _factored_core,
+    _factored_rank,
+    _gram_certificate,
     _lowrank_branch,
-    _lowrank_rank,
+    _qr_rank,
     _qr_rank_certificate,
-    _rank_certificate,
     _stabilised_features_rows,
     _triangular_inverse,
     _truncated_svd_factors,
@@ -319,13 +321,30 @@ RANK_CASES = [
 def lowrank_branch(grid, favor_dim, row_norm, seed, tau=0.05, e_tol=0.02, favor_seed=None):
     """The low-rank stage of reconstruct(q, k, grid, CFG, tau, e_tol,
     favor_dim, favor_seed) on the synthetic_qk inputs of seed: (a_lowrank,
-    left, right).  favor_seed defaults to seed."""
+    rank, left, right), with the scaled factors left and right of
+    lowrank_branch_whole, whose a_lowrank is checked to be bitwise the
+    branch's.  favor_seed defaults to seed."""
     q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
     log_z = softmax_attention(logit_matrix(q, k, grid, CFG)).log_z
-    return _lowrank_branch(q_fac, k_fac, log_z, favor_dim,
-                           seed if favor_seed is None else favor_seed)
+    args = (q_fac, k_fac, log_z, favor_dim, seed if favor_seed is None else favor_seed)
+    a_lowrank, rank = _lowrank_branch(*args)
+    a_whole, left, right = lowrank_branch_whole(*args)
+    assert a_lowrank.tobytes() == a_whole.tobytes()
+    return a_lowrank, rank, left, right
+
+
+def certifies(left, right) -> bool:
+    """Whether the Gram certificate proves sigma_R / sigma_1 >= theta for
+    left @ right.T."""
+    return _gram_certificate(left) and _gram_certificate(right)
+
+
+def qr_core(left, right) -> np.ndarray:
+    """The R x R core of the QRs of two L x R factors, whose singular values
+    are those of left @ right.T."""
+    return np.linalg.qr(left, mode="r") @ np.linalg.qr(right, mode="r").T
 
 
 @pytest.mark.parametrize("shape,favor_dim,row_norm,seeds", RANK_CASES)
@@ -338,10 +357,9 @@ def test_reconstruct_rank_matches_the_dense_rank(shape, favor_dim, row_norm, see
         assert rec.rank_lowrank <= min(favor_dim, grid.size)
         if favor_dim < grid.size:
             # the certified rank is the rank of the QR path it replaces
-            a_lowrank, left, right = lowrank_branch(grid, favor_dim, row_norm, seed)
+            a_lowrank, rank, left, right = lowrank_branch(grid, favor_dim, row_norm, seed)
             np.testing.assert_array_equal(a_lowrank, rec.a_lowrank)
-            assert rec.rank_lowrank == numerical_rank(
-                _factored_core(left, right, keep_q=False)[1]), seed
+            assert rank == rec.rank_lowrank == numerical_rank(qr_core(left, right)), seed
 
 
 @pytest.mark.parametrize("shape,favor_dim,row_norm,certified,rank", [
@@ -350,9 +368,9 @@ def test_reconstruct_rank_matches_the_dense_rank(shape, favor_dim, row_norm, see
 ])
 def test_rank_certificate_fires_only_above_its_margin(shape, favor_dim, row_norm,
                                                       certified, rank):
-    a_lowrank, left, right = lowrank_branch(GridShape(*shape), favor_dim, row_norm, 0)
-    assert _rank_certificate(left, right) is certified
-    assert _lowrank_rank(a_lowrank, left, right) == rank
+    _, got, left, right = lowrank_branch(GridShape(*shape), favor_dim, row_norm, 0)
+    assert certifies(left, right) is certified
+    assert got == _factored_rank(favor_dim, lambda: left, lambda: right) == rank
 
 
 THETA = RANK_CERT_MARGIN * RANK_REL_TOL
@@ -379,8 +397,8 @@ def test_rank_certificate_of_factors_with_known_condition(s, bound, rank):
     # Grams bound sigma_2 / sigma_1 of left @ left.T by s, less its rounding;
     # the certificate fires when that bound clears theta
     left = diagonal_factor(8, 2, s)
-    assert _rank_certificate(left, left) is (bound >= THETA)
-    assert _lowrank_rank(left @ left.T, left, left) == rank
+    assert certifies(left, left) is (bound >= THETA)
+    assert _factored_rank(2, lambda: left, lambda: left) == rank
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
@@ -390,14 +408,14 @@ def test_rank_certificate_of_factors_with_known_condition(s, bound, rank):
 def test_rank_certificate_decides_either_side_of_theta(ratio, certified, scale):
     good = diagonal_factor(8, 2, 0.5, scale)
     near = diagonal_factor(8, 2, ratio, scale)
-    assert _rank_certificate(near, good) is certified
-    assert _rank_certificate(good, near) is certified
-    assert _rank_certificate(good, good)
+    assert certifies(near, good) is certified
+    assert certifies(good, near) is certified
+    assert certifies(good, good)
 
 
 def stated_threshold(ell, r):
     """The least lambda_min / (largest computed row sum) of an ell x r
-    factor's Gram that _rank_certificate's docstring allows it to certify:
+    factor's Gram that _gram_certificate's docstring allows it to certify:
     (theta + eps) (1 + 2 gamma_{L+R+4}), eps = 2u + gamma_L + gamma_{R+1} R /
     (1 - gamma_{R+1})."""
     u = np.finfo(np.float64).eps / 2.0
@@ -420,7 +438,7 @@ def test_rank_certificate_keeps_its_rounding_allowance(ell, r):
                              (threshold * (1.0 - 1e-14), False),
                              (threshold * (1.0 + 1e-14), True)):
         near = diagonal_factor(ell, r, ratio)
-        assert _rank_certificate(near, good) is certified, ratio / THETA
+        assert certifies(near, good) is certified, ratio / THETA
 
 
 def test_rank_certificate_of_underflowing_factors_is_no_without_warnings():
@@ -430,21 +448,42 @@ def test_rank_certificate_of_underflowing_factors_is_no_without_warnings():
     good = diagonal_factor(8, 2, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not _rank_certificate(underflowing_column, good)
-        assert not _rank_certificate(good, tiny)
-        assert not _rank_certificate(np.zeros((8, 2)), good)
+        assert not certifies(underflowing_column, good)
+        assert not certifies(good, tiny)
+        assert not certifies(np.zeros((8, 2)), good)
 
 
 @pytest.mark.parametrize("seed,rank", [(10, 1023), (17, 1022)])
 def test_rank_certificate_falls_back_below_full_rank(seed, rank):
     # seeds 10 and 17 of the 12^3 loop of the main-schedule test
     tau = 0.5 / math.sqrt(1728)
-    a_lowrank, left, right = lowrank_branch(GridShape(12, 12, 12), 1024, 1.5, seed,
-                                            tau=tau, e_tol=tau / 2.0,
-                                            favor_seed=1000 + seed)
-    assert not _rank_certificate(left, right)
-    assert _lowrank_rank(a_lowrank, left, right) == rank
-    assert numerical_rank(_factored_core(left, right, keep_q=False)[1]) == rank
+    _, got, left, right = lowrank_branch(GridShape(12, 12, 12), 1024, 1.5, seed,
+                                         tau=tau, e_tol=tau / 2.0, favor_seed=1000 + seed)
+    assert not certifies(left, right)
+    assert got == rank
+    assert numerical_rank(qr_core(left, right)) == rank
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_factored_rank_makes_one_factor_at_a_time(certified):
+    # each factor is dropped before the other is made, right first, on the
+    # certificate and on the QR-core fallback alike
+    good = diagonal_factor(8, 2, 0.5)
+    right_factor = good if certified else diagonal_factor(8, 2, 0.0)
+    made = []
+
+    def maker(name, f):
+        def make():
+            assert all(ref() is None for _, ref in made), (name, made)
+            out = f.copy()
+            made.append((name, weakref.ref(out)))
+            return out
+        return make
+
+    rank = _factored_rank(2, maker("left", good), maker("right", right_factor))
+    assert rank == (2 if certified else 1)
+    assert [name for name, _ in made] == (["right", "left"] if certified
+                                          else ["right", "left", "right"])
 
 
 @pytest.mark.parametrize("ell", [1, 5, TRI_INV_LEAF, TRI_INV_LEAF + 1, 200])
@@ -457,17 +496,16 @@ def test_triangular_inverse_matches_the_dense_inverse(ell):
 
 
 def built_matrix(ell, ratio, seed=0):
-    """(m, left, right) with m = left @ right.T = U diag(s) V^T, s = (1,
-    1e-4, ..., 1e-4, ratio) for random orthogonal U and V: sigma_1 and
-    sigma_L are isolated, so near the margin ||t||_F ||X||_F is within 1e-5
-    relative of sigma_1 / sigma_L and the certificate nearly reaches the
-    ratio."""
+    """m = U diag(s) V^T, s = (1, 1e-4, ..., 1e-4, ratio) for random
+    orthogonal U and V: sigma_1 and sigma_L are isolated, so near the margin
+    ||t||_F ||X||_F is within 1e-5 relative of sigma_1 / sigma_L and the
+    certificate nearly reaches the ratio."""
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
     v = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
     s = np.full(ell, 1e-4)
     s[-1], s[0] = ratio, 1.0
-    return (u * s) @ v.T, u * s, v
+    return (u * s) @ v.T
 
 
 def qr_certificate_quietly(m) -> float:
@@ -492,15 +530,14 @@ def qr_room(ell) -> float:
 
 @pytest.mark.parametrize("ell,ratio,scale", QR_RANK_CASES)
 def test_qr_rank_certificate_of_matrices_with_known_condition(ell, ratio, scale):
-    m, left, right = built_matrix(ell, ratio)
-    m *= scale
+    m = built_matrix(ell, ratio) * scale
     bound = qr_certificate_quietly(m)
     if ratio == 0.0:
         assert bound == 0.0  # rho >= 1: no bound on a singular matrix
     else:
         assert bound <= ratio - qr_room(ell)
     assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == (ratio >= 2e-9), bound
-    assert _lowrank_rank(m, left * scale, right) == numerical_rank(m)
+    assert _qr_rank(m) == numerical_rank(m)
     assert numerical_rank(m) == (ell if ratio > RANK_REL_TOL else ell - 1)
 
 
@@ -508,18 +545,18 @@ def test_qr_rank_certificate_of_a_one_by_one_matrix():
     m = np.array([[3.0]])
     bound = qr_certificate_quietly(m)
     assert RANK_CERT_MARGIN * RANK_REL_TOL <= bound <= 1.0 - qr_room(1)
-    assert _lowrank_rank(m, m, np.eye(1)) == 1
+    assert _qr_rank(m) == 1
 
 
 @pytest.mark.parametrize("m,rank", [
-    (built_matrix(64, 1e-3)[0] * (np.arange(64) != 40)[:, None], 63),  # a zero row
+    (built_matrix(64, 1e-3) * (np.arange(64) != 40)[:, None], 63),  # a zero row
     (np.array([[0.0]]), 0),  # a zero pivot
     (np.diag([1.0, 1e-300]), 1),  # ||X||_F overflows
     (np.diag([1.0, 1e-3, 5e-324]), 2),  # the pivot 5e-324 has no inverse
 ])
 def test_qr_rank_certificate_is_zero_without_a_finite_inverse(m, rank):
     assert qr_certificate_quietly(m) == 0.0
-    assert _lowrank_rank(m, m, np.eye(m.shape[0])) == numerical_rank(m) == rank
+    assert _qr_rank(m) == numerical_rank(m) == rank
 
 
 def test_qr_rank_certificate_of_non_finite_matrices_is_zero():
@@ -542,18 +579,20 @@ def test_qr_rank_certificate_of_non_finite_matrices_is_zero():
 ])
 def test_qr_rank_certificate_on_sweep_matrices(seed, certified, rank):
     tau = 0.5 / math.sqrt(512)
-    a_lowrank, left, right = lowrank_branch(GridShape(8, 8, 8), 1024, None, seed,
-                                            tau=tau, e_tol=tau / 2.0)
+    a_lowrank, got, _, _ = lowrank_branch(GridShape(8, 8, 8), 1024, None, seed,
+                                          tau=tau, e_tol=tau / 2.0)
     bound = _qr_rank_certificate(a_lowrank)
     sv = singular_values(a_lowrank)
     assert bound <= sv[-1] / sv[0]
     assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == certified, bound
-    assert _lowrank_rank(a_lowrank, left, right) == numerical_rank(a_lowrank) == rank
+    assert got == numerical_rank(a_lowrank) == rank
 
 
 def lowrank_branch_whole(q_fac, k_fac, log_z, favor_dim, seed):
-    """The oracle of _lowrank_branch: the same branch with its exponent
-    formed as one L x L array."""
+    """The oracle of _lowrank_branch's a_lowrank: (a_lowrank, left, right),
+    with the features whole, their product one GEMM and its exponent formed
+    as one L x L array; left and right are the scaled factors the rank is
+    certified from."""
     fmap = favor_map(q_fac.shape[1], favor_dim, seed)
     fq, mq = _stabilised_features_rows(q_fac, fmap)
     fk, mk = _stabilised_features_rows(k_fac, fmap)
@@ -579,14 +618,15 @@ def error_fields_whole(a, a_lowrank, spike_mask):
 
 
 def reconstruct_whole(q, k, grid, tau, e_tol, favor_dim, seed) -> Reconstruction:
-    """reconstruct with the two oracles in place of the row-blocked stages."""
+    """reconstruct with the two oracles in place of the row-blocked stages,
+    and the rank counted from the dense SVD of a_lowrank."""
     attn = softmax_attention(logit_matrix(q, k, grid, CFG))
     dec = energy_split(attn, tau)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
-    a_lowrank, left, right = lowrank_branch_whole(q_fac, k_fac, attn.log_z, favor_dim, seed)
+    a_lowrank = lowrank_branch_whole(q_fac, k_fac, attn.log_z, favor_dim, seed)[0]
     return Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
-                          a_lowrank=a_lowrank, rank_lowrank=_lowrank_rank(a_lowrank, left, right),
+                          a_lowrank=a_lowrank, rank_lowrank=numerical_rank(a_lowrank),
                           nnz_sparse=dec.nnz, cutoffs=cutoffs, favor_dim=int(favor_dim),
                           **error_fields_whole(attn.a, a_lowrank, dec.spike_mask))
 
@@ -603,7 +643,8 @@ def assert_bitwise_equal(got, want, what):
 
 
 # (grid, row_norm, favor_dim, seed, what the case covers); L = 105 is not a
-# multiple of SPLIT_BLOCK_ROWS, L = 8 is below it.
+# multiple of SPLIT_BLOCK_ROWS, L = 8 is below it; L = 576 and 520 are above
+# PRODUCT_BLOCK_ROWS and not multiples of it.
 BLOCK_CASES = [
     ((5, 3, 7), None, 64, 0, "edge"),  # spikes in the rows on both sides of row 64
     ((5, 3, 7), 8.0, 64, 1, "edge"),
@@ -611,6 +652,10 @@ BLOCK_CASES = [
     ((5, 3, 7), 80.0, 256, 2, "edge"),  # logits past exp overflow
     ((2, 2, 2), None, 16, 0, "one block"),
     ((2, 2, 2), 8.0, 64, 1, "one block"),
+    ((9, 8, 8), None, 256, 0, "R < L"),  # product blocks of 512 and 64 rows
+    ((9, 8, 8), 8.0, 256, 1, "R < L"),  # rank below R, from the QR core
+    ((9, 8, 8), None, 1024, 0, "R >= L"),
+    ((13, 8, 5), 8.0, 1024, 2, "R >= L"),  # a last product block of 8 rows
 ]
 
 
@@ -624,9 +669,12 @@ def test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle(shape, row_n
     for field, value in vars(want).items():
         assert_bitwise_equal(getattr(rec, field), value, field)
     edge = rec.spike_mask[SPLIT_BLOCK_ROWS - 1:SPLIT_BLOCK_ROWS + 1].any(axis=1)
+    blocks = grid.size > PRODUCT_BLOCK_ROWS and grid.size % PRODUCT_BLOCK_ROWS != 0
     assert {"edge": edge.all() and grid.size % SPLIT_BLOCK_ROWS != 0,
             "no spikes": rec.nnz_sparse == 0 and grid.size > SPLIT_BLOCK_ROWS,
-            "one block": rec.nnz_sparse > 0 and grid.size < SPLIT_BLOCK_ROWS}[what]
+            "one block": rec.nnz_sparse > 0 and grid.size < SPLIT_BLOCK_ROWS,
+            "R < L": blocks and favor_dim < grid.size,
+            "R >= L": blocks and favor_dim >= grid.size}[what]
 
 
 def test_error_fields_write_a_final_into_the_attention_buffer():
@@ -646,18 +694,33 @@ def test_error_fields_write_a_final_into_the_attention_buffer():
         assert_bitwise_equal(got[field], value, field)
 
 
-def test_reconstruct_peaks_below_three_attention_matrices():
-    # the results are two L x L float arrays and a mask; the row-blocked
-    # back half adds no L x L temporary next to them (4.26 L^2 doubles
-    # with the L x L exponent and error matrices)
-    grid = GridShape(12, 12, 12)
+def reconstruct_peak(grid, favor_dim) -> float:
+    """The traced peak of one reconstruct at grid, in L^2 doubles."""
     q, k = synthetic_qk(grid, CFG, 0)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, 64, 0)
+        rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, favor_dim, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rec.a_final.shape == (1728, 1728)
-    assert peak < 3.0 * grid.size ** 2 * 8, peak / (grid.size ** 2 * 8)
+    assert rec.a_final.shape == (grid.size, grid.size)
+    return peak / (grid.size ** 2 * 8)
+
+
+def test_reconstruct_peaks_below_three_attention_matrices():
+    # the results are two L x L float arrays and a mask; the row-blocked
+    # back half adds no L x L temporary next to them (4.26 L^2 doubles
+    # with the L x L exponent and error matrices)
+    peak = reconstruct_peak(GridShape(12, 12, 12), 64)
+    assert peak < 3.0, peak
+
+
+def test_reconstruct_never_holds_the_query_features_beside_a_lowrank():
+    # R = 512 < L = 1728: a_lowrank, the attention and the key features
+    # (R / L) are whole, the query features only a block at a time, 2.41 L^2
+    # doubles in all, below 2 + 1.5 R / L = 2.44; with the whole query
+    # features beside a_lowrank and the key features it was 2.78
+    grid, favor_dim = GridShape(12, 12, 12), 512
+    peak = reconstruct_peak(grid, favor_dim)
+    assert peak < 2.0 + 1.5 * favor_dim / grid.size, peak
