@@ -18,32 +18,18 @@ from .decomposition import (
     row_energy_split,
     synthetic_attention,
 )
-from .linalg import as_matrix, percentile, stable_rank, svd
+from .linalg import as_matrix, percentile, stable_rank
 from .rope3d import AXES, GridShape, RopeConfig, by_axis, frequency_term_matrix, pair_table
 
 # Exhaustive pair enumeration is used up to this token count, sampling above.
 EXHAUSTIVE_LIMIT = 64
 
 
-def interaction_magnitude(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, axis: str,
-                          m: int, sample_pairs: int = 10000, seed: int = 0) -> float:
-    """99th-percentile magnitude of one (axis, frequency) interaction over
-    uniformly sampled token pairs; nearest-rank, deterministic per seed."""
-    term = frequency_term_matrix(q_mat, k_mat, axis, m, grid, cfg)
-    idx = np.random.default_rng(seed).integers(0, grid.size, size=(sample_pairs, 2))
-    return percentile(np.abs(term[idx[:, 0], idx[:, 1]]), 0.99)
-
-
-def interaction_magnitude_exhaustive(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
-                                     axis: str, m: int) -> float:
-    term = frequency_term_matrix(q_mat, k_mat, axis, m, grid, cfg)
-    return percentile(np.abs(term).ravel(), 0.99)
-
-
 @dataclass(frozen=True)
 class SpectralReport:
-    """Per-axis interaction magnitudes M[m-1] and suffix tails
-    Tail[m0-1] = sum_{m >= m0} M[m-1]."""
+    """Per-axis interaction magnitudes M[m-1], each the nearest-rank 99th
+    percentile of one frequency term's |entries| over token pairs, and
+    suffix tails Tail[m0-1] = sum_{m >= m0} M[m-1]."""
 
     magnitude: Dict[str, np.ndarray]
     tail: Dict[str, np.ndarray]
@@ -60,11 +46,11 @@ def spectral_decay_report(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
     _, axis_idx, ms = pair_table(cfg)
     mags = np.zeros(ms.size)
     for j, (ai, m) in enumerate(zip(axis_idx, ms.tolist())):
-        if grid.size <= EXHAUSTIVE_LIMIT:
-            mags[j] = interaction_magnitude_exhaustive(q_mat, k_mat, grid, cfg, AXES[ai], m)
-        else:
-            mags[j] = interaction_magnitude(q_mat, k_mat, grid, cfg, AXES[ai], m,
-                                            sample_pairs, seed + j)
+        term = frequency_term_matrix(q_mat, k_mat, AXES[ai], m, grid, cfg)
+        if grid.size > EXHAUSTIVE_LIMIT:
+            idx = np.random.default_rng(seed + j).integers(0, grid.size, size=(sample_pairs, 2))
+            term = term[idx[:, 0], idx[:, 1]]
+        mags[j] = percentile(np.abs(term), 0.99)
     magnitude = by_axis(cfg, mags)
     return SpectralReport(magnitude=magnitude,
                           tail={axis: np.cumsum(v[::-1])[::-1] for axis, v in magnitude.items()})
@@ -106,10 +92,9 @@ def gram_spectral(o_lr, grid: GridShape, n_modes: int = 4) -> GramSpectrum:
         raise ValueError(f"expected {grid.size} rows, got {o.shape[0]}")
     if not np.any(o):
         raise ValueError("the zero matrix has no spectrum to analyze")
-    res = svd(o)
-    sigma = res.sigma
+    u, sigma, _ = np.linalg.svd(o, full_matrices=False)
     k = min(n_modes, sigma.size)
-    modes = res.u[:, :k].T.reshape(k, grid.t, grid.h, grid.w)
+    modes = u[:, :k].T.reshape(k, grid.t, grid.h, grid.w)
     return GramSpectrum(sigma=sigma, ratio=sigma / sigma[0],
                         energy_fraction=sigma ** 2 / np.sum(sigma ** 2), modes=modes)
 

@@ -96,21 +96,6 @@ def energy_split(attn: AttentionMatrix, tau: float) -> Decomposition:
     return Decomposition(tau=float(tau), spike_mask=attn.a > tau)
 
 
-@dataclass(frozen=True)
-class SparsityReport:
-    max_row_nnz: int
-    bound: int
-    holds: bool
-
-
-def verify_sparsity_bound(dec: Decomposition) -> SparsityReport:
-    """Check the deterministic per-row spike bound floor(1/tau); a violation
-    would be a library bug, not a property of the input."""
-    max_row = int(dec.spike_mask.sum(axis=1).max())
-    bound = math.floor(1.0 / dec.tau)
-    return SparsityReport(max_row_nnz=max_row, bound=bound, holds=max_row <= bound)
-
-
 def background_inf_norm(attn: AttentionMatrix, dec: Decomposition) -> float:
     """Largest background entry; attention is non-negative, so this is the
     background's sup-norm, and 0 when every entry is a spike.  The max is
@@ -209,14 +194,16 @@ def scaling_sweep_point(grid: GridShape, cfg: RopeConfig, c: float, seed: int) -
     tau = c / math.sqrt(ell)
     attn = synthetic_attention(grid, cfg, seed)
     dec = energy_split(attn, tau)
-    report = verify_sparsity_bound(dec)
+    # the deterministic per-row spike bound floor(1/tau); a violation would
+    # be a library bug, not a property of the input
+    bound = math.floor(1.0 / tau)
     return {
         "L": ell,
         "tau": tau,
         "nnz": dec.nnz,
-        "nnz_bound": ell * report.bound,
+        "nnz_bound": ell * bound,
         "bg_inf_norm": background_inf_norm(attn, dec),
-        "holds": report.holds,
+        "holds": int(dec.spike_mask.sum(axis=1).max()) <= bound,
     }
 
 

@@ -1,4 +1,5 @@
-"""Dense double-precision linear algebra helpers used by every other module.
+"""Dense float64 linear algebra shared by the other modules: matrix checks,
+the numerical and stable ranks, and a nearest-rank percentile.
 
 `stable_rank` reads sigma_1^2 of a nonnegative matrix, such as an attention
 residual, from a few O(rows cols) power steps on a.T a.  Two bounds bracket
@@ -17,7 +18,6 @@ ENERGY_LEAF elements, squared one at a time (see stable_rank).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,21 +39,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD a = u @ diag(sigma) @ v.T with sigma sorted descending."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
-def svd(a) -> SvdResult:
-    a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u=u, sigma=s, v=vt.T)
 
 
 def singular_values(a) -> np.ndarray:
@@ -79,12 +64,12 @@ def _certified_spectral_energy(a) -> float | None:
     over the nonzero columns.  Every computed sum of nonnegative terms is
     within about (rows + cols) eps relative of the exact one (Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, section 3.1), so
-    both bounds are widened by twice that.  A negative entry, a zero or
-    non-finite value in x or y, or no certificate within SPECTRAL_CERT_STEPS
-    steps gives None."""
-    if a.min() < 0.0:
-        return None
+    both bounds are widened by twice that.  A negative or NaN entry, no
+    nonzero column, a zero or non-finite value in x or y, or no certificate
+    within SPECTRAL_CERT_STEPS steps gives None."""
     live = np.max(a, axis=0) > 0.0
+    if not (a.min() >= 0.0 and live.any()):
+        return None
     x = live.astype(np.float64)
     gamma = 2.0 * sum(a.shape) * np.finfo(np.float64).eps
     for _ in range(SPECTRAL_CERT_STEPS):

@@ -1,11 +1,12 @@
 """Positive random features and the sparse-plus-low-rank attention rebuild.
 
 The pipeline: truncate the logit matrix to its low-frequency part, factor it
-by a thin SVD, push both factors through a shared positive random feature map
-so the exponential kernel is estimated by an inner product of positive
-features, renormalize rows with the true partition values, and patch the spike
-set with an exact sparse residual.  The spike entries of the rebuilt matrix
-are pinned to the originals, so the error there is identically zero and all
+by a thin SVD through its pair factors' QRs, push both factors through
+positive random features of one shared Gaussian draw (favor_map) so the
+exponential kernel is estimated by an inner product of positive features,
+renormalize rows with the true partition values, and patch the spike set
+with an exact sparse residual.  The spike entries of the rebuilt matrix are
+pinned to the originals, so the error there is identically zero and all
 approximation error lives on the background.
 
 The features are row-max stabilised and the renormalisation is done in log
@@ -63,63 +64,49 @@ from .rope3d import (
 )
 
 
-@dataclass(frozen=True)
-class FavorMap:
+def favor_map(input_dim: int, feature_dim: int, seed: int) -> np.ndarray:
     """Gaussian feature directions, drawn once and shared between the query
-    and key featurizations (sharing is what makes the estimator unbiased).
-    omegas is a C-contiguous (input_dim, R) array, one direction per column.
+    and key featurizations (sharing is what makes the estimator unbiased):
+    a C-contiguous (input_dim, R) array, one direction per column.
     The layout does not avoid the stall in which small OpenBLAS products ran
     about 100 times slower in a few fresh processes: on a 2-core host it hit
     the first 2-thread process after a minute of idle, for about a second
     and with either operand layout, and never a 1-thread process."""
-
-    omegas: np.ndarray
-
-    @property
-    def feature_dim(self) -> int:
-        return self.omegas.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.omegas.shape[0]
-
-
-def favor_map(input_dim: int, feature_dim: int, seed: int) -> FavorMap:
     if input_dim < 1 or feature_dim < 1:
         raise ValueError("feature map dimensions must be positive")
     rng = np.random.default_rng(seed)
     omegas = rng.standard_normal((feature_dim, input_dim))
-    return FavorMap(omegas=np.ascontiguousarray(omegas.T))
+    return np.ascontiguousarray(omegas.T)
 
 
-def _log_features_rows(m, fmap: FavorMap) -> np.ndarray:
+def _log_features_rows(m, omegas) -> np.ndarray:
     """log(phi(x) sqrt(R)) = omega_i . x - ||x||^2 / 2 for every row x of m."""
     m = as_matrix(m)
-    if m.shape[1] != fmap.input_dim:
-        raise ValueError(f"expected {fmap.input_dim} columns, got {m.shape[1]}")
+    if m.shape[1] != omegas.shape[0]:
+        raise ValueError(f"expected {omegas.shape[0]} columns, got {m.shape[1]}")
     sq = 0.5 * np.sum(m * m, axis=1, keepdims=True)
-    out = m @ fmap.omegas
+    out = m @ omegas
     out -= sq
     return out
 
 
-def favor_features_rows(m, fmap: FavorMap) -> np.ndarray:
-    return np.exp(_log_features_rows(m, fmap)) / math.sqrt(fmap.feature_dim)
+def favor_features_rows(m, omegas) -> np.ndarray:
+    return np.exp(_log_features_rows(m, omegas)) / math.sqrt(omegas.shape[1])
 
 
-def _stabilised_features_rows(m, fmap: FavorMap) -> Tuple[np.ndarray, np.ndarray]:
+def _stabilised_features_rows(m, omegas) -> Tuple[np.ndarray, np.ndarray]:
     """Row-max stabilised features: (f, mx) with phi(x) = f exp(mx) / sqrt(R)
     row by row; every f entry lies in [0, 1] and each row's largest is 1."""
-    log_phi = _log_features_rows(m, fmap)
+    log_phi = _log_features_rows(m, omegas)
     mx = log_phi.max(axis=1)
     log_phi -= mx[:, None]
     return np.exp(log_phi, out=log_phi), mx
 
 
-def approx_kernel(q_fac, k_fac, fmap: FavorMap) -> np.ndarray:
+def approx_kernel(q_fac, k_fac, omegas) -> np.ndarray:
     """Estimated exponential kernel matrix phi(Q) phi(K)^T; rank at most the
     feature dimension because it is a product of L x R factors."""
-    return favor_features_rows(q_fac, fmap) @ favor_features_rows(k_fac, fmap).T
+    return favor_features_rows(q_fac, omegas) @ favor_features_rows(k_fac, omegas).T
 
 
 def normalize_rows(e_hat, z) -> np.ndarray:
@@ -144,15 +131,6 @@ def residual_sparse(attn: AttentionMatrix, a_lowrank, spike_mask) -> np.ndarray:
     return np.where(spike_mask, attn.a - a_lowrank, 0.0)
 
 
-def _factored_core(left, right):
-    """Thin QRs left = Ql Rl and right = Qr Rr of two tall factors, so that
-    left @ right.T = Ql (Rl Rr^T) Qr^T and the small core Rl Rr^T has the
-    product's singular values.  Returns ((Ql, Qr), core)."""
-    ql, rl = np.linalg.qr(left)
-    qr_, rr = np.linalg.qr(right)
-    return (ql, qr_), rl @ rr.T
-
-
 def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
                            cutoffs) -> Tuple[np.ndarray, np.ndarray]:
     """Thin SVD factors (U sqrt(S), V sqrt(S)) of the truncated logit matrix,
@@ -164,8 +142,11 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
         return np.zeros((ell, 1)), np.zeros((ell, 1))
     f = rotate_rows(q_mat, grid, cfg)[:, cols]
     g = rotate_rows(k_mat, grid, cfg)[:, cols]
-    (qf, qg), core = _factored_core(f, g)
-    uc, sv, vct = np.linalg.svd(core / math.sqrt(cfg.d_h))
+    # thin QRs f = Qf Rf and g = Qg Rg: f @ g.T = Qf (Rf Rg^T) Qg^T, and the
+    # small core Rf Rg^T has the product's singular values
+    qf, rf = np.linalg.qr(f)
+    qg, rg = np.linalg.qr(g)
+    uc, sv, vct = np.linalg.svd(rf @ rg.T / math.sqrt(cfg.d_h))
     if sv[0] == 0.0:
         return np.zeros((ell, 1)), np.zeros((ell, 1))
     keep = sv > RANK_REL_TOL * sv[0]
@@ -226,7 +207,8 @@ def _gram_certificate(f) -> bool:
     ell, r = f.shape
     eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
     g = f.T @ f
-    row_sum = g.sum(axis=1).max()
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite factor's sums
+        row_sum = g.sum(axis=1).max()
     if not _CERT_MIN_NORM <= row_sum < np.inf:
         return False
     # s = (theta + eps) mu, with the factor below 1 taken first
@@ -304,19 +286,12 @@ def _factored_rank(r: int, left, right) -> int:
     factors with R = r < L.  left and right are functions that make the
     factors; each result is dropped after its one use, so at most one
     factor is whole at a time, right first.  r when both pass
-    _gram_certificate, else the count of the SVD of the R x R core of the
-    factors' QRs (the core of _factored_core), never a dense L x L SVD."""
+    _gram_certificate, else the count of the SVD of the R x R core Rl Rr^T
+    of the factors' thin QRs, which has the product's singular values:
+    never a dense L x L SVD."""
     if _gram_certificate(right()) and _gram_certificate(left()):
         return r
     return numerical_rank(np.linalg.qr(left(), mode="r") @ np.linalg.qr(right(), mode="r").T)
-
-
-def _qr_rank(m) -> int:
-    """Numerical rank of a square matrix m: L when _qr_rank_certificate
-    clears RANK_CERT_MARGIN * RANK_REL_TOL, else the count of its SVD."""
-    if _qr_rank_certificate(m) >= RANK_CERT_MARGIN * RANK_REL_TOL:
-        return m.shape[0]
-    return numerical_rank(m)
 
 
 # Rows of a_lowrank featurised and multiplied together in _lowrank_branch.
@@ -349,33 +324,40 @@ def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int) -> Tuple[np.
     fallbacks, the SVD of the QR core or of a_lowrank, compute the singular
     values to a small multiple of sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L
     = 4096, R = 1024), so the margin's 1e-9 sigma_1 of room means they
-    count min(L, R) too."""
+    count min(L, R) too.  When R < L and c underflows, so that a_lowrank is
+    all zero, its rank 0 is returned, as the QR path gives when R >= L."""
     ell = q_fac.shape[0]
     log_r = math.log(favor_dim)
-    fmap = favor_map(q_fac.shape[1], favor_dim, seed)
-    fk, mk = _stabilised_features_rows(k_fac, fmap)
+    omegas = favor_map(q_fac.shape[1], favor_dim, seed)
+    fk, mk = _stabilised_features_rows(k_fac, omegas)
     if favor_dim < ell:
         def left():
-            fq, mq = _stabilised_features_rows(q_fac, fmap)
+            fq, mq = _stabilised_features_rows(q_fac, omegas)
             row_log = mq - log_z - log_r
             fq *= np.exp(row_log - row_log.max())[:, None]
             return fq
 
         rank = _factored_rank(favor_dim, left, lambda: fk * np.exp(mk - mk.max())[:, None])
     a_lowrank = np.empty((ell, ell))
+    nonzero = False
     for start in range(0, ell, PRODUCT_BLOCK_ROWS):
         blk = a_lowrank[start:start + PRODUCT_BLOCK_ROWS]
-        fq, mq = _stabilised_features_rows(q_fac[start:start + PRODUCT_BLOCK_ROWS], fmap)
+        fq, mq = _stabilised_features_rows(q_fac[start:start + PRODUCT_BLOCK_ROWS], omegas)
         np.matmul(fq, fk.T, out=blk)
         del fq
         row_log = mq - log_z[start:start + PRODUCT_BLOCK_ROWS] - log_r
         for sub in range(0, len(blk), SPLIT_BLOCK_ROWS):
             scale = np.add.outer(row_log[sub:sub + SPLIT_BLOCK_ROWS], mk)
             blk[sub:sub + SPLIT_BLOCK_ROWS] *= np.exp(scale, out=scale)
+            # read while the rows are in cache, and only until one is nonzero
+            nonzero = nonzero or bool(np.any(blk[sub:sub + SPLIT_BLOCK_ROWS]))
         del scale  # not held through the next block's product
     del fk  # not held through the QR certificate
     if favor_dim >= ell:
-        rank = _qr_rank(a_lowrank)
+        certified = _qr_rank_certificate(a_lowrank) >= RANK_CERT_MARGIN * RANK_REL_TOL
+        rank = ell if certified else numerical_rank(a_lowrank)
+    elif not nonzero:
+        rank = 0  # c underflowed: the factors' rank is not a_lowrank's
     return a_lowrank, rank
 
 

@@ -579,10 +579,6 @@ class TrainResult:
     diverged: bool
 
     @property
-    def initial_loss(self) -> float:
-        return float(self.losses[0])
-
-    @property
     def final_loss(self) -> float:
         return float(self.losses[-1])
 

@@ -99,11 +99,6 @@ class GridShape:
         frame = self.h * self.w
         return (p // frame, (p % frame) // self.w, p % self.w)
 
-    def flat_index(self, t: int, x: int, y: int) -> int:
-        if not (0 <= t < self.t and 0 <= x < self.h and 0 <= y < self.w):
-            raise ValueError(f"coordinate {(t, x, y)} outside grid {(self.t, self.h, self.w)}")
-        return t * self.h * self.w + x * self.w + y
-
 
 def freq(cfg: RopeConfig, axis: str, m: int) -> float:
     """Rotation frequency of the m-th pair on an axis, strictly decreasing in m."""

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from ropeslr import InvalidInput, analysis
-from ropeslr.analysis import EXHAUSTIVE_LIMIT, residual_stable_rank_sweep, spectral_decay_report
+from ropeslr.analysis import (
+    EXHAUSTIVE_LIMIT,
+    gram_spectral,
+    residual_stable_rank_sweep,
+    spectral_decay_report,
+)
 from ropeslr.decomposition import (
     AttentionMatrix,
     row_energy_split,
@@ -12,7 +17,7 @@ from ropeslr.decomposition import (
     synthetic_qk,
 )
 from ropeslr.linalg import _certified_spectral_energy, percentile, stable_rank
-from ropeslr.rope3d import AXES, GridShape, RopeConfig, frequency_term_matrix
+from ropeslr.rope3d import AXES, GridShape, RopeConfig, frequency_term_matrix, pair_table
 
 CFG = RopeConfig(4, 4, 4)
 
@@ -41,6 +46,45 @@ def test_spectral_magnitudes_enumerate_every_pair_on_small_grids():
         expect = [percentile(np.abs(frequency_term_matrix(q, k, axis, m, grid, CFG)), 0.99)
                   for m in range(1, CFG.n_freqs(axis) + 1)]
         assert report.magnitude[axis].tolist() == expect
+
+
+def test_spectral_magnitudes_sample_pair_j_from_seed_plus_j():
+    grid, seed, pairs = GridShape(3, 5, 5), 7, 300
+    assert grid.size > EXHAUSTIVE_LIMIT
+    q, k = synthetic_qk(grid, CFG, 2)
+    report = spectral_decay_report(q, k, grid, CFG, sample_pairs=pairs, seed=seed)
+    _, axis_idx, ms = pair_table(CFG)
+    for j, (ai, m) in enumerate(zip(axis_idx, ms.tolist())):
+        term = frequency_term_matrix(q, k, AXES[ai], m, grid, CFG)
+        idx = np.random.default_rng(seed + j).integers(0, grid.size, size=(pairs, 2))
+        expect = percentile(np.abs(term[idx[:, 0], idx[:, 1]]), 0.99)
+        assert report.magnitude[AXES[ai]][m - 1] == expect
+
+
+def test_gram_spectral_is_the_thin_svd_on_the_grid():
+    grid = GridShape(2, 2, 3)
+    o = np.random.default_rng(4).standard_normal((grid.size, 5))
+    spectrum = gram_spectral(o, grid, n_modes=3)
+    sigma = np.linalg.svd(o, full_matrices=False)[1]
+    assert spectrum.sigma.tobytes() == sigma.tobytes()
+    np.testing.assert_array_equal(spectrum.ratio, sigma / sigma[0])
+    np.testing.assert_array_equal(spectrum.energy_fraction, sigma ** 2 / np.sum(sigma ** 2))
+    modes = spectrum.modes.reshape(3, grid.size)
+    assert spectrum.modes.shape == (3, 2, 2, 3)
+    np.testing.assert_allclose(modes @ modes.T, np.eye(3), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(o.T @ modes.T, axis=0), sigma[:3], rtol=1e-12)
+
+
+def test_gram_spectral_of_a_rank_one_output_and_bad_inputs():
+    grid = GridShape(1, 1, 3)
+    u, v = np.array([1.0, 2.0, 2.0]), np.array([3.0, 4.0])
+    spectrum = gram_spectral(np.outer(u, v), grid)
+    assert spectrum.sigma[0] == pytest.approx(15.0, rel=1e-12)
+    assert spectrum.sigma[1] <= 1e-12 and spectrum.modes.shape == (2, 1, 1, 3)
+    for bad in (np.zeros((3, 2)), np.array([[np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                np.ones((4, 2))):
+        with pytest.raises(ValueError):
+            gram_spectral(bad, grid)
 
 
 @pytest.mark.parametrize("energy", [0.5, 0.9])

@@ -14,11 +14,11 @@ from ropeslr.decomposition import (
     energy_split,
     row_energy_split,
     row_softmax,
+    scaling_sweep_point,
     softmax_attention,
     synthetic_attention,
     synthetic_qk,
     theorem_scaling_sweep,
-    verify_sparsity_bound,
 )
 from ropeslr.rope3d import GridShape, RopeConfig, logit_matrix
 
@@ -184,17 +184,21 @@ def test_energy_split_tau_out_of_range():
             energy_split(attn, tau)
 
 
+def max_row_nnz(dec) -> int:
+    return int(dec.spike_mask.sum(axis=1).max())
+
+
 def test_sparsity_bound_value():
-    attn = manual_attention(np.eye(3))
-    rep = verify_sparsity_bound(energy_split(attn, 0.3))
-    assert rep.bound == 3 and rep.holds
+    # tau = 1 / sqrt(8) at c = 1 on 8 tokens: floor(1 / tau) = 2 spikes a row
+    point = scaling_sweep_point(GridShape(2, 2, 2), CFG, 1.0, seed=0)
+    assert point["nnz_bound"] == 8 * 2 and point["holds"] is True
+    assert max_row_nnz(energy_split(manual_attention(np.eye(3)), 0.3)) == 1
 
 
 def test_sparsity_bound_uniform_attention_has_no_spikes():
     attn = softmax_attention(np.zeros((10, 10)))
     dec = energy_split(attn, 0.2)
-    rep = verify_sparsity_bound(dec)
-    assert rep.max_row_nnz == 0 and rep.holds
+    assert max_row_nnz(dec) == 0
 
 
 def test_sparsity_and_background_bounds_random_sweep():
@@ -203,7 +207,7 @@ def test_sparsity_and_background_bounds_random_sweep():
         attn = softmax_attention(rng.standard_normal((32, 32)) * rng.uniform(0.5, 4.0))
         tau = float(rng.uniform(0.05, 0.5))
         dec = energy_split(attn, tau)
-        assert verify_sparsity_bound(dec).holds
+        assert max_row_nnz(dec) <= math.floor(1.0 / tau)
         assert background_inf_norm(attn, dec) <= tau
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import hypothesis
 import numpy as np
@@ -7,56 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ropeslr import linalg
-from ropeslr.linalg import numerical_rank, percentile, stable_rank, svd
-
-
-def test_svd_identity():
-    res = svd(np.eye(4))
-    np.testing.assert_allclose(res.sigma, np.ones(4), rtol=0, atol=1e-14)
-
-
-def test_svd_rank_one_outer_product():
-    u = np.array([1.0, 2.0, 2.0])
-    v = np.array([3.0, 4.0])
-    res = svd(np.outer(u, v))
-    assert res.sigma[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
-    assert res.sigma[1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_svd_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((5, 3))
-    res = svd(a)
-    recon = res.u @ np.diag(res.sigma) @ res.v.T
-    fro = np.linalg.norm(a)
-    assert np.linalg.norm(recon - a) <= 1e-9 * max(1.0, fro)
-    np.testing.assert_allclose(res.u.T @ res.u, np.eye(3), rtol=0, atol=1e-8)
-    np.testing.assert_allclose(res.v.T @ res.v, np.eye(3), rtol=0, atol=1e-8)
-    assert np.all(np.diff(res.sigma) <= 0) and np.all(res.sigma >= 0)
-
-
-def test_svd_deterministic():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((6, 4))
-    r1, r2 = svd(a), svd(a)
-    np.testing.assert_array_equal(r1.u, r2.u)
-    np.testing.assert_array_equal(r1.sigma, r2.sigma)
-
-
-def test_svd_sigma1_matches_power_iteration():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((8, 6))
-    v = rng.standard_normal(6)
-    for _ in range(500):
-        v = a.T @ (a @ v)
-        v /= np.linalg.norm(v)
-    power_sigma = np.linalg.norm(a @ v)
-    assert svd(a).sigma[0] == pytest.approx(power_sigma, abs=1e-8)
-
-
-def test_svd_rejects_non_finite():
-    with pytest.raises(ValueError):
-        svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+from ropeslr.linalg import numerical_rank, percentile, stable_rank
 
 
 def test_stable_rank_identity():
@@ -199,6 +151,27 @@ def test_the_bracket_is_widened_by_the_rounding_of_its_sums(monkeypatch):
     assert linalg._certified_spectral_energy(a) is None
     monkeypatch.setattr(linalg, "SPECTRAL_CERT_TOL", 3.0 * gamma)
     assert linalg._certified_spectral_energy(a) == 1.0
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@hypothesis.given(rows=st.integers(1, 30), cols=st.integers(1, 30),
+                  density=st.sampled_from([0.1, 0.5, 1.0]), exp2=st.integers(-200, 200),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_certified_energy_is_within_its_tolerance_of_the_svd(rows, cols, density, exp2,
+                                                              seed):
+    # nonnegative, with zero rows and columns at low density, at scale 2^exp2
+    rng = np.random.default_rng(seed)
+    a = rng.random((rows, cols)) * (rng.random((rows, cols)) < density)
+    a = np.ldexp(a * np.exp2(rng.integers(-8, 9, (rows, cols))), exp2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy = linalg._certified_spectral_energy(a)
+    if energy is not None:
+        s1_sq = float(np.linalg.svd(a, compute_uv=False)[0]) ** 2
+        # the reference's own rounding: sigma_1 within a small multiple of
+        # (rows + cols) eps relative
+        room = linalg.SPECTRAL_CERT_TOL + 8.0 * (rows + cols) * np.finfo(np.float64).eps
+        assert abs(energy - s1_sq) <= room * s1_sq
 
 
 def test_percentile_singleton():

@@ -3,8 +3,10 @@ import tracemalloc
 import warnings
 import weakref
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ropeslr.decomposition import (
     SPLIT_BLOCK_ROWS,
@@ -12,9 +14,9 @@ from ropeslr.decomposition import (
     softmax_attention,
     synthetic_qk,
 )
+from ropeslr import linalg
 from ropeslr.linalg import RANK_REL_TOL, numerical_rank, singular_values
 from ropeslr.lowrank import (
-    FavorMap,
     PRODUCT_BLOCK_ROWS,
     RANK_CERT_MARGIN,
     TRI_INV_LEAF,
@@ -23,7 +25,6 @@ from ropeslr.lowrank import (
     _factored_rank,
     _gram_certificate,
     _lowrank_branch,
-    _qr_rank,
     _qr_rank_certificate,
     _stabilised_features_rows,
     _triangular_inverse,
@@ -40,35 +41,37 @@ from ropeslr.rope3d import GridShape, RopeConfig, choose_truncation, logit_matri
 CFG = RopeConfig(4, 4, 4)
 
 
-def favor_features(x, fmap: FavorMap) -> np.ndarray:
+def favor_features(x, omegas) -> np.ndarray:
     """The positive random features of one vector, written out as the
     oracle of the row path: phi(x)_i = exp(omega_i . x - ||x||^2 / 2) /
-    sqrt(R); always positive, and E[phi(q) . phi(k)] = exp(q . k)."""
+    sqrt(R), with omegas the (input_dim, R) directions of favor_map; always
+    positive, and E[phi(q) . phi(k)] = exp(q . k)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fmap.input_dim,):
-        raise ValueError(f"expected a vector of length {fmap.input_dim}, got {x.shape}")
-    return np.exp(x @ fmap.omegas - 0.5 * float(x @ x)) / math.sqrt(fmap.feature_dim)
+    input_dim, feature_dim = omegas.shape
+    if x.shape != (input_dim,):
+        raise ValueError(f"expected a vector of length {input_dim}, got {x.shape}")
+    return np.exp(x @ omegas - 0.5 * float(x @ x)) / math.sqrt(feature_dim)
 
 
 def test_favor_features_zero_vector_exact():
-    fmap = favor_map(3, 64, seed=0)  # 64 = 4^3 keeps 1/sqrt(R) exact
-    phi = favor_features(np.zeros(3), fmap)
+    omegas = favor_map(3, 64, seed=0)  # 64 = 4^3 keeps 1/sqrt(R) exact
+    phi = favor_features(np.zeros(3), omegas)
     np.testing.assert_array_equal(phi, np.full(64, 0.125))
     assert float(phi @ phi) == 1.0  # exp(0) estimated with zero variance
 
 
 def test_favor_features_positive():
     rng = np.random.default_rng(1)
-    fmap = favor_map(6, 128, seed=1)
+    omegas = favor_map(6, 128, seed=1)
     for _ in range(1000):
-        phi = favor_features(rng.standard_normal(6), fmap)
+        phi = favor_features(rng.standard_normal(6), omegas)
         assert np.all(phi > 0)
 
 
 def test_favor_features_dimension_mismatch():
-    fmap = favor_map(4, 16, seed=2)
+    omegas = favor_map(4, 16, seed=2)
     with pytest.raises(ValueError):
-        favor_features(np.zeros(5), fmap)
+        favor_features(np.zeros(5), omegas)
 
 
 def test_favor_shared_map_concentrates():
@@ -80,8 +83,8 @@ def test_favor_shared_map_concentrates():
     truth = math.exp(float(q @ k))
     hits = 0
     for seed in range(20):
-        fmap = favor_map(8, 4096, seed)
-        est = float(favor_features(q, fmap) @ favor_features(k, fmap))
+        omegas = favor_map(8, 4096, seed)
+        est = float(favor_features(q, omegas) @ favor_features(k, omegas))
         if abs(est - truth) / truth <= 0.1:
             hits += 1
     assert hits >= 19
@@ -107,16 +110,16 @@ def test_approx_kernel_single_row_reduces_to_feature_product():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 4)) * 0.3
     y = rng.standard_normal((1, 4)) * 0.3
-    fmap = favor_map(4, 256, seed=6)
-    k_hat = approx_kernel(x, y, fmap)
-    expect = float(favor_features(x[0], fmap) @ favor_features(y[0], fmap))
+    omegas = favor_map(4, 256, seed=6)
+    k_hat = approx_kernel(x, y, omegas)
+    expect = float(favor_features(x[0], omegas) @ favor_features(y[0], omegas))
     assert k_hat.shape == (1, 1)
     assert k_hat[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_approx_kernel_zero_factors_gives_ones():
-    fmap = favor_map(1, 64, seed=7)
-    k_hat = approx_kernel(np.zeros((5, 1)), np.zeros((5, 1)), fmap)
+    omegas = favor_map(1, 64, seed=7)
+    k_hat = approx_kernel(np.zeros((5, 1)), np.zeros((5, 1)), omegas)
     np.testing.assert_array_equal(k_hat, np.ones((5, 5)))
 
 
@@ -124,8 +127,8 @@ def test_approx_kernel_rank_bounded_by_feature_dim():
     rng = np.random.default_rng(8)
     q_fac = rng.standard_normal((64, 3)) * 0.2
     k_fac = rng.standard_normal((64, 3)) * 0.2
-    fmap = favor_map(3, 8, seed=9)
-    s = singular_values(approx_kernel(q_fac, k_fac, fmap))
+    omegas = favor_map(3, 8, seed=9)
+    s = singular_values(approx_kernel(q_fac, k_fac, omegas))
     assert s[8] <= 1e-9 * s[0]
 
 
@@ -272,10 +275,10 @@ def test_reconstruct_main_schedule_high_probability():
 def test_favor_features_rows_matches_vector_path():
     rng = np.random.default_rng(13)
     m = rng.standard_normal((5, 4)) * 0.4
-    fmap = favor_map(4, 32, seed=14)
-    rows = favor_features_rows(m, fmap)
+    omegas = favor_map(4, 32, seed=14)
+    rows = favor_features_rows(m, omegas)
     for i in range(5):
-        np.testing.assert_allclose(rows[i], favor_features(m[i], fmap), rtol=1e-12)
+        np.testing.assert_allclose(rows[i], favor_features(m[i], omegas), rtol=1e-12)
 
 
 def test_reconstruct_finite_for_logits_past_exp_overflow():
@@ -508,10 +511,19 @@ def built_matrix(ell, ratio, seed=0):
     return (u * s) @ v.T
 
 
-def qr_certificate_quietly(m) -> float:
+def qr_rank(m) -> int:
+    """The R >= L rank rule of _lowrank_branch: L when _qr_rank_certificate
+    clears RANK_CERT_MARGIN * RANK_REL_TOL, else the count of m's SVD."""
+    if _qr_rank_certificate(m) >= RANK_CERT_MARGIN * RANK_REL_TOL:
+        return m.shape[0]
+    return numerical_rank(m)
+
+
+def quietly(certificate, m):
+    """certificate(m), with every warning an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _qr_rank_certificate(m)
+        return certificate(m)
 
 
 # (L, sigma_L / sigma_1, scale) with R = L; the certificate fires at 2e-9
@@ -531,21 +543,21 @@ def qr_room(ell) -> float:
 @pytest.mark.parametrize("ell,ratio,scale", QR_RANK_CASES)
 def test_qr_rank_certificate_of_matrices_with_known_condition(ell, ratio, scale):
     m = built_matrix(ell, ratio) * scale
-    bound = qr_certificate_quietly(m)
+    bound = quietly(_qr_rank_certificate, m)
     if ratio == 0.0:
         assert bound == 0.0  # rho >= 1: no bound on a singular matrix
     else:
         assert bound <= ratio - qr_room(ell)
     assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == (ratio >= 2e-9), bound
-    assert _qr_rank(m) == numerical_rank(m)
+    assert qr_rank(m) == numerical_rank(m)
     assert numerical_rank(m) == (ell if ratio > RANK_REL_TOL else ell - 1)
 
 
 def test_qr_rank_certificate_of_a_one_by_one_matrix():
     m = np.array([[3.0]])
-    bound = qr_certificate_quietly(m)
+    bound = quietly(_qr_rank_certificate, m)
     assert RANK_CERT_MARGIN * RANK_REL_TOL <= bound <= 1.0 - qr_room(1)
-    assert _qr_rank(m) == 1
+    assert qr_rank(m) == 1
 
 
 @pytest.mark.parametrize("m,rank", [
@@ -555,18 +567,18 @@ def test_qr_rank_certificate_of_a_one_by_one_matrix():
     (np.diag([1.0, 1e-3, 5e-324]), 2),  # the pivot 5e-324 has no inverse
 ])
 def test_qr_rank_certificate_is_zero_without_a_finite_inverse(m, rank):
-    assert qr_certificate_quietly(m) == 0.0
-    assert _qr_rank(m) == numerical_rank(m) == rank
+    assert quietly(_qr_rank_certificate, m) == 0.0
+    assert qr_rank(m) == numerical_rank(m) == rank
 
 
 def test_qr_rank_certificate_of_non_finite_matrices_is_zero():
     for bad in (np.inf, np.nan):
         m = np.eye(3)
         m[1, 1] = bad
-        assert qr_certificate_quietly(m) == 0.0
+        assert quietly(_qr_rank_certificate, m) == 0.0
         m = np.eye(3)
         m[0, 2] = bad
-        assert qr_certificate_quietly(m) == 0.0
+        assert quietly(_qr_rank_certificate, m) == 0.0
 
 
 # Main-schedule sweep matrices, grid 8^3, R = 1024: seed 81 has sigma_L /
@@ -588,14 +600,89 @@ def test_qr_rank_certificate_on_sweep_matrices(seed, certified, rank):
     assert got == numerical_rank(a_lowrank) == rank
 
 
+EPS = np.finfo(np.float64).eps
+PROPERTY = hypothesis.settings(derandomize=True, database=None, deadline=None,
+                               max_examples=60)
+# sigma_min / sigma_1 (or lambda_min / lambda_max) drawn around theta: a
+# factor 2^6 either side, or within 1e-6 relative of it
+NEAR_THETA = st.one_of(st.floats(-6.0, 6.0).map(lambda e: THETA * 2.0 ** e),
+                       st.floats(-1e-6, 1e-6).map(lambda d: THETA * (1.0 + d)))
+
+
+@PROPERTY
+@hypothesis.given(ell=st.integers(1, 24), ratio=NEAR_THETA, exp2=st.integers(-600, 600),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_qr_rank_certificate_is_below_the_svd_ratio(ell, ratio, exp2, seed):
+    # m = U diag(s) V^T at scale 2^exp2, with s from 1 down to ratio
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
+    v = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
+    s = np.sort(ratio ** rng.random(ell))[::-1]
+    s[0], s[-1] = 1.0, (ratio if ell > 1 else 1.0)
+    m = np.ldexp((u * s) @ v.T, exp2)
+    bound = quietly(_qr_rank_certificate, m)
+    sv = singular_values(m)
+    # the reference's own rounding: its singular values are within a small
+    # multiple of L eps sigma_1 of m's
+    svd_ratio = sv[-1] / sv[0] + 4.0 * ell * EPS
+    assert bound <= svd_ratio
+    assert bound < THETA or svd_ratio >= THETA
+
+
+@PROPERTY
+@hypothesis.given(r=st.integers(1, 12), extra=st.integers(1, 20), ratio=NEAR_THETA,
+                  noise=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]),
+                  exp2=st.integers(-500, 500), seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, seed):
+    # a nonnegative L x R factor, R < L, whose Gram has lambda_min / lambda_max
+    # about ratio before its nonnegative noise, its rows and columns shuffled,
+    # at scale 2^exp2 (below 2^-484 its Gram is under _CERT_MIN_NORM)
+    ell = r + extra
+    rng = np.random.default_rng(seed)
+    f = diagonal_factor(ell, r, ratio) + noise * rng.random((ell, r))
+    f = np.ldexp(f[rng.permutation(ell)][:, rng.permutation(r)], exp2)
+    certified = quietly(_gram_certificate, f)
+    if certified:
+        sv = singular_values(f)
+        slack = 4.0 * ell * EPS * sv[0]  # the reference's own rounding
+        assert ((sv[-1] + slack) / (sv[0] - slack)) ** 2 >= THETA
+
+
+BAD_ENTRIES = [np.inf, -np.inf, np.nan]
+
+
+@PROPERTY
+@hypothesis.given(rows=st.integers(1, 12), extra=st.integers(1, 6),
+                  bad=st.sampled_from(BAD_ENTRIES + ["underflow", "zero"]),
+                  where=st.integers(0, 10 ** 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_certificates_are_quiet_on_non_finite_or_underflowing_inputs(rows, extra, bad,
+                                                                     where, seed):
+    f = np.random.default_rng(seed).random((rows + extra, rows))
+    if bad == "underflow":
+        f = np.ldexp(f, -1070)  # subnormal entries, their products 0
+    elif bad == "zero":
+        f[:] = 0.0
+    else:
+        f.flat[where % (rows * rows)] = bad  # in the square's rows too
+    square = f[:rows]
+    qr_bound = quietly(_qr_rank_certificate, square)
+    certified = quietly(_gram_certificate, f)
+    energy = quietly(linalg._certified_spectral_energy, f)
+    assert not certified
+    if bad != "underflow" or not np.any(square):
+        assert qr_bound == 0.0
+    if bad != "underflow":
+        assert energy is None
+
+
 def lowrank_branch_whole(q_fac, k_fac, log_z, favor_dim, seed):
     """The oracle of _lowrank_branch's a_lowrank: (a_lowrank, left, right),
     with the features whole, their product one GEMM and its exponent formed
     as one L x L array; left and right are the scaled factors the rank is
     certified from."""
-    fmap = favor_map(q_fac.shape[1], favor_dim, seed)
-    fq, mq = _stabilised_features_rows(q_fac, fmap)
-    fk, mk = _stabilised_features_rows(k_fac, fmap)
+    omegas = favor_map(q_fac.shape[1], favor_dim, seed)
+    fq, mq = _stabilised_features_rows(q_fac, omegas)
+    fk, mk = _stabilised_features_rows(k_fac, omegas)
     row_log = mq - log_z - math.log(favor_dim)
     a_lowrank = fq @ fk.T
     scale = np.add.outer(row_log, mk)
@@ -675,6 +762,35 @@ def test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle(shape, row_n
             "one block": rec.nnz_sparse > 0 and grid.size < SPLIT_BLOCK_ROWS,
             "R < L": blocks and favor_dim < grid.size,
             "R >= L": blocks and favor_dim >= grid.size}[what]
+
+
+# (grid, seed, scale, favor_dim, rank): q and k of synthetic_qk times scale,
+# so that the low-rank weights underflow.  On 3^3 the factors, each shifted
+# by its own largest exponent, have rank 1 while their product a_lowrank is
+# all zero at R < L; at R = 64 >= L it is nonzero.  On 5,3,7 only the first
+# SPLIT_BLOCK_ROWS rows of a_lowrank are nonzero.
+UNDERFLOW_CASES = [
+    ((3, 3, 3), 0, 14.5, 8, 0),
+    ((3, 3, 3), 0, 14.5, 16, 0),
+    ((3, 3, 3), 0, 14.5, 64, 1),
+    ((5, 3, 7), 1, 13.0, 16, 1),
+]
+
+
+@pytest.mark.parametrize("shape,seed,scale,favor_dim,rank", UNDERFLOW_CASES)
+def test_rank_of_an_underflowing_product_is_that_of_a_lowrank(shape, seed, scale,
+                                                             favor_dim, rank):
+    grid = GridShape(*shape)
+    q, k = synthetic_qk(grid, CFG, seed)
+    q, k = scale * q, scale * k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = reconstruct(q, k, grid, CFG, 0.2, 0.05, favor_dim, seed)
+    assert rec.rank_lowrank == numerical_rank(rec.a_lowrank) == rank
+    assert not np.any(rec.a_lowrank[SPLIT_BLOCK_ROWS:])
+    want = reconstruct_whole(q, k, grid, 0.2, 0.05, favor_dim, seed)
+    for field, value in vars(want).items():
+        assert_bitwise_equal(getattr(rec, field), value, field)
 
 
 def test_error_fields_write_a_final_into_the_attention_buffer():

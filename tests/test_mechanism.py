@@ -128,7 +128,7 @@ def test_train_stage1_lowers_loss():
     assert not result.diverged
     assert result.losses.shape == (21,)
     assert np.all(np.isfinite(result.losses))
-    assert result.final_loss < result.initial_loss
+    assert result.final_loss < result.losses[0]
 
 
 def test_train_stage1_flags_divergence():

@@ -26,6 +26,13 @@ CFG = RopeConfig(4, 4, 4)
 GRID = GridShape(3, 2, 2)
 
 
+def flat_index(grid, t, x, y):
+    """The row-major flat index p = t*(H*W) + x*W + y of GridShape's
+    docstring, written out as the oracle of coord."""
+    assert 0 <= t < grid.t and 0 <= x < grid.h and 0 <= y < grid.w
+    return t * grid.h * grid.w + x * grid.w + y
+
+
 def axis_offset(cfg, axis):
     """Column offset of the axis block inside a d_h-wide vector: the t block
     comes first, then x, then y."""
@@ -96,7 +103,7 @@ def test_grid_flat_index_round_trip():
     grid = GridShape(3, 4, 5)
     for p in range(grid.size):
         t, x, y = grid.coord(p)
-        assert grid.flat_index(t, x, y) == p
+        assert flat_index(grid, t, x, y) == p
     coords = grid.coords()
     assert coords.shape == (60, 3)
     assert tuple(coords[17]) == grid.coord(17)
@@ -195,12 +202,12 @@ def test_logit_direct_shift_invariance():
     q = rng.standard_normal(CFG.d_h)
     k = rng.standard_normal(CFG.d_h)
     grid = GridShape(3, 3, 3)
-    p = grid.flat_index(0, 1, 0)
-    qpos = grid.flat_index(1, 0, 2)
+    p = flat_index(grid, 0, 1, 0)
+    qpos = flat_index(grid, 1, 0, 2)
     base = logit_direct(q, k, p, qpos, grid, CFG)
     for dt, dx, dy in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]:
-        p2 = grid.flat_index(0 + dt, 1 + dx, 0 + dy)
-        q2 = grid.flat_index(1 + dt, 0 + dx, 2 + dy)
+        p2 = flat_index(grid, 0 + dt, 1 + dx, 0 + dy)
+        q2 = flat_index(grid, 1 + dt, 0 + dx, 2 + dy)
         assert logit_direct(q, k, p2, q2, grid, CFG) == pytest.approx(base, abs=1e-10)
 
 
