@@ -251,12 +251,19 @@ def cmd_reconstruct(v, out: Optional[str]) -> int:
     q_mat, k_mat = decomposition.synthetic_qk(grid, rope_cfg, seed)
 
     def summary(r_dim):
-        """The CSV row and the exit check of one R; its L x L arrays are
-        freed before the next R is rebuilt."""
+        """The CSV row and the exit check of one R, with each failed check
+        named on stderr; its L x L arrays are freed before the next R is
+        rebuilt."""
         rec = lowrank.reconstruct(q_mat, k_mat, grid, rope_cfg, tau, e_tol, r_dim, seed)
+        checks = (("max_err_spike", rec.max_err_spike == 0.0, "0"),
+                  ("support_matches_spikes", rec.support_matches_spikes, "true"))
+        for name, ok, must in checks:
+            if not ok:
+                print(f"reconstruct: favor_R={r_dim}: check failed: {name} = "
+                      f"{_fmt(getattr(rec, name))}, must be {must}", file=sys.stderr)
         return ((grid.size, rec.tau, rec.e_tol, rec.favor_dim, rec.rank_lowrank,
                  rec.nnz_sparse, rec.max_err_spike, rec.max_err_bg),
-                rec.max_err_spike == 0.0 and rec.support_matches_spikes)
+                all(ok for _, ok, _ in checks))
 
     runs = [summary(r_dim) for r_dim in v["favor_r"]]
     _write_csv(out, ["L", "tau", "E_tol", "favor_R", "rank", "nnz",

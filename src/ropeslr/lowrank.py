@@ -18,23 +18,22 @@ R x R core as the fallback, never a dense L x L SVD.  When R >= L it is
 certified from a QR of the L x L matrix and the blocked inverse of its
 triangular factor, with the dense SVD as the fallback.
 
-The attention is built in the logits' own buffer, and the spike mask only
-after the low-rank branch, which runs in three phases.  First the key
-features are made whole; they stay until the product is done.  Second, when
-R < L, the rank is certified before a_lowrank exists: the scaled key factor
-is a copy of the key features, certified and dropped before the whole query
-features are made and scaled in place, so at most two L x R factors are live
-beside the attention (and, on the QR-core fallback, the QR's own copy).
-Third, a_lowrank is filled in blocks of PRODUCT_BLOCK_ROWS rows: each block
-featurises its rows of the query factor, multiplies them by the key features
-into its rows of a_lowrank, and scales them in sub-blocks of SPLIT_BLOCK_ROWS
-rows; when R >= L the QR certificate then reads a_lowrank, with the key
-features dropped.  The back half runs over blocks of SPLIT_BLOCK_ROWS rows:
-the errors are read and a_final written block by block into the attention's
-own buffer, which reconstruct does not return.  So reconstruct allocates two
-L x L float arrays, the logits and a_lowrank: the attention and then a_final
-are written over the logits, and the query features are never whole beside
-a_lowrank.
+The attention is built in the logits' own buffer, and the low-rank branch
+runs in three phases.  First the key features are made whole; they stay
+until the product is done.  Second, when R < L, the rank is certified before
+any row of a_lowrank exists: the scaled key factor is a copy of the key
+features, certified and dropped before the whole query features are made and
+scaled in place, so at most two L x R factors are live beside the attention
+(and, on the QR-core fallback, the QR's own copy).  Only then is the spike
+mask split off.  Third, a_lowrank is made PRODUCT_BLOCK_ROWS rows at a time
+in one reused scratch block: each block featurises its rows of the query
+factor, multiplies them by the key features and is scaled SPLIT_BLOCK_ROWS
+rows at a time.  While those rows are in cache their errors are read, their
+low-rank values on the spikes kept, and a_final written over them in the
+attention's own buffer.  So a_lowrank is never whole: reconstruct allocates
+one L x L float array, the logits, on which the attention and then a_final
+are written.  When R >= L the QR certificate reads a_lowrank, rebuilt from
+a_final and the kept spike values once the key features are dropped.
 """
 
 from __future__ import annotations
@@ -302,15 +301,36 @@ def _factored_rank(r: int, left, right) -> int:
 PRODUCT_BLOCK_ROWS = 512
 
 
-def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int) -> Tuple[np.ndarray, int]:
-    """(a_lowrank, rank): the low-rank attention and its numerical rank.
+def _error_fields(folded, a_blk, lr_blk, spikes) -> tuple:
+    """(folded, the low-rank values on the spikes in row-major order) for one
+    more block of rows: folded is (max_err_bg, support_matches_spikes,
+    max_err_spike) over the rows so far, and a_final is written into a_blk.
+    The errors are read, then the background entries are replaced by
+    lr_blk's.  The compensator a - a_lowrank is nonzero on a spike exactly
+    when the two differ there, so the support check reads the spikes alone."""
+    max_bg, support, max_spike = folded
+    background = ~spikes
+    err = np.subtract(lr_blk, a_blk)
+    max_bg = np.maximum(max_bg, np.max(np.abs(err, out=err), where=background, initial=0.0))
+    a_spikes, lr_spikes = a_blk[spikes], lr_blk[spikes]
+    support = support and bool(np.all(a_spikes != lr_spikes))
+    np.copyto(a_blk, lr_blk, where=background)
+    max_spike = np.maximum(max_spike, np.max(np.abs(a_blk[spikes] - a_spikes), initial=0.0))
+    return (max_bg, support, max_spike), lr_spikes
+
+
+def _lowrank_branch(attn: AttentionMatrix, tau: float, q_fac, k_fac, favor_dim: int,
+                    seed: int) -> dict:
+    """The Reconstruction fields of the spike split at tau and the low-rank
+    attention a_lowrank, with a_final written over attn.a.
 
     a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j): the
     stabilised features are at most 1 and the exponent is a log attention
     weight, so neither side overflows.  fk is made whole; fq is made one
-    block of PRODUCT_BLOCK_ROWS rows at a time and multiplied into its rows
-    of a_lowrank, which are scaled in place SPLIT_BLOCK_ROWS rows at a time,
-    so neither fq nor the exponent is ever an L x L array.
+    block of PRODUCT_BLOCK_ROWS rows at a time and multiplied into one
+    reused scratch block, which is scaled and then folded by _error_fields
+    SPLIT_BLOCK_ROWS rows at a time, so neither fq, the exponent nor
+    a_lowrank is ever an L x L array.
 
     a_lowrank = c left @ right.T, c > 0, with left and right fq and fk scaled
     by their sides of the exponent, each shifted by its largest; the row
@@ -319,13 +339,14 @@ def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int) -> Tuple[np.
     singular values above the threshold: when R < L it comes from a shifted
     Cholesky of each factor's R x R Gram, which proves lambda_min >= theta
     lambda_max for both (_gram_certificate; Rump, BIT 46, 2006; Higham,
-    2002, Theorem 10.3), and runs before a_lowrank exists; when R >= L from
-    a QR of a_lowrank and the inverse of its triangular factor.  The
-    fallbacks, the SVD of the QR core or of a_lowrank, compute the singular
-    values to a small multiple of sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L
-    = 4096, R = 1024), so the margin's 1e-9 sigma_1 of room means they
-    count min(L, R) too.  When R < L and c underflows, so that a_lowrank is
-    all zero, its rank 0 is returned, as the QR path gives when R >= L."""
+    2002, Theorem 10.3), and runs before the product and the spike mask;
+    when R >= L from a QR of a_lowrank, rebuilt whole after the product, and
+    the inverse of its triangular factor.  The fallbacks, the SVD of the QR
+    core or of a_lowrank, compute the singular values to a small multiple of
+    sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L = 4096, R = 1024), so the
+    margin's 1e-9 sigma_1 of room means they count min(L, R) too.  When R <
+    L and c underflows, so that a_lowrank is all zero, its rank 0 is
+    returned, as the QR path gives when R >= L."""
     ell = q_fac.shape[0]
     log_r = math.log(favor_dim)
     omegas = favor_map(q_fac.shape[1], favor_dim, seed)
@@ -333,56 +354,45 @@ def _lowrank_branch(q_fac, k_fac, log_z, favor_dim: int, seed: int) -> Tuple[np.
     if favor_dim < ell:
         def left():
             fq, mq = _stabilised_features_rows(q_fac, omegas)
-            row_log = mq - log_z - log_r
+            row_log = mq - attn.log_z - log_r
             fq *= np.exp(row_log - row_log.max())[:, None]
             return fq
 
         rank = _factored_rank(favor_dim, left, lambda: fk * np.exp(mk - mk.max())[:, None])
-    a_lowrank = np.empty((ell, ell))
+    dec = energy_split(attn, tau)  # only now: the mask is not held through the certificate
+    a, spike_mask = attn.a, dec.spike_mask
+    block = np.empty((min(ell, PRODUCT_BLOCK_ROWS), ell))
+    folded, on_spikes = (0.0, True, 0.0), []
     nonzero = False
     for start in range(0, ell, PRODUCT_BLOCK_ROWS):
-        blk = a_lowrank[start:start + PRODUCT_BLOCK_ROWS]
         fq, mq = _stabilised_features_rows(q_fac[start:start + PRODUCT_BLOCK_ROWS], omegas)
+        blk = block[:len(fq)]
         np.matmul(fq, fk.T, out=blk)
         del fq
-        row_log = mq - log_z[start:start + PRODUCT_BLOCK_ROWS] - log_r
+        row_log = mq - attn.log_z[start:start + PRODUCT_BLOCK_ROWS] - log_r
         for sub in range(0, len(blk), SPLIT_BLOCK_ROWS):
+            lr = blk[sub:sub + SPLIT_BLOCK_ROWS]
             scale = np.add.outer(row_log[sub:sub + SPLIT_BLOCK_ROWS], mk)
-            blk[sub:sub + SPLIT_BLOCK_ROWS] *= np.exp(scale, out=scale)
+            lr *= np.exp(scale, out=scale)
+            del scale  # not held through the fold
             # read while the rows are in cache, and only until one is nonzero
-            nonzero = nonzero or bool(np.any(blk[sub:sub + SPLIT_BLOCK_ROWS]))
-        del scale  # not held through the next block's product
-    del fk  # not held through the QR certificate
+            nonzero = nonzero or bool(np.any(lr))
+            rows = slice(start + sub, start + sub + SPLIT_BLOCK_ROWS)
+            folded, values = _error_fields(folded, a[rows], lr, spike_mask[rows])
+            on_spikes.append(values)
+    del fk, block  # not held through the QR certificate
+    max_bg, support, max_spike = folded
+    on_spikes = np.concatenate(on_spikes)
     if favor_dim >= ell:
+        a_lowrank = a.copy()
+        a_lowrank[spike_mask] = on_spikes
         certified = _qr_rank_certificate(a_lowrank) >= RANK_CERT_MARGIN * RANK_REL_TOL
         rank = ell if certified else numerical_rank(a_lowrank)
     elif not nonzero:
         rank = 0  # c underflowed: the factors' rank is not a_lowrank's
-    return a_lowrank, rank
-
-
-def _error_fields(a, a_lowrank, spike_mask) -> dict:
-    """The Reconstruction fields a_final, support_matches_spikes and the two
-    errors, in one pass over blocks of SPLIT_BLOCK_ROWS rows.  a_final is
-    written into a: each block's errors are read, then its background entries
-    are replaced by a_lowrank's.  The compensator a - a_lowrank is nonzero on
-    a spike exactly when the two differ there, so the support check reads
-    the spikes alone."""
-    support = True
-    max_spike = max_bg = 0.0
-    for start in range(0, a.shape[0], SPLIT_BLOCK_ROWS):
-        blk = slice(start, start + SPLIT_BLOCK_ROWS)
-        a_blk, lr_blk, spikes = a[blk], a_lowrank[blk], spike_mask[blk]
-        background = ~spikes
-        err = np.abs(lr_blk - a_blk)
-        max_bg = np.maximum(max_bg, np.max(err, where=background, initial=0.0))
-        a_spikes = a_blk[spikes]
-        support = support and bool(np.all(a_spikes != lr_blk[spikes]))
-        np.copyto(a_blk, lr_blk, where=background)
-        spike_err = np.abs(a_blk[spikes] - a_spikes)
-        max_spike = np.maximum(max_spike, np.max(spike_err, initial=0.0))
-    return dict(a_final=a, support_matches_spikes=support,
-                max_err_spike=float(max_spike), max_err_bg=float(max_bg))
+    return dict(spike_mask=spike_mask, a_final=a, lowrank_on_spikes=on_spikes,
+                rank_lowrank=rank, nnz_sparse=dec.nnz, max_err_spike=float(max_spike),
+                max_err_bg=float(max_bg), support_matches_spikes=support)
 
 
 @dataclass(frozen=True)
@@ -390,8 +400,11 @@ class Reconstruction:
     """Sparse-plus-low-rank rebuild of an attention matrix.
 
     a_final equals the original attention bitwise on the spike set (the
-    residual branch is an exact compensator there) and equals a_lowrank on
-    the background; max_err_spike is therefore exactly 0 on every run.
+    residual branch is an exact compensator there) and equals the low-rank
+    attention a_lowrank on the background; max_err_spike is therefore
+    exactly 0 on every run.  a_lowrank is not kept whole: lowrank_on_spikes
+    holds its values on the spike set in row-major order, so a_lowrank is
+    a_final with lowrank_on_spikes put back at spike_mask.
     support_matches_spikes records whether the compensator a - a_lowrank is
     nonzero on every spike; it is zero off the spikes by construction, so
     only the spike entries are compared, and the compensator is not kept.
@@ -402,8 +415,8 @@ class Reconstruction:
     tau: float
     e_tol: float
     spike_mask: np.ndarray
-    a_lowrank: np.ndarray
     a_final: np.ndarray
+    lowrank_on_spikes: np.ndarray
     rank_lowrank: int
     nnz_sparse: int
     max_err_spike: float
@@ -443,11 +456,8 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
     cutoffs = choose_truncation(q_mat, k_mat, cfg, delta)
     q_fac, k_fac = _truncated_svd_factors(q_mat, k_mat, grid, cfg, cutoffs)
 
-    a_lowrank, rank = _lowrank_branch(q_fac, k_fac, attn.log_z, favor_dim, seed)
-    # split only now, so the L x L spike mask is not held through the branch
-    dec = energy_split(attn, tau)
-    # _error_fields writes a_final over attn.a, which is not used after it
-    return Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
-                          a_lowrank=a_lowrank, rank_lowrank=rank, nnz_sparse=dec.nnz,
-                          cutoffs=cutoffs, favor_dim=int(favor_dim),
-                          **_error_fields(attn.a, a_lowrank, dec.spike_mask))
+    # the branch splits off the spike mask after its rank certificate and
+    # writes a_final over attn.a, which is not used after it
+    return Reconstruction(tau=float(tau), e_tol=float(e_tol), cutoffs=cutoffs,
+                          favor_dim=int(favor_dim),
+                          **_lowrank_branch(attn, tau, q_fac, k_fac, favor_dim, seed))

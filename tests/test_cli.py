@@ -6,6 +6,7 @@ The goldens under tests/golden/ hold, per case, the standard output
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -328,6 +329,31 @@ def test_cli_contract_on_generated_argvs(case):
         assert (stdout, written) == ("", [])
     else:
         assert "config error" not in stderr
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("max_err_spike", 1e-3, "max_err_spike = 1.0000000000000000e-03, must be 0"),
+    ("support_matches_spikes", False, "support_matches_spikes = false, must be true"),
+])
+def test_reconstruct_names_its_failed_check_on_stderr(monkeypatch, field, value, message):
+    argv = ["reconstruct", "--grid", "2,2,2", "--favor-r", "16,32"]
+    rc, clean, stderr = run_cli(argv)
+    assert (rc, stderr) == (0, "")
+    real = lowrank.reconstruct
+
+    def failing(*args):
+        rec = real(*args)
+        return dataclasses.replace(rec, **{field: value}) if rec.favor_dim == 32 else rec
+
+    monkeypatch.setattr(lowrank, "reconstruct", failing)
+    rc, stdout, stderr = run_cli(argv)
+    assert rc == 1
+    assert stderr == f"reconstruct: favor_R=32: check failed: {message}\n"
+    # stdout is the CSV alone: the row of R = 32 shows the patched error
+    want = [line.split(",") for line in clean.splitlines()]
+    if field == "max_err_spike":
+        want[2][6] = cli._fmt(value)
+    assert stdout.splitlines() == [",".join(row) for row in want]
 
 
 def test_library_error_is_not_a_config_error(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import hypothesis
 import numpy as np
@@ -51,6 +52,13 @@ def favor_features(x, omegas) -> np.ndarray:
     if x.shape != (input_dim,):
         raise ValueError(f"expected a vector of length {input_dim}, got {x.shape}")
     return np.exp(x @ omegas - 0.5 * float(x @ x)) / math.sqrt(feature_dim)
+
+
+def lowrank_of(rec) -> np.ndarray:
+    """a_lowrank, rebuilt: a_final with lowrank_on_spikes put back at spike_mask."""
+    a_lowrank = rec.a_final.copy()
+    a_lowrank[rec.spike_mask] = rec.lowrank_on_spikes
+    return a_lowrank
 
 
 def test_favor_features_zero_vector_exact():
@@ -218,7 +226,7 @@ def test_reconstruct_spike_support_and_rank_bound():
     assert rec.rank_lowrank <= 32
     np.testing.assert_array_equal(rec.a_final[rec.spike_mask], attn.a[rec.spike_mask])
     np.testing.assert_array_equal(rec.a_final[~rec.spike_mask],
-                                  rec.a_lowrank[~rec.spike_mask])
+                                  lowrank_of(rec)[~rec.spike_mask])
     assert rec.max_err_bg == float(np.abs(rec.a_final - attn.a)[~rec.spike_mask].max())
 
 
@@ -227,7 +235,7 @@ def test_reconstruction_arrays_are_the_mask_and_the_two_rebuilds():
     q, k = synthetic_qk(grid, CFG, 6)
     rec = reconstruct(q, k, grid, CFG, tau=0.05, e_tol=0.02, favor_dim=16, seed=6)
     arrays = [k for k, v in vars(rec).items() if isinstance(v, np.ndarray)]
-    assert arrays == ["spike_mask", "a_lowrank", "a_final"]
+    assert arrays == ["spike_mask", "a_final", "lowrank_on_spikes"]
     assert type(rec.support_matches_spikes) is bool
 
 
@@ -288,7 +296,7 @@ def test_reconstruct_finite_for_logits_past_exp_overflow():
     q, k = synthetic_qk(grid, CFG, 0, row_norm=80)
     assert np.max(logit_matrix(q, k, grid, CFG)) > 709.0
     rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, 64, 0)
-    for field in (rec.a_lowrank, rec.a_final):
+    for field in (lowrank_of(rec), rec.a_final):
         assert np.all(np.isfinite(field))
     assert math.isfinite(rec.max_err_bg)
     assert rec.max_err_spike == 0.0
@@ -303,7 +311,7 @@ def test_log_space_lowrank_matches_the_direct_normalisation():
     attn = softmax_attention(logit_matrix(q, k, grid, CFG))
     direct = normalize_rows(approx_kernel(q_fac, k_fac, favor_map(q_fac.shape[1], 32, 5)),
                             np.exp(attn.log_z))
-    np.testing.assert_allclose(rec.a_lowrank, direct, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(lowrank_of(rec), direct, rtol=1e-12, atol=0)
 
 
 # (grid, favor_dim, row_norm, seeds).  R < L takes the factored rank; at row
@@ -325,17 +333,19 @@ def lowrank_branch(grid, favor_dim, row_norm, seed, tau=0.05, e_tol=0.02, favor_
     """The low-rank stage of reconstruct(q, k, grid, CFG, tau, e_tol,
     favor_dim, favor_seed) on the synthetic_qk inputs of seed: (a_lowrank,
     rank, left, right), with the scaled factors left and right of
-    lowrank_branch_whole, whose a_lowrank is checked to be bitwise the
-    branch's.  favor_seed defaults to seed."""
+    lowrank_branch_whole, whose a_lowrank is checked to be bitwise the one
+    rebuilt from the branch's fields.  favor_seed defaults to seed."""
     q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
-    log_z = softmax_attention(logit_matrix(q, k, grid, CFG)).log_z
-    args = (q_fac, k_fac, log_z, favor_dim, seed if favor_seed is None else favor_seed)
-    a_lowrank, rank = _lowrank_branch(*args)
-    a_whole, left, right = lowrank_branch_whole(*args)
+    attn = softmax_attention(logit_matrix(q, k, grid, CFG))
+    favor_seed = seed if favor_seed is None else favor_seed
+    a_whole, left, right = lowrank_branch_whole(q_fac, k_fac, attn.log_z, favor_dim,
+                                                favor_seed)
+    fields = _lowrank_branch(attn, tau, q_fac, k_fac, favor_dim, favor_seed)
+    a_lowrank = lowrank_of(SimpleNamespace(**fields))
     assert a_lowrank.tobytes() == a_whole.tobytes()
-    return a_lowrank, rank, left, right
+    return a_lowrank, fields["rank_lowrank"], left, right
 
 
 def certifies(left, right) -> bool:
@@ -356,12 +366,12 @@ def test_reconstruct_rank_matches_the_dense_rank(shape, favor_dim, row_norm, see
     for seed in seeds:
         q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
         rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, favor_dim, seed)
-        assert rec.rank_lowrank == numerical_rank(rec.a_lowrank), seed
+        assert rec.rank_lowrank == numerical_rank(lowrank_of(rec)), seed
         assert rec.rank_lowrank <= min(favor_dim, grid.size)
         if favor_dim < grid.size:
             # the certified rank is the rank of the QR path it replaces
             a_lowrank, rank, left, right = lowrank_branch(grid, favor_dim, row_norm, seed)
-            np.testing.assert_array_equal(a_lowrank, rec.a_lowrank)
+            np.testing.assert_array_equal(a_lowrank, lowrank_of(rec))
             assert rank == rec.rank_lowrank == numerical_rank(qr_core(left, right)), seed
 
 
@@ -648,6 +658,32 @@ def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, se
         assert ((sv[-1] + slack) / (sv[0] - slack)) ** 2 >= THETA
 
 
+@PROPERTY
+@hypothesis.given(r=st.integers(1, 12), extra=st.integers(1, 20),
+                  ranks=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                  ratios=st.one_of(st.none(), NEAR_THETA.map(lambda x: (x, x)),
+                                   st.tuples(NEAR_THETA, NEAR_THETA)),
+                  exp2=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2, seed):
+    # nonnegative L x R factors, R < L, each at scale 2^exp2: diagonal ones
+    # with Gram ratios about theta (equal ratios put the product's there
+    # too), whose product's singular values both paths compute exactly, so
+    # they may sit at the rank threshold; or products of nonnegative L x k
+    # and k x R factors, of rank k <= R, whose nonzero singular values lie
+    # far above the threshold and the others far below
+    ell = r + extra
+    rng = np.random.default_rng(seed)
+    if ratios is None:
+        factors = [rng.random((ell, min(k, r))) @ rng.random((min(k, r), r)) for k in ranks]
+    else:
+        cols = rng.permutation(r)
+        factors = [diagonal_factor(ell, r, ratio)[rng.permutation(ell)][:, cols]
+                   for ratio in ratios]
+    left, right = (np.ldexp(f, e) for f, e in zip(factors, exp2))
+    assert _factored_rank(r, lambda: left, lambda: right) == numerical_rank(left @ right.T)
+
+
 BAD_ENTRIES = [np.inf, -np.inf, np.nan]
 
 
@@ -704,18 +740,21 @@ def error_fields_whole(a, a_lowrank, spike_mask):
                 max_err_bg=float(np.max(err, where=~spike_mask, initial=0.0)))
 
 
-def reconstruct_whole(q, k, grid, tau, e_tol, favor_dim, seed) -> Reconstruction:
-    """reconstruct with the two oracles in place of the row-blocked stages,
-    and the rank counted from the dense SVD of a_lowrank."""
+def reconstruct_whole(q, k, grid, tau, e_tol, favor_dim, seed):
+    """(Reconstruction, a_lowrank): reconstruct with the two oracles in place
+    of the row-blocked stages, and the rank counted from the dense SVD of
+    a_lowrank."""
     attn = softmax_attention(logit_matrix(q, k, grid, CFG))
     dec = energy_split(attn, tau)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
     a_lowrank = lowrank_branch_whole(q_fac, k_fac, attn.log_z, favor_dim, seed)[0]
-    return Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
-                          a_lowrank=a_lowrank, rank_lowrank=numerical_rank(a_lowrank),
-                          nnz_sparse=dec.nnz, cutoffs=cutoffs, favor_dim=int(favor_dim),
-                          **error_fields_whole(attn.a, a_lowrank, dec.spike_mask))
+    rec = Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
+                         lowrank_on_spikes=a_lowrank[dec.spike_mask],
+                         rank_lowrank=numerical_rank(a_lowrank), nnz_sparse=dec.nnz,
+                         cutoffs=cutoffs, favor_dim=int(favor_dim),
+                         **error_fields_whole(attn.a, a_lowrank, dec.spike_mask))
+    return rec, a_lowrank
 
 
 def assert_bitwise_equal(got, want, what):
@@ -752,9 +791,10 @@ def test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle(shape, row_n
     grid = GridShape(*shape)
     q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
     rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, favor_dim, seed)
-    want = reconstruct_whole(q, k, grid, 0.05, 0.02, favor_dim, seed)
+    want, a_lowrank = reconstruct_whole(q, k, grid, 0.05, 0.02, favor_dim, seed)
     for field, value in vars(want).items():
         assert_bitwise_equal(getattr(rec, field), value, field)
+    assert_bitwise_equal(lowrank_of(rec), a_lowrank, "a_lowrank")
     edge = rec.spike_mask[SPLIT_BLOCK_ROWS - 1:SPLIT_BLOCK_ROWS + 1].any(axis=1)
     blocks = grid.size > PRODUCT_BLOCK_ROWS and grid.size % PRODUCT_BLOCK_ROWS != 0
     assert {"edge": edge.all() and grid.size % SPLIT_BLOCK_ROWS != 0,
@@ -786,11 +826,12 @@ def test_rank_of_an_underflowing_product_is_that_of_a_lowrank(shape, seed, scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = reconstruct(q, k, grid, CFG, 0.2, 0.05, favor_dim, seed)
-    assert rec.rank_lowrank == numerical_rank(rec.a_lowrank) == rank
-    assert not np.any(rec.a_lowrank[SPLIT_BLOCK_ROWS:])
-    want = reconstruct_whole(q, k, grid, 0.2, 0.05, favor_dim, seed)
+    assert rec.rank_lowrank == numerical_rank(lowrank_of(rec)) == rank
+    assert not np.any(lowrank_of(rec)[SPLIT_BLOCK_ROWS:])
+    want, a_lowrank = reconstruct_whole(q, k, grid, 0.2, 0.05, favor_dim, seed)
     for field, value in vars(want).items():
         assert_bitwise_equal(getattr(rec, field), value, field)
+    assert_bitwise_equal(lowrank_of(rec), a_lowrank, "a_lowrank")
 
 
 def test_error_fields_write_a_final_into_the_attention_buffer():
@@ -803,11 +844,20 @@ def test_error_fields_write_a_final_into_the_attention_buffer():
     mask[0, 0], a_lowrank[0, 0] = True, a[0, 0]
     want = error_fields_whole(a, a_lowrank, mask)
     assert not want["support_matches_spikes"]
+    # fold the blocks as _lowrank_branch does; reconstruct cannot reach a
+    # missed spike, so this case drives _error_fields directly
     buf = a.copy()
-    got = _error_fields(buf, a_lowrank, mask)
-    assert got["a_final"] is buf
+    folded, on_spikes = (0.0, True, 0.0), []
+    for start in range(0, len(a), SPLIT_BLOCK_ROWS):
+        rows = slice(start, start + SPLIT_BLOCK_ROWS)
+        folded, values = _error_fields(folded, buf[rows], a_lowrank[rows], mask[rows])
+        on_spikes.append(values)
+    max_bg, support, max_spike = folded
+    got = dict(a_final=buf, support_matches_spikes=support,
+               max_err_spike=float(max_spike), max_err_bg=float(max_bg))
     for field, value in want.items():
         assert_bitwise_equal(got[field], value, field)
+    assert_bitwise_equal(np.concatenate(on_spikes), a_lowrank[mask], "lowrank_on_spikes")
 
 
 def reconstruct_peak(grid, favor_dim) -> float:
@@ -825,18 +875,21 @@ def reconstruct_peak(grid, favor_dim) -> float:
 
 
 def test_reconstruct_peaks_below_three_attention_matrices():
-    # the results are two L x L float arrays and a mask; the row-blocked
-    # back half adds no L x L temporary next to them (4.26 L^2 doubles
-    # with the L x L exponent and error matrices)
+    # the one L x L float array is the attention, which a_final overwrites;
+    # beside it are the mask and one PRODUCT_BLOCK_ROWS block of a_lowrank,
+    # 1.52 L^2 doubles in all (2.26 with a_lowrank whole, and 4.26 with the
+    # L x L exponent and error matrices as well)
     peak = reconstruct_peak(GridShape(12, 12, 12), 64)
-    assert peak < 3.0, peak
+    assert peak < 1.65, peak
 
 
 def test_reconstruct_never_holds_the_query_features_beside_a_lowrank():
-    # R = 512 < L = 1728: a_lowrank, the attention and the key features
-    # (R / L) are whole, the query features only a block at a time, 2.41 L^2
-    # doubles in all, below 2 + 1.5 R / L = 2.44; with the whole query
-    # features beside a_lowrank and the key features it was 2.78
+    # R = 512 < L = 1728: the attention and the key features (R / L) are
+    # whole; the query features, the mask and a block of a_lowrank join them
+    # in the product loop, 1.83 L^2 doubles in all, below 1.5 + 1.5 R / L =
+    # 1.94; the certificate's whole query features, Gram and Cholesky factor
+    # reach 1.79.  With a_lowrank whole it was 2.41, and 2.78 with the whole
+    # query features beside it
     grid, favor_dim = GridShape(12, 12, 12), 512
     peak = reconstruct_peak(grid, favor_dim)
-    assert peak < 2.0 + 1.5 * favor_dim / grid.size, peak
+    assert peak < 1.5 + 1.5 * favor_dim / grid.size, peak
