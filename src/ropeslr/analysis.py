@@ -58,11 +58,11 @@ def spectral_decay_report(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
 
 def _sweep_row(grid: GridShape, cfg: RopeConfig, energy: float, seed: int) -> dict:
     """One sweep row; its attention and mask are consumed and go on return."""
-    attn = synthetic_attention(grid, cfg, seed)
-    keep = row_energy_split(attn, energy)
+    a = synthetic_attention(grid, cfg, seed)
+    keep = row_energy_split(a, energy)
     retained = int(keep.sum())
     # zero the kept entries in place, branch-free: a * 1 = a, a * 0 = 0 on a >= 0
-    residual = np.multiply(attn.a, np.logical_not(keep, out=keep), out=attn.a)
+    residual = np.multiply(a, np.logical_not(keep, out=keep), out=a)
     return {"L": grid.size, "retained_fraction": retained / grid.size ** 2,
             "residual_stable_rank": stable_rank(residual) if np.any(residual) else 0.0}
 

@@ -261,7 +261,7 @@ def cmd_reconstruct(v, out: Optional[str]) -> int:
             if not ok:
                 print(f"reconstruct: favor_R={r_dim}: check failed: {name} = "
                       f"{_fmt(getattr(rec, name))}, must be {must}", file=sys.stderr)
-        return ((grid.size, rec.tau, rec.e_tol, rec.favor_dim, rec.rank_lowrank,
+        return ((grid.size, tau, e_tol, r_dim, rec.rank_lowrank,
                  rec.nnz_sparse, rec.max_err_spike, rec.max_err_bg),
                 all(ok for _, ok, _ in checks))
 

@@ -15,38 +15,23 @@ a time, so an attention matrix costs one L x L array, the logits' own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import InvalidInput
-from .linalg import as_matrix
+from .linalg import SPLIT_BLOCK_ROWS, as_matrix
 from .rope3d import GridShape, RopeConfig, logit_matrix
 
 # Largest token count for which dense L x L matrices are considered tractable.
 DESK_CAP = 4096
 
-# Rows handled together by `row_softmax`, `row_energy_split` and
-# `background_inf_norm`, and by the back half of `lowrank.reconstruct`; their
-# temporaries are SPLIT_BLOCK_ROWS x L whatever the row count, small enough to
-# stay in cache and not to raise the peak RSS of a sweep.
-SPLIT_BLOCK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class AttentionMatrix:
-    """Row-stochastic attention and its rows' log partition values log z.
-    z itself would overflow for logit rows beyond ~700, while a stays exact
-    because it is computed with max-subtraction."""
-
-    a: np.ndarray
-    log_z: np.ndarray
-
 
 def row_softmax(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Softmax of each row of a 2-D float64 array and the rows' log partition
-    values, with per-row max subtraction for overflow safety.
+    values log z, with per-row max subtraction for overflow safety.  log z,
+    not z, because z overflows for logit rows beyond ~700, while the softmax
+    stays exact.
 
     It consumes its input: the softmax is written over s, which is returned.
     Each block of SPLIT_BLOCK_ROWS rows takes its max, subtraction, exp, sum
@@ -65,47 +50,33 @@ def row_softmax(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return s, log_z
 
 
-def softmax_attention(s) -> AttentionMatrix:
-    """`row_softmax` of a square, finite logit matrix.  A float64 array is
-    consumed: the attention is written over it."""
+def softmax_attention(s) -> Tuple[np.ndarray, np.ndarray]:
+    """`row_softmax` of a square, finite logit matrix: (a, log z).  A float64
+    array is consumed: the attention is written over it."""
     s = as_matrix(s)
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square logit matrix, got {s.shape}")
-    a, log_z = row_softmax(s)
-    return AttentionMatrix(a=a, log_z=log_z)
+    return row_softmax(s)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Split of an attention matrix at threshold tau: the spikes are the
-    entries on spike_mask, the background the entries off it.
-
-    Ties at exactly tau go to the background (spikes use a strict '>')."""
-
-    tau: float
-    spike_mask: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return int(self.spike_mask.sum())
-
-
-def energy_split(attn: AttentionMatrix, tau: float) -> Decomposition:
+def energy_split(a: np.ndarray, tau: float) -> np.ndarray:
+    """The spike mask of attention a at threshold tau: a > tau, so ties at
+    exactly tau go to the background."""
     if not (0.0 < tau < 1.0):
         raise ValueError(f"threshold tau must lie in (0, 1), got {tau}")
-    return Decomposition(tau=float(tau), spike_mask=attn.a > tau)
+    return a > tau
 
 
-def background_inf_norm(attn: AttentionMatrix, dec: Decomposition) -> float:
+def background_inf_norm(a: np.ndarray, spike_mask: np.ndarray) -> float:
     """Largest background entry; attention is non-negative, so this is the
     background's sup-norm, and 0 when every entry is a spike.  The max is
     folded over blocks of SPLIT_BLOCK_ROWS rows, so the background mask is
     never a second L x L array; a max does not depend on the order it is
     taken in, so the result is bitwise that of one whole-matrix max."""
     best = 0.0
-    for start in range(0, attn.a.shape[0], SPLIT_BLOCK_ROWS):
+    for start in range(0, a.shape[0], SPLIT_BLOCK_ROWS):
         blk = slice(start, start + SPLIT_BLOCK_ROWS)
-        best = np.maximum(best, np.max(attn.a[blk], where=~dec.spike_mask[blk], initial=0.0))
+        best = np.maximum(best, np.max(a[blk], where=~spike_mask[blk], initial=0.0))
     return float(best)
 
 
@@ -127,12 +98,11 @@ def check_energy(energy: float) -> None:
         raise InvalidInput(f"energy fraction must lie in (0, 1), got {energy}")
 
 
-def row_energy_split(attn: AttentionMatrix, energy: float) -> np.ndarray:
+def row_energy_split(a: np.ndarray, energy: float) -> np.ndarray:
     """Per-row cumulative-energy split: the mask of the fewest largest
     entries of each row whose mass reaches the energy fraction; the entries
     off the mask are the residual."""
     check_energy(energy)
-    a = attn.a
     keep = np.empty_like(a, dtype=bool)
     for start in range(0, a.shape[0], SPLIT_BLOCK_ROWS):
         block = a[start:start + SPLIT_BLOCK_ROWS]
@@ -169,11 +139,11 @@ def synthetic_qk(grid: GridShape, cfg: RopeConfig, seed: int,
     return draw(), draw()
 
 
-def synthetic_attention(grid: GridShape, cfg: RopeConfig, seed: int) -> AttentionMatrix:
+def synthetic_attention(grid: GridShape, cfg: RopeConfig, seed: int) -> np.ndarray:
     if grid.size > DESK_CAP:
         raise ValueError(f"grid has {grid.size} tokens, above the desk cap {DESK_CAP}")
     q, k = synthetic_qk(grid, cfg, seed)
-    return softmax_attention(logit_matrix(q, k, grid, cfg))
+    return softmax_attention(logit_matrix(q, k, grid, cfg))[0]
 
 
 def check_grids(grids: Sequence[GridShape]) -> None:
@@ -192,18 +162,18 @@ def scaling_sweep_point(grid: GridShape, cfg: RopeConfig, c: float, seed: int) -
     """One sweep row at threshold tau = c / sqrt(L) on synthetic attention."""
     ell = grid.size
     tau = c / math.sqrt(ell)
-    attn = synthetic_attention(grid, cfg, seed)
-    dec = energy_split(attn, tau)
+    a = synthetic_attention(grid, cfg, seed)
+    spike_mask = energy_split(a, tau)
     # the deterministic per-row spike bound floor(1/tau); a violation would
     # be a library bug, not a property of the input
     bound = math.floor(1.0 / tau)
     return {
         "L": ell,
         "tau": tau,
-        "nnz": dec.nnz,
+        "nnz": int(spike_mask.sum()),
         "nnz_bound": ell * bound,
-        "bg_inf_norm": background_inf_norm(attn, dec),
-        "holds": int(dec.spike_mask.sum(axis=1).max()) <= bound,
+        "bg_inf_norm": background_inf_norm(a, spike_mask),
+        "holds": int(spike_mask.sum(axis=1).max()) <= bound,
     }
 
 
@@ -216,4 +186,7 @@ def theorem_scaling_sweep(grids: Sequence[GridShape], cfg: RopeConfig, c: float,
         raise InvalidInput(f"c must be a positive real, got {c}")
     if c >= math.sqrt(grids[0].size):
         raise InvalidInput(f"c={c} makes tau >= 1 at L={grids[0].size}; need c < sqrt(L_min)")
+    tau = c / math.sqrt(grids[-1].size)  # the smallest tau of the sweep
+    if not (tau > 0.0 and 1.0 / tau < math.inf):
+        raise InvalidInput(f"c={c} is so small that 1 / tau is not finite at L={grids[-1].size}")
     return [scaling_sweep_point(g, cfg, c, seed + i) for i, g in enumerate(grids)]

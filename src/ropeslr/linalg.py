@@ -29,6 +29,19 @@ SPECTRAL_CERT_STEPS = 200
 SPECTRAL_CERT_TOL = 1e-11
 # Elements stable_rank squares at a time: a leaf of numpy's pairwise sum.
 ENERGY_LEAF = 1 << 16
+# Rows handled together by the row loops over L x L arrays: the softmax and
+# splits of `decomposition`, the back half of `lowrank.reconstruct` and
+# `rope3d.frequency_magnitudes`.  Their temporaries are SPLIT_BLOCK_ROWS x L
+# whatever the row count, small enough to stay in cache and not to raise the
+# peak RSS of a sweep.
+SPLIT_BLOCK_ROWS = 64
+# The rounding model of the package's certificates: unit roundoff u = _U, and
+# gamma_n = _gamma(n) = n u / (1 - n u) bounds n roundings (Higham, 2002, 3.1).
+_U = np.finfo(np.float64).eps / 2.0
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1.0 - n * _U)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -62,7 +75,7 @@ def _certified_spectral_energy(a) -> float | None:
     columns out.  Each step brackets sigma_1^2 = rho(B) between the Rayleigh
     quotient |a x|^2 / |x|^2 and the Collatz-Wielandt bound max y_i / x_i
     over the nonzero columns.  Every computed sum of nonnegative terms is
-    within about (rows + cols) eps relative of the exact one (Higham,
+    within about 2 (rows + cols) u relative of the exact one, u = _U (Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, section 3.1), so
     both bounds are widened by twice that.  A negative or NaN entry, no
     nonzero column, a zero or non-finite value in x or y, or no certificate
@@ -71,7 +84,7 @@ def _certified_spectral_energy(a) -> float | None:
     if not (a.min() >= 0.0 and live.any()):
         return None
     x = live.astype(np.float64)
-    gamma = 2.0 * sum(a.shape) * np.finfo(np.float64).eps
+    gamma = 4.0 * sum(a.shape) * _U
     for _ in range(SPECTRAL_CERT_STEPS):
         ax = a @ x
         y = a.T @ ax

@@ -45,14 +45,8 @@ from typing import Tuple
 import numpy as np
 
 from . import InvalidInput
-from .decomposition import (
-    DESK_CAP,
-    SPLIT_BLOCK_ROWS,
-    AttentionMatrix,
-    energy_split,
-    softmax_attention,
-)
-from .linalg import RANK_REL_TOL, as_matrix, numerical_rank
+from .decomposition import DESK_CAP, energy_split, softmax_attention
+from .linalg import RANK_REL_TOL, SPLIT_BLOCK_ROWS, _U, _gamma, as_matrix, numerical_rank
 from .rope3d import (
     GridShape,
     RopeConfig,
@@ -121,13 +115,13 @@ def normalize_rows(e_hat, z) -> np.ndarray:
     return e_hat / z[:, None]
 
 
-def residual_sparse(attn: AttentionMatrix, a_lowrank, spike_mask) -> np.ndarray:
+def residual_sparse(a, a_lowrank, spike_mask) -> np.ndarray:
     """Exact compensator on the spike set: a - a_lowrank there, zero elsewhere."""
     a_lowrank = as_matrix(a_lowrank)
     spike_mask = np.asarray(spike_mask, dtype=bool)
-    if a_lowrank.shape != attn.a.shape or spike_mask.shape != attn.a.shape:
+    if a_lowrank.shape != a.shape or spike_mask.shape != a.shape:
         raise ValueError("low-rank matrix and spike mask must match the attention shape")
-    return np.where(spike_mask, attn.a - a_lowrank, 0.0)
+    return np.where(spike_mask, a - a_lowrank, 0.0)
 
 
 def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
@@ -157,15 +151,6 @@ def _truncated_svd_factors(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
 
 # How far a rank certificate must clear RANK_REL_TOL; see _lowrank_branch.
 RANK_CERT_MARGIN = 2.0
-# The rounding model of both rank certificates: unit roundoff u = _U, and
-# gamma_n = _gamma(n) = n u / (1 - n u) bounds n roundings (Higham, 2002, 3.1).
-_U = np.finfo(np.float64).eps / 2.0
-
-
-def _gamma(n: int) -> float:
-    return n * _U / (1.0 - n * _U)
-
-
 # The smallest Gram row sum _gram_certificate accepts, 2^-969: above it the
 # absolute errors of underflow, at most 2^-1074 per operation, stay below
 # u mu in every entry's row (see _gram_certificate).
@@ -180,7 +165,7 @@ def _gram_certificate(f) -> bool:
     When both factors of left @ right.T pass, sigma_R / sigma_1 >= 1 /
     (kappa(left) kappa(right)) >= theta.
 
-    With u and gamma_n as defined above _gamma: for a nonnegative factor
+    With u = _U and gamma_n = _gamma(n) of linalg: for a nonnegative factor
     every Gram entry is a sum of nonnegative products, so |g - f^T f| <=
     gamma_L f^T f entrywise and in norm (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, section 3.5).  lambda_max(f^T f) is at
@@ -319,10 +304,10 @@ def _error_fields(folded, a_blk, lr_blk, spikes) -> tuple:
     return (max_bg, support, max_spike), lr_spikes
 
 
-def _lowrank_branch(attn: AttentionMatrix, tau: float, q_fac, k_fac, favor_dim: int,
-                    seed: int) -> dict:
-    """The Reconstruction fields of the spike split at tau and the low-rank
-    attention a_lowrank, with a_final written over attn.a.
+def _lowrank_branch(a, log_z, tau: float, q_fac, k_fac, favor_dim: int, seed: int) -> dict:
+    """The Reconstruction fields of the spike split at tau of the attention
+    a, whose rows' log partition values are log_z, and of the low-rank
+    attention a_lowrank, with a_final written over a.
 
     a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j): the
     stabilised features are at most 1 and the exponent is a log attention
@@ -354,13 +339,12 @@ def _lowrank_branch(attn: AttentionMatrix, tau: float, q_fac, k_fac, favor_dim: 
     if favor_dim < ell:
         def left():
             fq, mq = _stabilised_features_rows(q_fac, omegas)
-            row_log = mq - attn.log_z - log_r
+            row_log = mq - log_z - log_r
             fq *= np.exp(row_log - row_log.max())[:, None]
             return fq
 
         rank = _factored_rank(favor_dim, left, lambda: fk * np.exp(mk - mk.max())[:, None])
-    dec = energy_split(attn, tau)  # only now: the mask is not held through the certificate
-    a, spike_mask = attn.a, dec.spike_mask
+    spike_mask = energy_split(a, tau)  # only now: not held through the certificate
     block = np.empty((min(ell, PRODUCT_BLOCK_ROWS), ell))
     folded, on_spikes = (0.0, True, 0.0), []
     nonzero = False
@@ -369,7 +353,7 @@ def _lowrank_branch(attn: AttentionMatrix, tau: float, q_fac, k_fac, favor_dim: 
         blk = block[:len(fq)]
         np.matmul(fq, fk.T, out=blk)
         del fq
-        row_log = mq - attn.log_z[start:start + PRODUCT_BLOCK_ROWS] - log_r
+        row_log = mq - log_z[start:start + PRODUCT_BLOCK_ROWS] - log_r
         for sub in range(0, len(blk), SPLIT_BLOCK_ROWS):
             lr = blk[sub:sub + SPLIT_BLOCK_ROWS]
             scale = np.add.outer(row_log[sub:sub + SPLIT_BLOCK_ROWS], mk)
@@ -391,8 +375,9 @@ def _lowrank_branch(attn: AttentionMatrix, tau: float, q_fac, k_fac, favor_dim: 
     elif not nonzero:
         rank = 0  # c underflowed: the factors' rank is not a_lowrank's
     return dict(spike_mask=spike_mask, a_final=a, lowrank_on_spikes=on_spikes,
-                rank_lowrank=rank, nnz_sparse=dec.nnz, max_err_spike=float(max_spike),
-                max_err_bg=float(max_bg), support_matches_spikes=support)
+                rank_lowrank=rank, nnz_sparse=int(spike_mask.sum()),
+                max_err_spike=float(max_spike), max_err_bg=float(max_bg),
+                support_matches_spikes=support)
 
 
 @dataclass(frozen=True)
@@ -412,8 +397,6 @@ class Reconstruction:
     the attention it was measured against, overwritten off the spikes.
     """
 
-    tau: float
-    e_tol: float
     spike_mask: np.ndarray
     a_final: np.ndarray
     lowrank_on_spikes: np.ndarray
@@ -422,7 +405,6 @@ class Reconstruction:
     max_err_spike: float
     max_err_bg: float
     cutoffs: Tuple[int, int, int]
-    favor_dim: int
     support_matches_spikes: bool
 
 
@@ -450,14 +432,13 @@ def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
     feature estimate concentrates.
     """
     check_reconstruct(grid, tau, e_tol, favor_dim)
-    attn = softmax_attention(logit_matrix(q_mat, k_mat, grid, cfg))
+    a, log_z = softmax_attention(logit_matrix(q_mat, k_mat, grid, cfg))
 
     delta = e_tol / (4.0 * tau)
     cutoffs = choose_truncation(q_mat, k_mat, cfg, delta)
     q_fac, k_fac = _truncated_svd_factors(q_mat, k_mat, grid, cfg, cutoffs)
 
     # the branch splits off the spike mask after its rank certificate and
-    # writes a_final over attn.a, which is not used after it
-    return Reconstruction(tau=float(tau), e_tol=float(e_tol), cutoffs=cutoffs,
-                          favor_dim=int(favor_dim),
-                          **_lowrank_branch(attn, tau, q_fac, k_fac, favor_dim, seed))
+    # writes a_final over a, which is not used after it
+    return Reconstruction(cutoffs=cutoffs,
+                          **_lowrank_branch(a, log_z, tau, q_fac, k_fac, favor_dim, seed))

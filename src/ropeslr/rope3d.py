@@ -22,14 +22,10 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from . import InvalidInput
-from .linalg import as_matrix
+from .linalg import SPLIT_BLOCK_ROWS, as_matrix
 
 AXES = ("t", "x", "y")
 
-# Rows per block in the loop of `frequency_magnitudes` over the rows that
-# survive its pruning: temporaries are at most MAGNITUDE_CHUNK_ROWS x L, small
-# enough to stay in cache, and every product and the maximum are unchanged.
-MAGNITUDE_CHUNK_ROWS = 64
 # Rows of largest norm that give the pruning's lower bound, and the relative
 # slack of its tests, far above the few ulps the norms and bound are off by.
 MAGNITUDE_PROBES = 8
@@ -235,11 +231,12 @@ def frequency_term_matrix(q_mat, k_mat, axis: str, m: int, grid: GridShape,
 
 def _pair_magnitude(qe, qo, ke, ko) -> float:
     """max over query rows p and key rows j of |a| + |b|, with
-    a = qe_p ke_j + qo_p ko_j and b = qe_p ko_j - qo_p ke_j, in row blocks."""
+    a = qe_p ke_j + qo_p ko_j and b = qe_p ko_j - qo_p ke_j, in blocks of
+    SPLIT_BLOCK_ROWS rows, which change no product and not the maximum."""
     best = 0.0
-    for start in range(0, qe.shape[0], MAGNITUDE_CHUNK_ROWS):
-        e = qe[start:start + MAGNITUDE_CHUNK_ROWS, None]
-        o = qo[start:start + MAGNITUDE_CHUNK_ROWS, None]
+    for start in range(0, qe.shape[0], SPLIT_BLOCK_ROWS):
+        e = qe[start:start + SPLIT_BLOCK_ROWS, None]
+        o = qo[start:start + SPLIT_BLOCK_ROWS, None]
         a = e * ke
         a += o * ko
         b = e * ko

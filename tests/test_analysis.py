@@ -10,12 +10,7 @@ from ropeslr.analysis import (
     residual_stable_rank_sweep,
     spectral_decay_report,
 )
-from ropeslr.decomposition import (
-    AttentionMatrix,
-    row_energy_split,
-    synthetic_attention,
-    synthetic_qk,
-)
+from ropeslr.decomposition import row_energy_split, synthetic_attention, synthetic_qk
 from ropeslr.linalg import _certified_spectral_energy, percentile, stable_rank
 from ropeslr.rope3d import AXES, GridShape, RopeConfig, frequency_term_matrix, pair_table
 
@@ -92,17 +87,16 @@ def test_stable_rank_sweep_rows_are_the_stable_rank_of_the_unkept_entries(energy
     grids = [GridShape(2, 2, 2), GridShape(3, 3, 3)]
     rows = residual_stable_rank_sweep(grids, CFG, energy=energy, seed=5)
     for i, (grid, row) in enumerate(zip(grids, rows)):
-        attn = synthetic_attention(grid, CFG, 5 + i)
-        keep = row_energy_split(attn, energy)
+        a = synthetic_attention(grid, CFG, 5 + i)
+        keep = row_energy_split(a, energy)
         assert row["L"] == grid.size
         assert row["retained_fraction"] == keep.sum() / grid.size ** 2
-        assert row["residual_stable_rank"] == stable_rank(np.where(keep, 0.0, attn.a))
+        assert row["residual_stable_rank"] == stable_rank(np.where(keep, 0.0, a))
 
 
 def test_all_zero_residual_reports_zero(monkeypatch):
     # every row of the identity keeps its one nonzero entry
-    monkeypatch.setattr(analysis, "synthetic_attention",
-                        lambda grid, cfg, seed: AttentionMatrix(a=np.eye(8), log_z=np.zeros(8)))
+    monkeypatch.setattr(analysis, "synthetic_attention", lambda grid, cfg, seed: np.eye(8))
     [row] = residual_stable_rank_sweep([GridShape(2, 2, 2)], CFG)
     assert row["retained_fraction"] == 8 / 64
     assert row["residual_stable_rank"] == 0.0
@@ -124,8 +118,8 @@ def test_stable_rank_sweep_holds_one_attention_at_a_time():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_certified_spectral_energy_matches_the_svd_on_residuals(n):
     for seed in range(3):
-        attn = synthetic_attention(GridShape(n, n, n), CFG, seed)
-        residual = np.where(row_energy_split(attn, 0.9), 0.0, attn.a)
+        a = synthetic_attention(GridShape(n, n, n), CFG, seed)
+        residual = np.where(row_energy_split(a, 0.9), 0.0, a)
         certified = _certified_spectral_energy(residual)
         assert certified is not None
         s1_sq = np.linalg.svd(residual, compute_uv=False)[0] ** 2

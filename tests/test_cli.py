@@ -169,6 +169,8 @@ BAD_INPUT = [
     ["spectral", "--pairs", "10"],
     ["spectral", "--grid", "3,5,5", "--pairs", "99"],
     ["reconstruct", "--tau", "0.5", "--e-tol", "5e-324"],
+    ["decompose-sweep", "--c", "1e-308", "--grids", "4,4,4"],
+    ["decompose-sweep", "--c", "5e-324", "--grids", "4,4,4"],
     ["gram-spectral", "--grid", "1,1,1", "--rope", "4,4,4", "--block", "1,1,1", "--steps", "1",
      "--lr", "1e300"],
     ["gate-map", "--grid", "2,2,2", "--block", "1,1,1", "--steps", "2", "--lr", "1e300"],
@@ -241,7 +243,7 @@ CONTRACT_VALUES = {
     "seed": (["0", "7"], ["-1", "x"]),
     "pairs": (["100", "1", "50"], ["99", "0"]),
     "tol": (["1e-9", "1"], ["0", "-1", "nan"]),
-    "c": (["0.5", "1e-300", "1.4", "2.8"], ["0", "-1", "nan", "10"]),
+    "c": (["0.5", "1e-300", "1.4", "2.8"], ["0", "-1", "nan", "10", "1e-308", "5e-324"]),
     "tau": (["0.05", "0.04", "0.5", "0.99"], ["1", "0.01", "nan"]),
     "e_tol": (["0.02", "0.025", "1e-300", "5e-324"], ["0", "-0.01", "nan"]),
     "favor_r": (["16", "1", "4,64"], ["0", "", "1,x"]),
@@ -341,9 +343,9 @@ def test_reconstruct_names_its_failed_check_on_stderr(monkeypatch, field, value,
     assert (rc, stderr) == (0, "")
     real = lowrank.reconstruct
 
-    def failing(*args):
-        rec = real(*args)
-        return dataclasses.replace(rec, **{field: value}) if rec.favor_dim == 32 else rec
+    def failing(q, k, grid, cfg, tau, e_tol, favor_dim, seed):
+        rec = real(q, k, grid, cfg, tau, e_tol, favor_dim, seed)
+        return dataclasses.replace(rec, **{field: value}) if favor_dim == 32 else rec
 
     monkeypatch.setattr(lowrank, "reconstruct", failing)
     rc, stdout, stderr = run_cli(argv)

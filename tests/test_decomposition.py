@@ -8,7 +8,6 @@ from ropeslr import decomposition
 from ropeslr.analysis import residual_stable_rank_sweep
 from ropeslr.decomposition import (
     SPLIT_BLOCK_ROWS,
-    AttentionMatrix,
     background_inf_norm,
     count_for_mass,
     energy_split,
@@ -25,32 +24,27 @@ from ropeslr.rope3d import GridShape, RopeConfig, logit_matrix
 CFG = RopeConfig(4, 4, 4)
 
 
-def manual_attention(a):
-    a = np.asarray(a, dtype=np.float64)
-    return AttentionMatrix(a=a, log_z=np.zeros(a.shape[0]))
-
-
 def test_softmax_uniform_row():
-    attn = softmax_attention(np.zeros((4, 4)))
-    np.testing.assert_allclose(attn.a, np.full((4, 4), 0.25), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(np.exp(attn.log_z), np.full(4, 4.0), rtol=1e-12)
+    a, log_z = softmax_attention(np.zeros((4, 4)))
+    np.testing.assert_allclose(a, np.full((4, 4), 0.25), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.exp(log_z), np.full(4, 4.0), rtol=1e-12)
 
 
 def test_softmax_large_logits_stable():
     s = np.array([[1000.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    attn = softmax_attention(s)
-    assert np.all(np.isfinite(attn.a))
-    assert attn.a[0, 0] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(attn.a.sum(axis=1), np.ones(3), rtol=0, atol=1e-9)
+    a, _ = softmax_attention(s)
+    assert np.all(np.isfinite(a))
+    assert a[0, 0] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(a.sum(axis=1), np.ones(3), rtol=0, atol=1e-9)
 
 
 def test_softmax_row_stochastic_across_scales():
     rng = np.random.default_rng(0)
     base = rng.standard_normal((6, 6))
     for scale in (1.0, 10.0, 1e3):
-        attn = softmax_attention(scale * base)
-        np.testing.assert_allclose(attn.a.sum(axis=1), np.ones(6), rtol=0, atol=1e-9)
-        assert np.all(attn.a >= 0)
+        a, _ = softmax_attention(scale * base)
+        np.testing.assert_allclose(a.sum(axis=1), np.ones(6), rtol=0, atol=1e-9)
+        assert np.all(a >= 0)
 
 
 def test_softmax_against_mpmath():
@@ -58,12 +52,12 @@ def test_softmax_against_mpmath():
     mp.mp.dps = 60
     rng = np.random.default_rng(1)
     s = rng.standard_normal((5, 5)) * 3.0
-    attn = softmax_attention(s.copy())  # the softmax consumes its logits
+    a, _ = softmax_attention(s.copy())  # the softmax consumes its logits
     for i in range(5):
         exps = [mp.e ** mp.mpf(v) for v in s[i]]
         z = sum(exps)
         for j in range(5):
-            assert abs(attn.a[i, j] - float(exps[j] / z)) <= 1e-12
+            assert abs(a[i, j] - float(exps[j] / z)) <= 1e-12
 
 
 def test_softmax_rejects_bad_input():
@@ -85,10 +79,10 @@ def test_row_softmax_rectangular_rows_and_log_partition():
 
 def test_softmax_attention_is_row_softmax():
     s = np.random.default_rng(4).standard_normal((6, 6)) * 5.0
-    attn = softmax_attention(s.copy())
+    got_a, got_log_z = softmax_attention(s.copy())
     a, log_z = row_softmax(s)
-    np.testing.assert_array_equal(attn.a, a)
-    np.testing.assert_array_equal(attn.log_z, log_z)
+    np.testing.assert_array_equal(got_a, a)
+    np.testing.assert_array_equal(got_log_z, log_z)
 
 
 def row_softmax_whole(s):
@@ -137,92 +131,86 @@ def test_attention_peaks_near_one_logit_matrix():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        attn = softmax_attention(logit_matrix(q, k, grid, CFG))
+        a, _ = softmax_attention(logit_matrix(q, k, grid, CFG))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     one = grid.size ** 2 * 8
-    assert attn.a.nbytes == one
+    assert a.nbytes == one
     assert peak < 1.4 * one, peak / one
 
 
 def test_energy_split_no_spikes_when_tau_above_max():
-    attn = softmax_attention(np.random.default_rng(2).standard_normal((5, 5)))
-    tau = float(attn.a.max()) + 0.01
-    dec = energy_split(attn, min(tau, 0.99))
-    assert dec.nnz == 0
-    assert not dec.spike_mask.any()
-    assert background_inf_norm(attn, dec) == float(attn.a.max())
+    a, _ = softmax_attention(np.random.default_rng(2).standard_normal((5, 5)))
+    tau = float(a.max()) + 0.01
+    mask = energy_split(a, min(tau, 0.99))
+    assert not mask.any()
+    assert background_inf_norm(a, mask) == float(a.max())
 
 
 def test_energy_split_one_hot_rows():
     s = np.full((4, 4), -30.0)
     np.fill_diagonal(s, 30.0)
-    dec = energy_split(softmax_attention(s), 0.5)
-    assert dec.nnz == 4
-    assert np.all(dec.spike_mask.sum(axis=1) == 1)
+    mask = energy_split(softmax_attention(s)[0], 0.5)
+    assert mask.sum() == 4
+    assert np.all(mask.sum(axis=1) == 1)
 
 
 def test_energy_split_exact_recomposition():
-    attn = synthetic_attention(GridShape(4, 4, 4), CFG, 3)
-    dec = energy_split(attn, 0.05)
-    np.testing.assert_array_equal(dec.spike_mask, attn.a > 0.05)
-    assert background_inf_norm(attn, dec) == float(attn.a[~dec.spike_mask].max())
+    a = synthetic_attention(GridShape(4, 4, 4), CFG, 3)
+    mask = energy_split(a, 0.05)
+    np.testing.assert_array_equal(mask, a > 0.05)
+    assert background_inf_norm(a, mask) == float(a[~mask].max())
 
 
 def test_energy_split_tie_goes_to_background():
-    attn = manual_attention([[0.5, 0.5], [0.25, 0.75]])
-    dec = energy_split(attn, 0.5)
-    assert not dec.spike_mask[0].any()  # both entries equal tau exactly
-    assert dec.spike_mask[1, 1] and dec.nnz == 1
+    mask = energy_split(np.array([[0.5, 0.5], [0.25, 0.75]]), 0.5)
+    assert not mask[0].any()  # both entries equal tau exactly
+    assert mask[1, 1] and mask.sum() == 1
 
 
 def test_energy_split_tau_out_of_range():
-    attn = manual_attention(np.eye(2))
     for tau in (0.0, 1.0, -0.3):
         with pytest.raises(ValueError):
-            energy_split(attn, tau)
+            energy_split(np.eye(2), tau)
 
 
-def max_row_nnz(dec) -> int:
-    return int(dec.spike_mask.sum(axis=1).max())
+def max_row_nnz(mask) -> int:
+    return int(mask.sum(axis=1).max())
 
 
 def test_sparsity_bound_value():
     # tau = 1 / sqrt(8) at c = 1 on 8 tokens: floor(1 / tau) = 2 spikes a row
     point = scaling_sweep_point(GridShape(2, 2, 2), CFG, 1.0, seed=0)
     assert point["nnz_bound"] == 8 * 2 and point["holds"] is True
-    assert max_row_nnz(energy_split(manual_attention(np.eye(3)), 0.3)) == 1
+    assert max_row_nnz(energy_split(np.eye(3), 0.3)) == 1
 
 
 def test_sparsity_bound_uniform_attention_has_no_spikes():
-    attn = softmax_attention(np.zeros((10, 10)))
-    dec = energy_split(attn, 0.2)
-    assert max_row_nnz(dec) == 0
+    a, _ = softmax_attention(np.zeros((10, 10)))
+    assert max_row_nnz(energy_split(a, 0.2)) == 0
 
 
 def test_sparsity_and_background_bounds_random_sweep():
     rng = np.random.default_rng(4)
     for trial in range(100):
-        attn = softmax_attention(rng.standard_normal((32, 32)) * rng.uniform(0.5, 4.0))
+        a, _ = softmax_attention(rng.standard_normal((32, 32)) * rng.uniform(0.5, 4.0))
         tau = float(rng.uniform(0.05, 0.5))
-        dec = energy_split(attn, tau)
-        assert max_row_nnz(dec) <= math.floor(1.0 / tau)
-        assert background_inf_norm(attn, dec) <= tau
+        mask = energy_split(a, tau)
+        assert max_row_nnz(mask) <= math.floor(1.0 / tau)
+        assert background_inf_norm(a, mask) <= tau
 
 
 def test_background_inf_norm_no_spikes_equals_global_max():
-    attn = softmax_attention(np.random.default_rng(5).standard_normal((6, 6)))
-    dec = energy_split(attn, 0.999)
-    assert background_inf_norm(attn, dec) == float(attn.a.max())
+    a, _ = softmax_attention(np.random.default_rng(5).standard_normal((6, 6)))
+    assert background_inf_norm(a, energy_split(a, 0.999)) == float(a.max())
 
 
 def test_background_inf_norm_one_hot_spike_rows_contribute_zero():
     s = np.full((3, 3), -40.0)
     np.fill_diagonal(s, 40.0)
-    attn = softmax_attention(s)
-    dec = energy_split(attn, 0.5)
-    assert background_inf_norm(attn, dec) <= 1e-15
+    a, _ = softmax_attention(s)
+    assert background_inf_norm(a, energy_split(a, 0.5)) <= 1e-15
 
 
 @pytest.mark.parametrize("row", [SPLIT_BLOCK_ROWS - 1, SPLIT_BLOCK_ROWS, 6 * SPLIT_BLOCK_ROWS + 4])
@@ -235,11 +223,10 @@ def test_background_inf_norm_across_block_edges_is_the_whole_matrix_max(row):
     mask[:SPLIT_BLOCK_ROWS] |= row >= SPLIT_BLOCK_ROWS
     a[row, 7], mask[row, 7] = 0.6, False
     a[row - 1:row + 2, 8], mask[row - 1:row + 2, 8] = 0.9, True
-    attn, dec = manual_attention(a), decomposition.Decomposition(tau=0.45, spike_mask=mask)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        got = background_inf_norm(attn, dec)
+        got = background_inf_norm(a, mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,48 +264,41 @@ def test_count_for_mass_counts_each_row():
 
 
 def test_row_energy_split_one_hot():
-    attn = manual_attention(np.eye(4))
-    np.testing.assert_array_equal(row_energy_split(attn, 0.9), np.eye(4, dtype=bool))
+    np.testing.assert_array_equal(row_energy_split(np.eye(4), 0.9), np.eye(4, dtype=bool))
 
 
 def test_row_energy_split_uniform_by_hand():
-    attn = manual_attention(np.full((1, 10), 0.1))
-    assert row_energy_split(attn, 0.9).sum() == 9
+    assert row_energy_split(np.full((1, 10), 0.1), 0.9).sum() == 9
 
 
 def test_row_energy_split_recomposition_and_tie_break():
-    attn = manual_attention([[0.4, 0.4, 0.2]])
-    keep = row_energy_split(attn, 0.4)
+    a = np.array([[0.4, 0.4, 0.2]])
+    keep = row_energy_split(a, 0.4)
     # equal tied entries resolve to the lower column index
     np.testing.assert_array_equal(keep, [[True, False, False]])
-    assert attn.a[keep].sum() == 0.4
+    assert a[keep].sum() == 0.4
 
 
 def test_row_energy_split_random_recomposition():
-    attn = synthetic_attention(GridShape(3, 3, 3), CFG, 6)
-    keep = row_energy_split(attn, 0.9)
+    a = synthetic_attention(GridShape(3, 3, 3), CFG, 6)
+    keep = row_energy_split(a, 0.9)
     # each row keeps the fewest largest entries whose mass reaches 0.9
-    retained = np.where(keep, attn.a, 0.0)
-    smallest = np.min(attn.a, where=keep, initial=1.0, axis=1)
+    retained = np.where(keep, a, 0.0)
+    smallest = np.min(a, where=keep, initial=1.0, axis=1)
     assert np.all(retained.sum(axis=1) >= 0.9 - 1e-12)
     assert np.all(retained.sum(axis=1) - smallest < 0.9)
-    assert np.all(np.max(attn.a, where=~keep, initial=0.0, axis=1) <= smallest)
+    assert np.all(np.max(a, where=~keep, initial=0.0, axis=1) <= smallest)
 
 
 def test_row_energy_split_rejects_bad_fraction():
-    attn = manual_attention(np.eye(2))
     with pytest.raises(ValueError):
-        row_energy_split(attn, 1.0)
+        row_energy_split(np.eye(2), 1.0)
 
 
 def test_split_results_hold_only_their_mask():
-    attn = synthetic_attention(GridShape(3, 3, 3), CFG, 8)
-    result = energy_split(attn, 0.05)
-    arrays = {k: v for k, v in vars(result).items() if isinstance(v, np.ndarray)}
-    assert list(arrays) == ["spike_mask"]
-    keep = row_energy_split(attn, 0.9)
-    for mask in (arrays["spike_mask"], keep):
-        assert mask.dtype == bool and mask.shape == attn.a.shape
+    a = synthetic_attention(GridShape(3, 3, 3), CFG, 8)
+    for mask in (energy_split(a, 0.05), row_energy_split(a, 0.9)):
+        assert mask.dtype == bool and mask.shape == a.shape
 
 
 def test_synthetic_qk_row_norms():
@@ -384,11 +364,10 @@ def test_row_energy_split_matches_the_per_row_reference():
     a /= np.maximum(a.sum(axis=1, keepdims=True), 1.0)
     a[::9] *= 0.5
     a[5] = 0.0
-    attn = manual_attention(a)
     for energy in (0.3, 0.9, 0.99):
         expect = np.zeros_like(a, dtype=bool)
         for p in range(rows):
             order = np.argsort(-a[p], kind="stable")
             expect[p, order[:count_for_mass(a[p][order], energy)]] = True
-        np.testing.assert_array_equal(row_energy_split(attn, energy), expect)
+        np.testing.assert_array_equal(row_energy_split(a, energy), expect)
         assert np.any(expect.sum(axis=1) == a.shape[1])  # the unreached-target rows

@@ -167,28 +167,28 @@ def test_normalize_rows_rejects_nonpositive_z():
 
 
 def test_residual_sparse_empty_spikes():
-    attn = softmax_attention(np.zeros((3, 3)))
-    out = residual_sparse(attn, np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
+    a, _ = softmax_attention(np.zeros((3, 3)))
+    out = residual_sparse(a, np.zeros((3, 3)), np.zeros((3, 3), dtype=bool))
     np.testing.assert_array_equal(out, np.zeros((3, 3)))
 
 
 def test_residual_sparse_exact_match_gives_zero():
-    attn = softmax_attention(np.zeros((3, 3)))
+    a, _ = softmax_attention(np.zeros((3, 3)))
     mask = np.eye(3, dtype=bool)
-    out = residual_sparse(attn, attn.a.copy(), mask)
+    out = residual_sparse(a, a.copy(), mask)
     np.testing.assert_array_equal(out, np.zeros((3, 3)))
 
 
 def test_residual_sparse_identity_on_spikes():
     rng = np.random.default_rng(12)
-    attn = softmax_attention(rng.standard_normal((8, 8)))
+    a, _ = softmax_attention(rng.standard_normal((8, 8)))
     # approximation near the truth: the compensated sum recovers the original
     # entries bitwise on the spike support
-    a_lr = attn.a * (1.0 + 0.1 * rng.standard_normal((8, 8)))
-    mask = attn.a > 0.1
-    resid = residual_sparse(attn, a_lr, mask)
+    a_lr = a * (1.0 + 0.1 * rng.standard_normal((8, 8)))
+    mask = a > 0.1
+    resid = residual_sparse(a, a_lr, mask)
     recon = resid + a_lr
-    np.testing.assert_array_equal(recon[mask], attn.a[mask])
+    np.testing.assert_array_equal(recon[mask], a[mask])
     np.testing.assert_array_equal(resid[~mask], np.zeros(int((~mask).sum())))
 
 
@@ -196,8 +196,8 @@ def test_reconstruct_background_error_within_loose_tolerance():
     grid = GridShape(6, 6, 6)
     q, k = synthetic_qk(grid, CFG, 0, row_norm=2.0)
     rec = reconstruct(q, k, grid, CFG, tau=0.05, e_tol=0.02, favor_dim=1024, seed=0)
-    attn = softmax_attention(logit_matrix(q, k, grid, CFG))
-    assert float(attn.a.max()) < 0.05  # tau sits above every background entry
+    a, _ = softmax_attention(logit_matrix(q, k, grid, CFG))
+    assert float(a.max()) < 0.05  # tau sits above every background entry
     assert rec.max_err_spike == 0.0
     assert rec.max_err_bg <= 0.02
 
@@ -217,17 +217,17 @@ def test_reconstruct_spike_support_and_rank_bound():
     grid = GridShape(4, 4, 4)
     q, k = synthetic_qk(grid, CFG, 2)
     rec = reconstruct(q, k, grid, CFG, tau=0.05, e_tol=0.02, favor_dim=32, seed=2)
-    attn = softmax_attention(logit_matrix(q, k, grid, CFG))
-    dec = energy_split(attn, 0.05)
-    assert dec.nnz > 0
-    np.testing.assert_array_equal(rec.spike_mask, dec.spike_mask)
+    a, _ = softmax_attention(logit_matrix(q, k, grid, CFG))
+    mask = energy_split(a, 0.05)
+    assert mask.any()
+    np.testing.assert_array_equal(rec.spike_mask, mask)
     assert rec.support_matches_spikes
     assert rec.max_err_spike == 0.0
     assert rec.rank_lowrank <= 32
-    np.testing.assert_array_equal(rec.a_final[rec.spike_mask], attn.a[rec.spike_mask])
+    np.testing.assert_array_equal(rec.a_final[rec.spike_mask], a[rec.spike_mask])
     np.testing.assert_array_equal(rec.a_final[~rec.spike_mask],
                                   lowrank_of(rec)[~rec.spike_mask])
-    assert rec.max_err_bg == float(np.abs(rec.a_final - attn.a)[~rec.spike_mask].max())
+    assert rec.max_err_bg == float(np.abs(rec.a_final - a)[~rec.spike_mask].max())
 
 
 def test_reconstruction_arrays_are_the_mask_and_the_two_rebuilds():
@@ -308,9 +308,9 @@ def test_log_space_lowrank_matches_the_direct_normalisation():
     q, k = synthetic_qk(grid, CFG, 5)
     rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, 32, 5)
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, rec.cutoffs)
-    attn = softmax_attention(logit_matrix(q, k, grid, CFG))
+    _, log_z = softmax_attention(logit_matrix(q, k, grid, CFG))
     direct = normalize_rows(approx_kernel(q_fac, k_fac, favor_map(q_fac.shape[1], 32, 5)),
-                            np.exp(attn.log_z))
+                            np.exp(log_z))
     np.testing.assert_allclose(lowrank_of(rec), direct, rtol=1e-12, atol=0)
 
 
@@ -338,11 +338,10 @@ def lowrank_branch(grid, favor_dim, row_norm, seed, tau=0.05, e_tol=0.02, favor_
     q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
-    attn = softmax_attention(logit_matrix(q, k, grid, CFG))
+    a, log_z = softmax_attention(logit_matrix(q, k, grid, CFG))
     favor_seed = seed if favor_seed is None else favor_seed
-    a_whole, left, right = lowrank_branch_whole(q_fac, k_fac, attn.log_z, favor_dim,
-                                                favor_seed)
-    fields = _lowrank_branch(attn, tau, q_fac, k_fac, favor_dim, favor_seed)
+    a_whole, left, right = lowrank_branch_whole(q_fac, k_fac, log_z, favor_dim, favor_seed)
+    fields = _lowrank_branch(a, log_z, tau, q_fac, k_fac, favor_dim, favor_seed)
     a_lowrank = lowrank_of(SimpleNamespace(**fields))
     assert a_lowrank.tobytes() == a_whole.tobytes()
     return a_lowrank, fields["rank_lowrank"], left, right
@@ -744,16 +743,14 @@ def reconstruct_whole(q, k, grid, tau, e_tol, favor_dim, seed):
     """(Reconstruction, a_lowrank): reconstruct with the two oracles in place
     of the row-blocked stages, and the rank counted from the dense SVD of
     a_lowrank."""
-    attn = softmax_attention(logit_matrix(q, k, grid, CFG))
-    dec = energy_split(attn, tau)
+    a, log_z = softmax_attention(logit_matrix(q, k, grid, CFG))
+    mask = energy_split(a, tau)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
-    a_lowrank = lowrank_branch_whole(q_fac, k_fac, attn.log_z, favor_dim, seed)[0]
-    rec = Reconstruction(tau=float(tau), e_tol=float(e_tol), spike_mask=dec.spike_mask,
-                         lowrank_on_spikes=a_lowrank[dec.spike_mask],
-                         rank_lowrank=numerical_rank(a_lowrank), nnz_sparse=dec.nnz,
-                         cutoffs=cutoffs, favor_dim=int(favor_dim),
-                         **error_fields_whole(attn.a, a_lowrank, dec.spike_mask))
+    a_lowrank = lowrank_branch_whole(q_fac, k_fac, log_z, favor_dim, seed)[0]
+    rec = Reconstruction(spike_mask=mask, lowrank_on_spikes=a_lowrank[mask],
+                         rank_lowrank=numerical_rank(a_lowrank), nnz_sparse=int(mask.sum()),
+                         cutoffs=cutoffs, **error_fields_whole(a, a_lowrank, mask))
     return rec, a_lowrank
 
 

@@ -442,7 +442,7 @@ def test_guaranteed_error_from_chosen_cutoffs():
 def test_chunked_frequency_magnitudes_match_the_direct_formula_bitwise(monkeypatch):
     # 7^3 = 343 rows: the row chunk does not divide L, so the last chunk is ragged
     grid = GridShape(7, 7, 7)
-    assert grid.size % rope3d.MAGNITUDE_CHUNK_ROWS != 0
+    assert grid.size % rope3d.SPLIT_BLOCK_ROWS != 0
     for cfg in (CFG, EMPTY_MIDDLE):
         q_mat, k_mat = random_qk(grid, cfg, 30)
         mags = frequency_magnitudes(q_mat, k_mat, cfg)
@@ -463,7 +463,7 @@ def test_chunked_frequency_magnitudes_match_the_direct_formula_bitwise(monkeypat
     deltas = [100.0, 30.0, 20.0, 15.0, 1.0]
     chunked = ([truncation_tail_bound(q_mat, k_mat, CFG, c) for c in cutoffs],
                [choose_truncation(q_mat, k_mat, CFG, d) for d in deltas])
-    monkeypatch.setattr(rope3d, "MAGNITUDE_CHUNK_ROWS", grid.size)
+    monkeypatch.setattr(rope3d, "SPLIT_BLOCK_ROWS", grid.size)
     whole = ([truncation_tail_bound(q_mat, k_mat, CFG, c) for c in cutoffs],
              [choose_truncation(q_mat, k_mat, CFG, d) for d in deltas])
     assert chunked == whole
