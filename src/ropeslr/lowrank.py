@@ -21,19 +21,21 @@ triangular factor, with the dense SVD as the fallback.
 The attention is built in the logits' own buffer, and the low-rank branch
 runs in three phases.  First the key features are made whole; they stay
 until the product is done.  Second, when R < L, the rank is certified before
-any row of a_lowrank exists: the scaled key factor is a copy of the key
-features, certified and dropped before the whole query features are made and
-scaled in place, so at most two L x R factors are live beside the attention
-(and, on the QR-core fallback, the QR's own copy).  Only then is the spike
-mask split off.  Third, a_lowrank is made PRODUCT_BLOCK_ROWS rows at a time
-in one reused scratch block: each block featurises its rows of the query
-factor, multiplies them by the key features and is scaled SPLIT_BLOCK_ROWS
-rows at a time.  While those rows are in cache their errors are read, their
-low-rank values on the spikes kept, and a_final written over them in the
-attention's own buffer.  So a_lowrank is never whole: reconstruct allocates
-one L x L float array, the logits, on which the attention and then a_final
-are written.  When R >= L the QR certificate reads a_lowrank, rebuilt from
-a_final and the kept spike values once the key features are dropped.
+any row of a_lowrank exists, each factor's Gram summed over blocks of
+CERT_BLOCK_ROWS rows: a block of the key features is copied and scaled, a
+block of the query features made and scaled, so the key features are the
+only L x R array beside the attention.  The QR-core fallback alone makes
+each scaled factor whole, one at a time, beside the QR's own copy.  Only
+then is the spike mask split off.  Third, a_lowrank is made
+PRODUCT_BLOCK_ROWS rows at a time in one reused scratch block: each block
+featurises its rows of the query factor, multiplies them by the key
+features and is scaled SPLIT_BLOCK_ROWS rows at a time.  While those rows
+are in cache their errors are read, their low-rank values on the spikes
+kept, and a_final written over them in the attention's own buffer.  So
+a_lowrank is never whole: reconstruct allocates one L x L float array, the
+logits, on which the attention and then a_final are written.  When R >= L
+the QR certificate reads a_lowrank, rebuilt from a_final and the kept spike
+values once the key features are dropped.
 """
 
 from __future__ import annotations
@@ -155,43 +157,72 @@ RANK_CERT_MARGIN = 2.0
 # absolute errors of underflow, at most 2^-1074 per operation, stay below
 # u mu in every entry's row (see _gram_certificate).
 _CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53
+_LN2 = math.log(2.0)
 
 
-def _gram_certificate(f) -> bool:
+def _gram_certificate(blocks) -> bool:
     """Whether lambda_min / lambda_max of f^T f, for a nonnegative L x R
-    factor f, is proved to be at least theta = RANK_CERT_MARGIN *
-    RANK_REL_TOL: with g the computed Gram f^T f, mu bounds lambda_max(f^T
-    f) and np.linalg.cholesky(g - s I) succeeds at s = (theta + eps) mu.
-    When both factors of left @ right.T pass, sigma_R / sigma_1 >= 1 /
-    (kappa(left) kappa(right)) >= theta.
+    factor f given in row blocks, is proved to be at least theta =
+    RANK_CERT_MARGIN * RANK_REL_TOL: with g the computed Gram f^T f, mu
+    bounds lambda_max(f^T f) and np.linalg.cholesky(g - s I) succeeds at s =
+    (theta + eps) mu.  When both factors of left @ right.T pass, sigma_R /
+    sigma_1 >= 1 / (kappa(left) kappa(right)) >= theta.
+
+    blocks yields pairs (f_b, log_w_b): f_b holds rows that stand for f_b
+    exp(log_w_b), and is scaled in place.  g is accumulated block by block
+    under a running power-of-two shift 2^k, k the least integer with k ln 2
+    at least every log weight so far: each block's rows are scaled by
+    exp(log_w_b - k ln 2), at most 1 to rounding, and its Gram is added to
+    g.  When a block raises k by d, g is first multiplied by 2^-2d with
+    np.ldexp.  So f is 2^-k times the rows f_b exp(log_w_b), to the
+    rounding of the weights, and no scaled copy of a whole factor exists:
+    the blocks, g, one block's Gram and the Cholesky factor are the arrays
+    held.
 
     With u = _U and gamma_n = _gamma(n) of linalg: for a nonnegative factor
-    every Gram entry is a sum of nonnegative products, so |g - f^T f| <=
-    gamma_L f^T f entrywise and in norm (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, section 3.5).  lambda_max(f^T f) is at
-    most its largest row sum (Perron-Frobenius), hence at most mu = (1 +
-    2 gamma_{L+R+4}) times g's computed largest row sum: the widening covers
-    the Gram's rounding, the sum's and the 4 roundings that form s.  A
-    successful Cholesky of the computed g - s I gives R^T R = g - s I + D +
-    dA with D the rounding of the diagonal subtraction, |D| <= u mu, and
-    |dA| <= gamma_{R+1} |R^T| |R| (ibid., Theorem 10.3).  ||(|R^T| |R|)||_2
-    is at most its trace, the trace of R^T R, so ||dA||_2 <= gamma_{R+1} R
-    mu / (1 - gamma_{R+1}).  Hence lambda_min(f^T f) >= s - (2 u + gamma_L +
-    gamma_{R+1} R / (1 - gamma_{R+1})) mu >= theta mu: eps is that sum, its
-    second u for underflow, whose errors, at most 2^-1074 per operation,
-    stay below u mu for mu >= _CERT_MIN_NORM (S. M. Rump, Verification of
-    positive definiteness, BIT 46, 2006, uses the same argument).
+    every Gram entry is a sum of L nonnegative products, and each product
+    meets at most L - 1 additions in whatever order the block GEMMs and the
+    accumulation add them, so |g - f^T f| <= gamma_L f^T f entrywise and in
+    norm (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sections 3.5 and 4.2).  A rescale by 2^-2d is exact but for underflow.
+    lambda_max(f^T f) is at most its largest row sum (Perron-Frobenius),
+    hence at most mu = (1 + 2 gamma_{L+R+4}) times g's computed largest row
+    sum: the widening covers the Gram's rounding, the sum's and the 4
+    roundings that form s.  A successful Cholesky of the computed g - s I
+    gives R^T R = g - s I + D + dA with D the rounding of the diagonal
+    subtraction, |D| <= u mu, and |dA| <= gamma_{R+1} |R^T| |R| (ibid.,
+    Theorem 10.3).  ||(|R^T| |R|)||_2 is at most its trace, the trace of R^T
+    R, so ||dA||_2 <= gamma_{R+1} R mu / (1 - gamma_{R+1}).  Hence
+    lambda_min(f^T f) >= s - (2 u + gamma_L + gamma_{R+1} R / (1 -
+    gamma_{R+1})) mu >= theta mu: eps is that sum, its second u for
+    underflow.  Underflow errs by at most 2^-1074 per product and per
+    rescale, and an entry meets at most L of each, so in a row of g they
+    add to at most 2 L R 2^-1074, below u mu for L R <= 2^51 and mu >=
+    _CERT_MIN_NORM (S. M. Rump, Verification of positive definiteness, BIT
+    46, 2006, uses the same argument).
 
-    f fails when its Cholesky meets a non-positive pivot, or when g's
-    largest row sum is not finite or is below _CERT_MIN_NORM.  A failure
-    costs the Gram and a Cholesky that stops at its first non-positive
-    pivot.  The Gram is the only R x R array held beside the Cholesky
-    factor."""
+    f fails when a block's largest log weight is not finite, when its
+    Cholesky meets a non-positive pivot, or when g's largest row sum is not
+    finite or is below _CERT_MIN_NORM.  A failure costs the Gram and a
+    Cholesky that stops at its first non-positive pivot."""
     theta = RANK_CERT_MARGIN * RANK_REL_TOL
-    ell, r = f.shape
-    eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
-    g = f.T @ f
+    g, k, ell = None, 0, 0
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite factor's sums
+        for f, log_w in blocks:
+            top = np.max(log_w) / _LN2
+            if not np.isfinite(top):
+                return False
+            if g is None:
+                k = math.ceil(top)
+            elif top > k:
+                old, k = k, math.ceil(top)
+                # every double times 2^-2200 is 0, and ldexp takes a C int
+                np.ldexp(g, max(2 * (old - k), -2200), out=g)
+            f *= np.exp(log_w - k * _LN2)[:, None]
+            g = f.T @ f if g is None else np.add(g, f.T @ f, out=g)
+            ell += len(f)
+        r = g.shape[0]
+        eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
         row_sum = g.sum(axis=1).max()
     if not _CERT_MIN_NORM <= row_sum < np.inf:
         return False
@@ -267,15 +298,26 @@ def _qr_rank_certificate(m) -> float:
 
 def _factored_rank(r: int, left, right) -> int:
     """Numerical rank of c left @ right.T, c > 0, for nonnegative L x R
-    factors with R = r < L.  left and right are functions that make the
-    factors; each result is dropped after its one use, so at most one
-    factor is whole at a time, right first.  r when both pass
-    _gram_certificate, else the count of the SVD of the R x R core Rl Rr^T
-    of the factors' thin QRs, which has the product's singular values:
-    never a dense L x L SVD."""
+    factors with R = r < L.  left and right are functions that make their
+    factor's row blocks afresh, as _gram_certificate reads them.  r when
+    both pass _gram_certificate, which reads a factor one block at a time,
+    right first; else the count of the SVD of the R x R core Rl Rr^T
+    of the thin QRs of the whole factors, which has the product's singular
+    values: never a dense L x L SVD.  Each whole factor, rows f exp(log_w -
+    max log_w), is made once, right first, and dropped before the other."""
     if _gram_certificate(right()) and _gram_certificate(left()):
         return r
-    return numerical_rank(np.linalg.qr(left(), mode="r") @ np.linalg.qr(right(), mode="r").T)
+    r_right = np.linalg.qr(_whole(right()), mode="r")
+    return numerical_rank(np.linalg.qr(_whole(left()), mode="r") @ r_right.T)
+
+
+def _whole(blocks) -> np.ndarray:
+    """The factor of row blocks (f_b, log_w_b), made whole and scaled by
+    exp(log_w - max log_w)."""
+    fs, log_ws = zip(*blocks)
+    f, log_w = np.concatenate(fs), np.concatenate(log_ws)
+    f *= np.exp(log_w - log_w.max())[:, None]
+    return f
 
 
 # Rows of a_lowrank featurised and multiplied together in _lowrank_branch.
@@ -284,6 +326,14 @@ def _factored_rank(r: int, left, right) -> int:
 # one GEMM, 0.26 s in blocks of 1024 rows, 0.28 s in blocks of 512 and 0.45 s
 # in blocks of 64.  A block of query features is then 4 MB.
 PRODUCT_BLOCK_ROWS = 512
+# Rows of each factor scaled and added to its Gram together in the rank
+# certificate of _lowrank_branch.  At L = 4096, R = 1024 on a 2-core
+# OpenBLAS host (cap input sets 0, 1, 3, 6 and 9, the first reconstruct of a
+# process), blocks of 1024 rows took 0.20-0.28 s for both certificates and
+# the process peaked at 242 MB, against 0.20-0.24 s and 262 MB with each
+# factor whole.  Blocks of 512 took 0.26-0.37 s, with smaller GEMMs and a
+# Gram product for every block; blocks of 2048 peaked at 254 MB.
+CERT_BLOCK_ROWS = 1024
 
 
 def _error_fields(folded, a_blk, lr_blk, spikes) -> tuple:
@@ -318,13 +368,15 @@ def _lowrank_branch(a, log_z, tau: float, q_fac, k_fac, favor_dim: int, seed: in
     a_lowrank is ever an L x L array.
 
     a_lowrank = c left @ right.T, c > 0, with left and right fq and fk scaled
-    by their sides of the exponent, each shifted by its largest; the row
+    by their sides of the exponent, each shifted by one constant; the row
     scaling must be there, as the rank threshold is not invariant under it.
     A certificate of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R)
     singular values above the threshold: when R < L it comes from a shifted
     Cholesky of each factor's R x R Gram, which proves lambda_min >= theta
     lambda_max for both (_gram_certificate; Rump, BIT 46, 2006; Higham,
-    2002, Theorem 10.3), and runs before the product and the spike mask;
+    2002, Theorem 10.3), and runs before the product and the spike mask, on
+    row blocks of CERT_BLOCK_ROWS: fk's copied, fq's featurised, so fq is
+    featurised again for the product;
     when R >= L from a QR of a_lowrank, rebuilt whole after the product, and
     the inverse of its triangular factor.  The fallbacks, the SVD of the QR
     core or of a_lowrank, compute the singular values to a small multiple of
@@ -337,13 +389,20 @@ def _lowrank_branch(a, log_z, tau: float, q_fac, k_fac, favor_dim: int, seed: in
     omegas = favor_map(q_fac.shape[1], favor_dim, seed)
     fk, mk = _stabilised_features_rows(k_fac, omegas)
     if favor_dim < ell:
-        def left():
-            fq, mq = _stabilised_features_rows(q_fac, omegas)
-            row_log = mq - log_z - log_r
-            fq *= np.exp(row_log - row_log.max())[:, None]
-            return fq
+        starts = range(0, ell, CERT_BLOCK_ROWS)
 
-        rank = _factored_rank(favor_dim, left, lambda: fk * np.exp(mk - mk.max())[:, None])
+        def left():
+            for start in starts:
+                rows = slice(start, start + CERT_BLOCK_ROWS)
+                fq, mq = _stabilised_features_rows(q_fac[rows], omegas)
+                yield fq, mq - log_z[rows] - log_r
+
+        def right():
+            for start in starts:
+                rows = slice(start, start + CERT_BLOCK_ROWS)
+                yield fk[rows].copy(), mk[rows]  # the certificate scales it in place
+
+        rank = _factored_rank(favor_dim, left, right)
     spike_mask = energy_split(a, tau)  # only now: not held through the certificate
     block = np.empty((min(ell, PRODUCT_BLOCK_ROWS), ell))
     folded, on_spikes = (0.0, True, 0.0), []

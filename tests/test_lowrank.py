@@ -30,6 +30,7 @@ from ropeslr.lowrank import (
     _stabilised_features_rows,
     _triangular_inverse,
     _truncated_svd_factors,
+    _whole,
     approx_kernel,
     favor_features_rows,
     favor_map,
@@ -347,10 +348,50 @@ def lowrank_branch(grid, favor_dim, row_norm, seed, tau=0.05, e_tol=0.02, favor_
     return a_lowrank, fields["rank_lowrank"], left, right
 
 
+def certificate(f) -> bool:
+    """_gram_certificate of the whole factor f as one block of unit
+    weights, whose Gram is f^T f."""
+    return _gram_certificate([(f.copy(), np.zeros(len(f)))])
+
+
 def certifies(left, right) -> bool:
     """Whether the Gram certificate proves sigma_R / sigma_1 >= theta for
     left @ right.T."""
-    return _gram_certificate(left) and _gram_certificate(right)
+    return certificate(left) and certificate(right)
+
+
+def factor_blocks(f, sizes=None, exp2=None):
+    """A maker of row blocks of f, as _factored_rank takes them: row p is
+    stored as f_p 2^-exp2[p] with log weight exp2[p] ln 2 (0 by default),
+    so the blocks stand for f's rows to the rounding of their weights.  The
+    blocks have the row counts sizes (one block by default) and are copied
+    afresh on every call, as the certificate scales them in place."""
+    exp2 = np.zeros(len(f), dtype=np.int64) if exp2 is None else np.asarray(exp2)
+    stored = np.ldexp(f, -exp2[:, None])
+    log_w = exp2 * math.log(2.0)
+    bounds = np.cumsum([0, *([len(f)] if sizes is None else sizes)])
+
+    def make():
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            yield stored[start:stop].copy(), log_w[start:stop]
+    return make
+
+
+def row_cuts(rng, ell, blocks):
+    """Row counts of min(blocks, ell) blocks of ell rows, cut at random rows."""
+    cuts = np.sort(rng.choice(np.arange(1, ell), min(blocks, ell) - 1, replace=False))
+    return np.diff(np.concatenate(([0], cuts, [ell])))
+
+
+def feature_exponents(rng, f):
+    """Row weight exponents for factor_blocks that store each row of a
+    nonnegative f as a featurised row is, its largest entry in [1/2, 1): the
+    exponent of that entry.  A zero row takes another row's at random."""
+    top = f.max(axis=1)
+    exp2 = np.frexp(top)[1]
+    if np.any(top > 0.0):
+        exp2[top == 0.0] = rng.choice(exp2[top > 0.0], int(np.sum(top == 0.0)))
+    return exp2
 
 
 def qr_core(left, right) -> np.ndarray:
@@ -382,7 +423,7 @@ def test_rank_certificate_fires_only_above_its_margin(shape, favor_dim, row_norm
                                                       certified, rank):
     _, got, left, right = lowrank_branch(GridShape(*shape), favor_dim, row_norm, 0)
     assert certifies(left, right) is certified
-    assert got == _factored_rank(favor_dim, lambda: left, lambda: right) == rank
+    assert got == _factored_rank(favor_dim, factor_blocks(left), factor_blocks(right)) == rank
 
 
 THETA = RANK_CERT_MARGIN * RANK_REL_TOL
@@ -410,7 +451,7 @@ def test_rank_certificate_of_factors_with_known_condition(s, bound, rank):
     # the certificate fires when that bound clears theta
     left = diagonal_factor(8, 2, s)
     assert certifies(left, left) is (bound >= THETA)
-    assert _factored_rank(2, lambda: left, lambda: left) == rank
+    assert _factored_rank(2, factor_blocks(left), factor_blocks(left)) == rank
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
@@ -476,26 +517,36 @@ def test_rank_certificate_falls_back_below_full_rank(seed, rank):
     assert numerical_rank(qr_core(left, right)) == rank
 
 
-@pytest.mark.parametrize("certified", [True, False])
-def test_factored_rank_makes_one_factor_at_a_time(certified):
-    # each factor is dropped before the other is made, right first, on the
-    # certificate and on the QR-core fallback alike
-    good = diagonal_factor(8, 2, 0.5)
-    right_factor = good if certified else diagonal_factor(8, 2, 0.0)
-    made = []
+@pytest.mark.parametrize("fails", [None, "right", "left"])
+def test_factored_rank_makes_one_factor_at_a_time(fails):
+    # the certificates read a factor one block at a time, right first, and
+    # keep at most the block before, so no factor is ever whole; the QR-core
+    # fallback makes each factor whole once more, right first, and drops it
+    # before the other is made
+    good = diagonal_factor(9, 2, 0.5)
+    bad = diagonal_factor(9, 2, 0.0)
+    made, live, fallback = [], [], []
 
     def maker(name, f):
+        inner = factor_blocks(f, (3, 3, 3))
+
         def make():
-            assert all(ref() is None for _, ref in made), (name, made)
-            out = f.copy()
-            made.append((name, weakref.ref(out)))
-            return out
+            assert all(ref() is None for ref in live), (name, made)
+            if name in made:  # the fallback starts when a factor is made again
+                fallback.append(name)
+            made.append(name)
+            for block in inner():
+                # at most the block before this one is still referenced
+                assert fallback or sum(ref() is not None for ref in live) <= 1, (name, made)
+                live.append(weakref.ref(block[0]))
+                yield block
         return make
 
-    rank = _factored_rank(2, maker("left", good), maker("right", right_factor))
-    assert rank == (2 if certified else 1)
-    assert [name for name, _ in made] == (["right", "left"] if certified
-                                          else ["right", "left", "right"])
+    rank = _factored_rank(2, maker("left", bad if fails == "left" else good),
+                          maker("right", bad if fails == "right" else good))
+    assert rank == (2 if fails is None else 1)
+    assert made == {None: ["right", "left"], "right": ["right", "right", "left"],
+                    "left": ["right", "left", "right", "left"]}[fails]
 
 
 @pytest.mark.parametrize("ell", [1, 5, TRI_INV_LEAF, TRI_INV_LEAF + 1, 200])
@@ -641,16 +692,20 @@ def test_qr_rank_certificate_is_below_the_svd_ratio(ell, ratio, exp2, seed):
 @PROPERTY
 @hypothesis.given(r=st.integers(1, 12), extra=st.integers(1, 20), ratio=NEAR_THETA,
                   noise=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]),
-                  exp2=st.integers(-500, 500), seed=st.integers(0, 2 ** 32 - 1))
-def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, seed):
+                  exp2=st.integers(-500, 500), blocks=st.integers(1, 5),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, blocks, seed):
     # a nonnegative L x R factor, R < L, whose Gram has lambda_min / lambda_max
     # about ratio before its nonnegative noise, its rows and columns shuffled,
-    # at scale 2^exp2 (below 2^-484 its Gram is under _CERT_MIN_NORM)
+    # at scale 2^exp2, read as a featurised factor is: in random row blocks,
+    # each row's largest entry in [1/2, 1) and its scale in its weight, so
+    # that the running shift rescales the Gram
     ell = r + extra
     rng = np.random.default_rng(seed)
     f = diagonal_factor(ell, r, ratio) + noise * rng.random((ell, r))
     f = np.ldexp(f[rng.permutation(ell)][:, rng.permutation(r)], exp2)
-    certified = quietly(_gram_certificate, f)
+    make = factor_blocks(f, row_cuts(rng, ell, blocks), feature_exponents(rng, f))
+    certified = quietly(_gram_certificate, make())
     if certified:
         sv = singular_values(f)
         slack = 4.0 * ell * EPS * sv[0]  # the reference's own rounding
@@ -663,14 +718,18 @@ def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, se
                   ratios=st.one_of(st.none(), NEAR_THETA.map(lambda x: (x, x)),
                                    st.tuples(NEAR_THETA, NEAR_THETA)),
                   exp2=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
-                  seed=st.integers(0, 2 ** 32 - 1))
-def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2, seed):
+                  blocks=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2, blocks,
+                                                  seed):
     # nonnegative L x R factors, R < L, each at scale 2^exp2: diagonal ones
     # with Gram ratios about theta (equal ratios put the product's there
     # too), whose product's singular values both paths compute exactly, so
     # they may sit at the rank threshold; or products of nonnegative L x k
     # and k x R factors, of rank k <= R, whose nonzero singular values lie
-    # far above the threshold and the others far below
+    # far above the threshold and the others far below.  Each is read as a
+    # featurised factor is, in random row blocks with its rows' scales in
+    # their weights, and the product is that of the whole factors the QR-core
+    # fallback ranks
     ell = r + extra
     rng = np.random.default_rng(seed)
     if ratios is None:
@@ -679,8 +738,33 @@ def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2,
         cols = rng.permutation(r)
         factors = [diagonal_factor(ell, r, ratio)[rng.permutation(ell)][:, cols]
                    for ratio in ratios]
-    left, right = (np.ldexp(f, e) for f, e in zip(factors, exp2))
-    assert _factored_rank(r, lambda: left, lambda: right) == numerical_rank(left @ right.T)
+    scaled = [np.ldexp(f, e) for f, e in zip(factors, exp2)]
+    left, right = (factor_blocks(f, row_cuts(rng, ell, blocks), feature_exponents(rng, f))
+                   for f in scaled)
+    product = _whole(left()) @ _whole(right()).T
+    assert _factored_rank(r, left, right) == numerical_rank(product)
+
+
+@pytest.mark.parametrize("ell,blocks", [(11, 3), (26, 4)])
+@pytest.mark.parametrize("top", [300, -300])
+@pytest.mark.parametrize("ratio,certified", [
+    (THETA * (1.0 + 1e-5), True), (THETA * (1.0 - 1e-5), False),
+])
+def test_rank_certificate_rescales_its_gram_when_a_later_block_weighs_more(
+        ell, blocks, top, ratio, certified):
+    # a diagonal factor at scale 2^top, stored as featurised rows are, with
+    # its largest row last and so in the last block, whose row count the
+    # block count does not divide; zero row p has weight 2^(top - 600 + p).
+    # The Gram of the rows before the last block is accumulated under a
+    # shift 2^15 below the last block's, and must be rescaled by 2^-30 to
+    # decide as the whole scaled factor does on either side of theta
+    near = np.ldexp(diagonal_factor(ell, 3, ratio), top)[np.r_[1:ell, 0]]
+    exp2 = np.frexp(near.max(axis=1))[1]
+    zero = np.flatnonzero(~near.any(axis=1))
+    exp2[zero] = top - 600 + zero
+    make = factor_blocks(near, [len(b) for b in np.array_split(near, blocks)], exp2)
+    assert quietly(_gram_certificate, make()) is certified
+    assert certificate(_whole(make())) is certified
 
 
 BAD_ENTRIES = [np.inf, -np.inf, np.nan]
@@ -701,7 +785,7 @@ def test_certificates_are_quiet_on_non_finite_or_underflowing_inputs(rows, extra
         f.flat[where % (rows * rows)] = bad  # in the square's rows too
     square = f[:rows]
     qr_bound = quietly(_qr_rank_certificate, square)
-    certified = quietly(_gram_certificate, f)
+    certified = quietly(certificate, f)
     energy = quietly(linalg._certified_spectral_energy, f)
     assert not certified
     if bad != "underflow" or not np.any(square):
@@ -882,11 +966,22 @@ def test_reconstruct_peaks_below_three_attention_matrices():
 
 def test_reconstruct_never_holds_the_query_features_beside_a_lowrank():
     # R = 512 < L = 1728: the attention and the key features (R / L) are
-    # whole; the query features, the mask and a block of a_lowrank join them
-    # in the product loop, 1.83 L^2 doubles in all, below 1.5 + 1.5 R / L =
-    # 1.94; the certificate's whole query features, Gram and Cholesky factor
-    # reach 1.79.  With a_lowrank whole it was 2.41, and 2.78 with the whole
+    # whole; a block of query features, the mask and a block of a_lowrank
+    # join them in the product loop, 1.83 L^2 doubles in all, below 1.5 +
+    # 1.5 R / L = 1.94; the certificate's blocks, Gram and Cholesky factor
+    # reach 1.70.  With a_lowrank whole it was 2.41, and 2.78 with the whole
     # query features beside it
     grid, favor_dim = GridShape(12, 12, 12), 512
     peak = reconstruct_peak(grid, favor_dim)
     assert peak < 1.5 + 1.5 * favor_dim / grid.size, peak
+
+
+def test_rank_certificate_holds_no_whole_scaled_factor():
+    # R = 1024 < L = 1728, and seed 0 certifies.  The certificate reads each
+    # factor in blocks of CERT_BLOCK_ROWS rows beside the attention and the
+    # key features; the last block, the one before it or the block's Gram,
+    # and the accumulated Gram reach 2.56 L^2 doubles, the product loop
+    # 2.21.  With a scaled copy of the key features, and then the whole
+    # scaled query features, the certificate reached 2.91
+    peak = reconstruct_peak(GridShape(12, 12, 12), 1024)
+    assert peak < 2.6, peak
