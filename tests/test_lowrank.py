@@ -693,18 +693,22 @@ def test_qr_rank_certificate_is_below_the_svd_ratio(ell, ratio, exp2, seed):
 @hypothesis.given(r=st.integers(1, 12), extra=st.integers(1, 20), ratio=NEAR_THETA,
                   noise=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]),
                   exp2=st.integers(-500, 500), blocks=st.integers(1, 5),
-                  seed=st.integers(0, 2 ** 32 - 1))
-def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, blocks, seed):
+                  featurised=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, blocks,
+                                                featurised, seed):
     # a nonnegative L x R factor, R < L, whose Gram has lambda_min / lambda_max
     # about ratio before its nonnegative noise, its rows and columns shuffled,
-    # at scale 2^exp2, read as a featurised factor is: in random row blocks,
-    # each row's largest entry in [1/2, 1) and its scale in its weight, so
-    # that the running shift rescales the Gram
+    # at scale 2^exp2, read in random row blocks.  With unit weights the
+    # blocks hold f's rows at that scale (below 2^-484 its Gram is under
+    # _CERT_MIN_NORM); featurised, as a featurised factor is read, each row's
+    # largest entry in [1/2, 1) and its scale in its weight, so that the
+    # running shift rescales the Gram
     ell = r + extra
     rng = np.random.default_rng(seed)
     f = diagonal_factor(ell, r, ratio) + noise * rng.random((ell, r))
     f = np.ldexp(f[rng.permutation(ell)][:, rng.permutation(r)], exp2)
-    make = factor_blocks(f, row_cuts(rng, ell, blocks), feature_exponents(rng, f))
+    exp2_rows = feature_exponents(rng, f) if featurised else None
+    make = factor_blocks(f, row_cuts(rng, ell, blocks), exp2_rows)
     certified = quietly(_gram_certificate, make())
     if certified:
         sv = singular_values(f)
@@ -718,18 +722,20 @@ def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, bl
                   ratios=st.one_of(st.none(), NEAR_THETA.map(lambda x: (x, x)),
                                    st.tuples(NEAR_THETA, NEAR_THETA)),
                   exp2=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
-                  blocks=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+                  blocks=st.integers(1, 5), featurised=st.booleans(),
+                  seed=st.integers(0, 2 ** 32 - 1))
 def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2, blocks,
-                                                  seed):
+                                                  featurised, seed):
     # nonnegative L x R factors, R < L, each at scale 2^exp2: diagonal ones
     # with Gram ratios about theta (equal ratios put the product's there
     # too), whose product's singular values both paths compute exactly, so
     # they may sit at the rank threshold; or products of nonnegative L x k
     # and k x R factors, of rank k <= R, whose nonzero singular values lie
-    # far above the threshold and the others far below.  Each is read as a
-    # featurised factor is, in random row blocks with its rows' scales in
-    # their weights, and the product is that of the whole factors the QR-core
-    # fallback ranks
+    # far above the threshold and the others far below.  Each is read in
+    # random row blocks.  With unit weights the blocks hold the scaled
+    # factors' rows as they are, and the rank is that of their product;
+    # featurised, each row's scale is in its weight, and the rank is that of
+    # the product of the whole factors the QR-core fallback ranks
     ell = r + extra
     rng = np.random.default_rng(seed)
     if ratios is None:
@@ -738,10 +744,15 @@ def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2,
         cols = rng.permutation(r)
         factors = [diagonal_factor(ell, r, ratio)[rng.permutation(ell)][:, cols]
                    for ratio in ratios]
-    scaled = [np.ldexp(f, e) for f, e in zip(factors, exp2)]
-    left, right = (factor_blocks(f, row_cuts(rng, ell, blocks), feature_exponents(rng, f))
-                   for f in scaled)
-    product = _whole(left()) @ _whole(right()).T
+    left_raw, right_raw = (np.ldexp(f, e) for f, e in zip(factors, exp2))
+    if featurised:
+        left, right = (factor_blocks(f, row_cuts(rng, ell, blocks), feature_exponents(rng, f))
+                       for f in (left_raw, right_raw))
+        product = _whole(left()) @ _whole(right()).T
+    else:
+        left, right = (factor_blocks(f, row_cuts(rng, ell, blocks))
+                       for f in (left_raw, right_raw))
+        product = left_raw @ right_raw.T
     assert _factored_rank(r, left, right) == numerical_rank(product)
 
 
@@ -964,24 +975,19 @@ def test_reconstruct_peaks_below_three_attention_matrices():
     assert peak < 1.65, peak
 
 
-def test_reconstruct_never_holds_the_query_features_beside_a_lowrank():
+@pytest.mark.parametrize("favor_dim,bound", [(512, 1.5 + 1.5 * 512 / 1728), (1024, 2.6)])
+def test_reconstruct_never_holds_the_query_features_beside_a_lowrank(favor_dim, bound):
     # R = 512 < L = 1728: the attention and the key features (R / L) are
     # whole; a block of query features, the mask and a block of a_lowrank
     # join them in the product loop, 1.83 L^2 doubles in all, below 1.5 +
     # 1.5 R / L = 1.94; the certificate's blocks, Gram and Cholesky factor
     # reach 1.70.  With a_lowrank whole it was 2.41, and 2.78 with the whole
-    # query features beside it
-    grid, favor_dim = GridShape(12, 12, 12), 512
-    peak = reconstruct_peak(grid, favor_dim)
-    assert peak < 1.5 + 1.5 * favor_dim / grid.size, peak
-
-
-def test_rank_certificate_holds_no_whole_scaled_factor():
+    # query features beside it.
     # R = 1024 < L = 1728, and seed 0 certifies.  The certificate reads each
     # factor in blocks of CERT_BLOCK_ROWS rows beside the attention and the
     # key features; the last block, the one before it or the block's Gram,
     # and the accumulated Gram reach 2.56 L^2 doubles, the product loop
     # 2.21.  With a scaled copy of the key features, and then the whole
     # scaled query features, the certificate reached 2.91
-    peak = reconstruct_peak(GridShape(12, 12, 12), 1024)
-    assert peak < 2.6, peak
+    peak = reconstruct_peak(GridShape(12, 12, 12), favor_dim)
+    assert peak < bound, peak
