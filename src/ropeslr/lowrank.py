@@ -11,35 +11,21 @@ approximation error lives on the background.
 
 The features are row-max stabilised and the renormalisation is done in log
 space, so any finite logits work: no partition value exp(log_z) is formed.
-The low-rank matrix diag(1/z) phi(Q) phi(K)^T is a product of two L x R
-factors; when R < L its rank is certified by a Cholesky of each factor's
-R x R Gram, shifted by its rounding allowance, with QRs and an SVD of the
-R x R core as the fallback, never a dense L x L SVD.  When R >= L it is
-certified from a QR of the L x L matrix and the blocked inverse of its
-triangular factor, with the dense SVD as the fallback.
+The rank of the low-rank matrix diag(1/z) phi(Q) phi(K)^T, a product of two
+L x R factors, is certified: when R < L by a shifted Cholesky of each
+factor's R x R Gram, with the SVD of a QR core as the fallback, never a
+dense L x L SVD; when R >= L by a QR of the L x L matrix.
 
-The attention is built in the logits' own buffer, and the low-rank branch
-runs in three phases.  First the key features are made whole; they stay
-until the product is done.  Second, when R < L, the rank is certified before
-any row of a_lowrank exists, each factor's Gram summed over blocks of
-CERT_BLOCK_ROWS rows: a block of the key features is copied and scaled, a
-block of the query features made and scaled, so the key features are the
-only L x R array beside the attention.  The QR-core fallback alone makes
-each scaled factor whole, one at a time, beside the QR's own copy.  Only
-then is the spike mask split off.  Third, a_lowrank is made
-PRODUCT_BLOCK_ROWS rows at a time in one reused scratch block: each block
-featurises its rows of the query factor, multiplies them by the key
-features and is scaled SPLIT_BLOCK_ROWS rows at a time.  While those rows
-are in cache their errors are read, their low-rank values on the spikes
-kept, and a_final written over them in the attention's own buffer.  So
-a_lowrank is never whole: reconstruct allocates one L x L float array, the
-logits, on which the attention and then a_final are written.  When R >= L
-the QR certificate reads a_lowrank, rebuilt from a_final and the kept spike
-values once the key features are dropped.
+The attention, its spikes, a_lowrank and a_final are made in one pass over
+blocks of PRODUCT_BLOCK_ROWS rows, in two reused blocks, and the errors are
+folded as they go.  When R < L the pass yields each block's query features
+to the left factor's Gram certificate, so no L x L array is made; when
+R >= L the QR certificate reads a_lowrank, written whole by the pass.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -47,13 +33,13 @@ from typing import Tuple
 import numpy as np
 
 from . import InvalidInput
-from .decomposition import DESK_CAP, energy_split, softmax_attention
+from .decomposition import DESK_CAP, row_softmax
 from .linalg import RANK_REL_TOL, SPLIT_BLOCK_ROWS, _U, _gamma, as_matrix, numerical_rank
 from .rope3d import (
     GridShape,
     RopeConfig,
     choose_truncation,
-    logit_matrix,
+    logit_rows,
     rotate_rows,
     selected_pair_columns,
 )
@@ -62,11 +48,9 @@ from .rope3d import (
 def favor_map(input_dim: int, feature_dim: int, seed: int) -> np.ndarray:
     """Gaussian feature directions, drawn once and shared between the query
     and key featurizations (sharing is what makes the estimator unbiased):
-    a C-contiguous (input_dim, R) array, one direction per column.
-    The layout does not avoid the stall in which small OpenBLAS products ran
-    about 100 times slower in a few fresh processes: on a 2-core host it hit
-    the first 2-thread process after a minute of idle, for about a second
-    and with either operand layout, and never a 1-thread process."""
+    a C-contiguous (input_dim, R) array, one direction per column.  No
+    layout avoids the second-long stall of small OpenBLAS products in the
+    first 2-thread process after a minute of idle on a 2-core host."""
     if input_dim < 1 or feature_dim < 1:
         raise ValueError("feature map dimensions must be positive")
     rng = np.random.default_rng(seed)
@@ -176,8 +160,8 @@ def _gram_certificate(blocks) -> bool:
     g.  When a block raises k by d, g is first multiplied by 2^-2d with
     np.ldexp.  So f is 2^-k times the rows f_b exp(log_w_b), to the
     rounding of the weights, and no scaled copy of a whole factor exists:
-    the blocks, g, one block's Gram and the Cholesky factor are the arrays
-    held.
+    one block, g, one reused scratch for a block's Gram and the Cholesky
+    factor are the arrays held.
 
     With u = _U and gamma_n = _gamma(n) of linalg: for a nonnegative factor
     every Gram entry is a sum of L nonnegative products, and each product
@@ -201,10 +185,11 @@ def _gram_certificate(blocks) -> bool:
     _CERT_MIN_NORM (S. M. Rump, Verification of positive definiteness, BIT
     46, 2006, uses the same argument).
 
-    f fails when a block's largest log weight is not finite, when its
-    Cholesky meets a non-positive pivot, or when g's largest row sum is not
-    finite or is below _CERT_MIN_NORM.  A failure costs the Gram and a
-    Cholesky that stops at its first non-positive pivot."""
+    f fails when it has no rows, when a block's largest log weight is not
+    finite, when its Cholesky meets a non-positive pivot, or when g's
+    largest row sum is not finite or is below _CERT_MIN_NORM.  A failure
+    costs the Gram and a Cholesky that stops at its first non-positive
+    pivot."""
     theta = RANK_CERT_MARGIN * RANK_REL_TOL
     g, k, ell = None, 0, 0
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite factor's sums
@@ -213,14 +198,19 @@ def _gram_certificate(blocks) -> bool:
             if not np.isfinite(top):
                 return False
             if g is None:
-                k = math.ceil(top)
+                k, g = math.ceil(top), np.zeros((f.shape[1],) * 2)
+                gram = np.empty_like(g)
             elif top > k:
                 old, k = k, math.ceil(top)
                 # every double times 2^-2200 is 0, and ldexp takes a C int
                 np.ldexp(g, max(2 * (old - k), -2200), out=g)
             f *= np.exp(log_w - k * _LN2)[:, None]
-            g = f.T @ f if g is None else np.add(g, f.T @ f, out=g)
+            np.add(g, np.matmul(f.T, f, out=gram), out=g)
             ell += len(f)
+            del f, log_w  # not held while the next block is made
+        if g is None:
+            return False
+        del gram  # not held through the Cholesky
         r = g.shape[0]
         eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
         row_sum = g.sum(axis=1).max()
@@ -296,169 +286,149 @@ def _qr_rank_certificate(m) -> float:
     return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_t) - delta)
 
 
-def _factored_rank(r: int, left, right) -> int:
+def _factored_rank(r: int, stream, left, right) -> int:
     """Numerical rank of c left @ right.T, c > 0, for nonnegative L x R
-    factors with R = r < L.  left and right are functions that make their
-    factor's row blocks afresh, as _gram_certificate reads them.  r when
-    both pass _gram_certificate, which reads a factor one block at a time,
-    right first; else the count of the SVD of the R x R core Rl Rr^T
-    of the thin QRs of the whole factors, which has the product's singular
-    values: never a dense L x L SVD.  Each whole factor, rows f exp(log_w -
-    max log_w), is made once, right first, and dropped before the other."""
-    if _gram_certificate(right()) and _gram_certificate(left()):
+    factors with R = r < L in row blocks: right() and left() make them, and
+    stream yields left's once, as a loop doing other work may.  r when both
+    pass _gram_certificate, right first; stream is read to its end all the
+    same.  Else the count of the SVD of the R x R core of the thin QRs of
+    the whole factors, made once each, right first.  No left rows: 0."""
+    certified = _gram_certificate(right()) and _gram_certificate(stream)
+    collections.deque(stream, maxlen=0)  # the rest of stream's work
+    if certified:
         return r
     r_right = np.linalg.qr(_whole(right()), mode="r")
-    return numerical_rank(np.linalg.qr(_whole(left()), mode="r") @ r_right.T)
+    blocks = list(left())
+    return numerical_rank(np.linalg.qr(_whole(blocks), mode="r") @ r_right.T) if blocks else 0
 
 
 def _whole(blocks) -> np.ndarray:
-    """The factor of row blocks (f_b, log_w_b), made whole and scaled by
-    exp(log_w - max log_w)."""
+    """The factor of row blocks (f_b, log_w_b), whole, times exp(log_w - max log_w)."""
     fs, log_ws = zip(*blocks)
     f, log_w = np.concatenate(fs), np.concatenate(log_ws)
     f *= np.exp(log_w - log_w.max())[:, None]
     return f
 
 
-# Rows of a_lowrank featurised and multiplied together in _lowrank_branch.
-# Each product call repacks fk.T, so small blocks pay for it: at L = 4096,
-# R = 1024 on a 2-core OpenBLAS host (best of 8), the product took 0.25 s as
-# one GEMM, 0.26 s in blocks of 1024 rows, 0.28 s in blocks of 512 and 0.45 s
-# in blocks of 64.  A block of query features is then 4 MB.
+# Rows of the attention and of a_lowrank made together in _lowrank_branch.
+# At L = 4096, R = 1024 on a 2-core OpenBLAS host (cap input sets 1-3, a
+# process each, 3 runs), a reconstruct took 0.63-0.65 s and the process
+# peaked at 133 MB in blocks of 512 rows, 0.63-0.67 s and 174 MB in blocks
+# of 1024, and 0.66-0.70 s and 114 MB in blocks of 256.
 PRODUCT_BLOCK_ROWS = 512
-# Rows of each factor scaled and added to its Gram together in the rank
-# certificate of _lowrank_branch.  At L = 4096, R = 1024 on a 2-core
-# OpenBLAS host (cap input sets 0, 1, 3, 6 and 9, the first reconstruct of a
-# process), blocks of 1024 rows took 0.20-0.28 s for both certificates and
-# the process peaked at 242 MB, against 0.20-0.24 s and 262 MB with each
-# factor whole.  Blocks of 512 took 0.26-0.37 s, with smaller GEMMs and a
-# Gram product for every block; blocks of 2048 peaked at 254 MB.
+# Rows of the key features added to their Gram together in the right
+# factor's certificate.  At L = 4096, R = 1024 on that host it took 69-73 ms
+# in blocks of 1024 rows and 84-90 ms in blocks of 512 (best and median of
+# 8), with the same process peak.
 CERT_BLOCK_ROWS = 1024
 
 
 def _error_fields(folded, a_blk, lr_blk, spikes) -> tuple:
-    """(folded, the low-rank values on the spikes in row-major order) for one
-    more block of rows: folded is (max_err_bg, support_matches_spikes,
-    max_err_spike) over the rows so far, and a_final is written into a_blk.
-    The errors are read, then the background entries are replaced by
-    lr_blk's.  The compensator a - a_lowrank is nonzero on a spike exactly
-    when the two differ there, so the support check reads the spikes alone."""
+    """folded, (max_err_bg, support_matches_spikes, max_err_spike) over the
+    rows so far, with one more block folded in, and a_final written into
+    a_blk over its background.  The compensator a - a_lowrank is nonzero on
+    a spike exactly when the two differ there, so support reads the spikes."""
     max_bg, support, max_spike = folded
     background = ~spikes
     err = np.subtract(lr_blk, a_blk)
     max_bg = np.maximum(max_bg, np.max(np.abs(err, out=err), where=background, initial=0.0))
-    a_spikes, lr_spikes = a_blk[spikes], lr_blk[spikes]
-    support = support and bool(np.all(a_spikes != lr_spikes))
+    a_spikes = a_blk[spikes]
+    support = support and bool(np.all(a_spikes != lr_blk[spikes]))
     np.copyto(a_blk, lr_blk, where=background)
     max_spike = np.maximum(max_spike, np.max(np.abs(a_blk[spikes] - a_spikes), initial=0.0))
-    return (max_bg, support, max_spike), lr_spikes
+    return max_bg, support, max_spike
 
 
-def _lowrank_branch(a, log_z, tau: float, q_fac, k_fac, favor_dim: int, seed: int) -> dict:
-    """The Reconstruction fields of the spike split at tau of the attention
-    a, whose rows' log partition values are log_z, and of the low-rank
-    attention a_lowrank, with a_final written over a.
-
-    a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j): the
-    stabilised features are at most 1 and the exponent is a log attention
-    weight, so neither side overflows.  fk is made whole; fq is made one
-    block of PRODUCT_BLOCK_ROWS rows at a time and multiplied into one
-    reused scratch block, which is scaled and then folded by _error_fields
-    SPLIT_BLOCK_ROWS rows at a time, so neither fq, the exponent nor
-    a_lowrank is ever an L x L array.
+def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim: int,
+                    seed: int) -> dict:
+    """The Reconstruction fields but the cutoffs: of the attention of the
+    rotated rows rq and rk, its spikes above tau, and the low-rank attention
+    a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j) of
+    the truncated factors.  The stabilised features are at most 1 and the
+    exponent is a log attention weight, so neither side overflows.  fk is
+    made whole; each block featurises its rows of q_fac once, into fq.
+    Every block is bitwise those rows of the whole matrices.
 
     a_lowrank = c left @ right.T, c > 0, with left and right fq and fk scaled
     by their sides of the exponent, each shifted by one constant; the row
     scaling must be there, as the rank threshold is not invariant under it.
-    A certificate of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R)
-    singular values above the threshold: when R < L it comes from a shifted
-    Cholesky of each factor's R x R Gram, which proves lambda_min >= theta
-    lambda_max for both (_gram_certificate; Rump, BIT 46, 2006; Higham,
-    2002, Theorem 10.3), and runs before the product and the spike mask, on
-    row blocks of CERT_BLOCK_ROWS: fk's copied, fq's featurised, so fq is
-    featurised again for the product;
-    when R >= L from a QR of a_lowrank, rebuilt whole after the product, and
-    the inverse of its triangular factor.  The fallbacks, the SVD of the QR
-    core or of a_lowrank, compute the singular values to a small multiple of
-    sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L = 4096, R = 1024), so the
-    margin's 1e-9 sigma_1 of room means they count min(L, R) too.  When R <
-    L and c underflows, so that a_lowrank is all zero, its rank 0 is
-    returned, as the QR path gives when R >= L."""
+    Only the rows of fq whose row of a_lowrank does not underflow to zero
+    enter left, so the rank is that of the nonzero rows, unrounded (when its
+    entries are subnormal, a_lowrank's own rank can be lower).  A certificate of
+    RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R) singular values above
+    the threshold: when R < L from a shifted Cholesky of each factor's Gram,
+    fk's in CERT_BLOCK_ROWS row blocks before the pass and fq's as the pass
+    yields it; when R >= L from a QR of a_lowrank.  The fallbacks, the SVD
+    of the QR core (fq made whole once more) or of a_lowrank, err by a small
+    multiple of sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L = 4096, R = 1024),
+    so with the margin's 1e-9 sigma_1 of room they count min(L, R) too."""
     ell = q_fac.shape[0]
     log_r = math.log(favor_dim)
     omegas = favor_map(q_fac.shape[1], favor_dim, seed)
     fk, mk = _stabilised_features_rows(k_fac, omegas)
-    if favor_dim < ell:
-        starts = range(0, ell, CERT_BLOCK_ROWS)
+    whole = favor_dim >= ell  # the QR certificate reads a_lowrank whole
+    product = np.empty((ell, ell)) if whole else None
+    log_z, nonzero = np.empty(ell), np.empty(ell, dtype=bool)
+    folded, nnz = (0.0, True, 0.0), 0
 
-        def left():
-            for start in starts:
-                rows = slice(start, start + CERT_BLOCK_ROWS)
-                fq, mq = _stabilised_features_rows(q_fac[rows], omegas)
-                yield fq, mq - log_z[rows] - log_r
+    def stream():  # its blocks are freed when it ends
+        nonlocal folded, nnz
+        attention = np.empty((min(ell, PRODUCT_BLOCK_ROWS), ell))
+        lr_rows = product if whole else np.empty_like(attention)
+        for start in range(0, ell, PRODUCT_BLOCK_ROWS):
+            rows = slice(start, start + PRODUCT_BLOCK_ROWS)
+            fq, mq = _stabilised_features_rows(q_fac[rows], omegas)
+            n = len(fq)
+            a_blk, log_z[rows] = row_softmax(as_matrix(logit_rows(rq[rows], rk, cfg,
+                                                                  out=attention[:n])))
+            spikes = a_blk > tau
+            nnz += int(np.count_nonzero(spikes))
+            lr_blk = np.matmul(fq, fk.T, out=lr_rows[rows] if whole else lr_rows[:n])
+            row_log = mq - log_z[rows] - log_r
+            for sub in range(0, n, SPLIT_BLOCK_ROWS):
+                part = slice(sub, sub + SPLIT_BLOCK_ROWS)
+                lr = lr_blk[part]
+                scale = np.add.outer(row_log[part], mk)
+                lr *= np.exp(scale, out=scale)
+                del scale  # not held through the fold
+                # lr >= 0, and a row max takes half the time of a row any
+                nonzero[start + sub:start + sub + SPLIT_BLOCK_ROWS] = lr.max(axis=1) > 0.0
+                folded = _error_fields(folded, a_blk[part], lr, spikes[part])
+            keep = nonzero[rows]
+            if keep.any():
+                yield (fq, row_log) if keep.all() else (fq[keep], row_log[keep])
+            del fq  # not held while the next block is made
 
-        def right():
-            for start in starts:
-                rows = slice(start, start + CERT_BLOCK_ROWS)
-                yield fk[rows].copy(), mk[rows]  # the certificate scales it in place
+    def left():
+        kept = np.flatnonzero(nonzero)
+        if kept.size:
+            fq, mq = _stabilised_features_rows(q_fac[kept], omegas)
+            yield fq, mq - log_z[kept] - log_r
 
-        rank = _factored_rank(favor_dim, left, right)
-    spike_mask = energy_split(a, tau)  # only now: not held through the certificate
-    block = np.empty((min(ell, PRODUCT_BLOCK_ROWS), ell))
-    folded, on_spikes = (0.0, True, 0.0), []
-    nonzero = False
-    for start in range(0, ell, PRODUCT_BLOCK_ROWS):
-        fq, mq = _stabilised_features_rows(q_fac[start:start + PRODUCT_BLOCK_ROWS], omegas)
-        blk = block[:len(fq)]
-        np.matmul(fq, fk.T, out=blk)
-        del fq
-        row_log = mq - log_z[start:start + PRODUCT_BLOCK_ROWS] - log_r
-        for sub in range(0, len(blk), SPLIT_BLOCK_ROWS):
-            lr = blk[sub:sub + SPLIT_BLOCK_ROWS]
-            scale = np.add.outer(row_log[sub:sub + SPLIT_BLOCK_ROWS], mk)
-            lr *= np.exp(scale, out=scale)
-            del scale  # not held through the fold
-            # read while the rows are in cache, and only until one is nonzero
-            nonzero = nonzero or bool(np.any(lr))
-            rows = slice(start + sub, start + sub + SPLIT_BLOCK_ROWS)
-            folded, values = _error_fields(folded, a[rows], lr, spike_mask[rows])
-            on_spikes.append(values)
-    del fk, block  # not held through the QR certificate
+    def right():  # copies, as the certificate scales its blocks in place
+        return ((fk[s:s + CERT_BLOCK_ROWS].copy(), mk[s:s + CERT_BLOCK_ROWS])
+                for s in range(0, ell, CERT_BLOCK_ROWS))
+
+    if whole:
+        collections.deque(stream(), maxlen=0)
+        del fk  # not held through the QR certificate
+        certified = _qr_rank_certificate(product) >= RANK_CERT_MARGIN * RANK_REL_TOL
+        rank = ell if certified else numerical_rank(product)
+    else:
+        rank = _factored_rank(favor_dim, stream(), left, right)
     max_bg, support, max_spike = folded
-    on_spikes = np.concatenate(on_spikes)
-    if favor_dim >= ell:
-        a_lowrank = a.copy()
-        a_lowrank[spike_mask] = on_spikes
-        certified = _qr_rank_certificate(a_lowrank) >= RANK_CERT_MARGIN * RANK_REL_TOL
-        rank = ell if certified else numerical_rank(a_lowrank)
-    elif not nonzero:
-        rank = 0  # c underflowed: the factors' rank is not a_lowrank's
-    return dict(spike_mask=spike_mask, a_final=a, lowrank_on_spikes=on_spikes,
-                rank_lowrank=rank, nnz_sparse=int(spike_mask.sum()),
-                max_err_spike=float(max_spike), max_err_bg=float(max_bg),
-                support_matches_spikes=support)
+    return dict(rank_lowrank=rank, nnz_sparse=nnz, max_err_spike=float(max_spike),
+                max_err_bg=float(max_bg), support_matches_spikes=support)
 
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Sparse-plus-low-rank rebuild of an attention matrix.
+    """The scalars of a sparse-plus-low-rank rebuild a_final of attention a:
+    a on the spike set (the residual branch is an exact compensator there)
+    and the low-rank attention a_lowrank elsewhere, so max_err_spike, read
+    off each block of a_final as it is written, is 0.  support_matches_spikes
+    is whether a - a_lowrank is nonzero on every spike.  No array is kept."""
 
-    a_final equals the original attention bitwise on the spike set (the
-    residual branch is an exact compensator there) and equals the low-rank
-    attention a_lowrank on the background; max_err_spike is therefore
-    exactly 0 on every run.  a_lowrank is not kept whole: lowrank_on_spikes
-    holds its values on the spike set in row-major order, so a_lowrank is
-    a_final with lowrank_on_spikes put back at spike_mask.
-    support_matches_spikes records whether the compensator a - a_lowrank is
-    nonzero on every spike; it is zero off the spikes by construction, so
-    only the spike entries are compared, and the compensator is not kept.
-    The errors are folded over blocks of rows, and a_final is the buffer of
-    the attention it was measured against, overwritten off the spikes.
-    """
-
-    spike_mask: np.ndarray
-    a_final: np.ndarray
-    lowrank_on_spikes: np.ndarray
     rank_lowrank: int
     nnz_sparse: int
     max_err_spike: float
@@ -484,20 +454,13 @@ def check_reconstruct(grid: GridShape, tau: float, e_tol: float, favor_dim: int)
 
 def reconstruct(q_mat, k_mat, grid: GridShape, cfg: RopeConfig, tau: float,
                 e_tol: float, favor_dim: int, seed: int) -> Reconstruction:
-    """End-to-end rebuild against the exact attention built from (q, k).
-
-    The truncation tolerance is delta = e_tol / (4 tau), matching the error
-    budget that makes the background error at most e_tol when the random
-    feature estimate concentrates.
-    """
+    """End-to-end rebuild against the exact attention built from (q, k).  The
+    truncation tolerance e_tol / (4 tau) is the error budget that makes the
+    background error at most e_tol when the random feature estimate
+    concentrates."""
     check_reconstruct(grid, tau, e_tol, favor_dim)
-    a, log_z = softmax_attention(logit_matrix(q_mat, k_mat, grid, cfg))
-
-    delta = e_tol / (4.0 * tau)
-    cutoffs = choose_truncation(q_mat, k_mat, cfg, delta)
+    rq, rk = rotate_rows(q_mat, grid, cfg), rotate_rows(k_mat, grid, cfg)
+    cutoffs = choose_truncation(q_mat, k_mat, cfg, e_tol / (4.0 * tau))
     q_fac, k_fac = _truncated_svd_factors(q_mat, k_mat, grid, cfg, cutoffs)
-
-    # the branch splits off the spike mask after its rank certificate and
-    # writes a_final over a, which is not used after it
     return Reconstruction(cutoffs=cutoffs,
-                          **_lowrank_branch(a, log_z, tau, q_fac, k_fac, favor_dim, seed))
+                          **_lowrank_branch(rq, rk, cfg, tau, q_fac, k_fac, favor_dim, seed))

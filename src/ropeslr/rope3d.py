@@ -167,11 +167,14 @@ def logit_direct(q, k, p: int, q_pos: int, grid: GridShape, cfg: RopeConfig) -> 
 
 
 def logit_matrix(q_mat, k_mat, grid: GridShape, cfg: RopeConfig) -> np.ndarray:
-    """Full L x L pre-softmax logit matrix, 1/sqrt(d_h) scaled in place, so
-    the product is the only L x L array made."""
-    rq = rotate_rows(q_mat, grid, cfg)
-    rk = rotate_rows(k_mat, grid, cfg)
-    s = rq @ rk.T
+    """The full L x L pre-softmax logit matrix, the only L x L array made."""
+    return logit_rows(rotate_rows(q_mat, grid, cfg), rotate_rows(k_mat, grid, cfg), cfg)
+
+
+def logit_rows(rq, rk, cfg: RopeConfig, out=None) -> np.ndarray:
+    """rq @ rk.T / sqrt(d_h) for rotated query rows rq and keys rk, into out
+    when given: each row is bitwise that row of the whole logit_matrix."""
+    s = np.matmul(rq, rk.T, out=out)
     s /= math.sqrt(cfg.d_h)
     return s
 
