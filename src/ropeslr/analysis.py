@@ -2,7 +2,8 @@
 scaling, Gram spectra of compensator outputs, and gate maps.
 
 The stable-rank sweep consumes each grid's attention, zeroing the kept
-entries in place, so it holds one L x L float array (and a bool mask) at a time."""
+entries in place a block of rows at a time, so it holds one L x L float array
+at a time."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .decomposition import (
     row_energy_split,
     synthetic_attention,
 )
-from .linalg import as_matrix, percentile, stable_rank
+from .linalg import SPLIT_BLOCK_ROWS, as_matrix, percentile, stable_rank
 from .rope3d import AXES, GridShape, RopeConfig, by_axis, frequency_term_matrix, pair_table
 
 # Exhaustive pair enumeration is used up to this token count, sampling above.
@@ -57,14 +58,20 @@ def spectral_decay_report(q_mat, k_mat, grid: GridShape, cfg: RopeConfig,
 
 
 def _sweep_row(grid: GridShape, cfg: RopeConfig, energy: float, seed: int) -> dict:
-    """One sweep row; its attention and mask are consumed and go on return."""
+    """One sweep row; its attention is consumed and goes on return.  Each
+    block of SPLIT_BLOCK_ROWS rows is split and its kept entries zeroed in
+    turn, so no L x L mask is made; the split is per row, so the residual is
+    bitwise that of the whole matrix's split."""
     a = synthetic_attention(grid, cfg, seed)
-    keep = row_energy_split(a, energy)
-    retained = int(keep.sum())
-    # zero the kept entries in place, branch-free: a * 1 = a, a * 0 = 0 on a >= 0
-    residual = np.multiply(a, np.logical_not(keep, out=keep), out=a)
+    retained = 0
+    for start in range(0, grid.size, SPLIT_BLOCK_ROWS):
+        block = a[start:start + SPLIT_BLOCK_ROWS]
+        keep = row_energy_split(block, energy)
+        retained += int(np.count_nonzero(keep))
+        # zero the kept entries in place, branch-free: a * 1 = a, a * 0 = 0 on a >= 0
+        np.multiply(block, np.logical_not(keep, out=keep), out=block)
     return {"L": grid.size, "retained_fraction": retained / grid.size ** 2,
-            "residual_stable_rank": stable_rank(residual) if np.any(residual) else 0.0}
+            "residual_stable_rank": stable_rank(a) if np.any(a) else 0.0}
 
 
 def residual_stable_rank_sweep(grids: Sequence[GridShape], cfg: RopeConfig,

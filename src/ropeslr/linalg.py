@@ -49,7 +49,8 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    # a NaN or an infinity is the min or the max: no temporary the size of m
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise ValueError("matrix entries must be finite")
     return m
 

@@ -17,10 +17,12 @@ factor's R x R Gram, with the SVD of a QR core as the fallback, never a
 dense L x L SVD; when R >= L by a QR of the L x L matrix.
 
 The attention, its spikes, a_lowrank and a_final are made in one pass over
-blocks of PRODUCT_BLOCK_ROWS rows, in two reused blocks, and the errors are
-folded as they go.  When R < L the pass yields each block's query features
-to the left factor's Gram certificate, so no L x L array is made; when
-R >= L the QR certificate reads a_lowrank, written whole by the pass.
+tiles of PRODUCT_TILE_ROWS rows, in two reused tiles, and the errors are
+folded as they go.  When R < L the pass yields the query features of each
+block of PRODUCT_BLOCK_ROWS rows to the left factor's Gram certificate, so
+no L x L array is made; each certificate adds the Gram of its factor's
+first 2R rows and the row sums of all.  When R >= L the QR certificate
+reads a_lowrank, written whole by the pass.
 """
 
 from __future__ import annotations
@@ -147,49 +149,59 @@ _LN2 = math.log(2.0)
 def _gram_certificate(blocks) -> bool:
     """Whether lambda_min / lambda_max of f^T f, for a nonnegative L x R
     factor f given in row blocks, is proved to be at least theta =
-    RANK_CERT_MARGIN * RANK_REL_TOL: with g the computed Gram f^T f, mu
-    bounds lambda_max(f^T f) and np.linalg.cholesky(g - s I) succeeds at s =
-    (theta + eps) mu.  When both factors of left @ right.T pass, sigma_R /
-    sigma_1 >= 1 / (kappa(left) kappa(right)) >= theta.
+    RANK_CERT_MARGIN * RANK_REL_TOL: with g the computed Gram f_S^T f_S of
+    the first S = min(2R, L) rows of f, mu bounds lambda_max(f^T f) and
+    np.linalg.cholesky(g - s I) succeeds at s = (theta + eps) mu.  The rows
+    after S, f_T, never enter g: f^T f - f_S^T f_S = f_T^T f_T is positive
+    semidefinite, so lambda_min(f^T f) >= lambda_min(f_S^T f_S) (Weyl's
+    monotonicity theorem; Horn and Johnson, Matrix Analysis, section 4.3).
+    When both factors of left @ right.T pass, sigma_R / sigma_1 >= 1 /
+    (kappa(left) kappa(right)) >= theta.
 
     blocks yields pairs (f_b, log_w_b): f_b holds rows that stand for f_b
-    exp(log_w_b), and is scaled in place.  g is accumulated block by block
-    under a running power-of-two shift 2^k, k the least integer with k ln 2
-    at least every log weight so far: each block's rows are scaled by
-    exp(log_w_b - k ln 2), at most 1 to rounding, and its Gram is added to
-    g.  When a block raises k by d, g is first multiplied by 2^-2d with
-    np.ldexp.  So f is 2^-k times the rows f_b exp(log_w_b), to the
-    rounding of the weights, and no scaled copy of a whole factor exists:
-    one block, g, one reused scratch for a block's Gram and the Cholesky
-    factor are the arrays held.
+    exp(log_w_b), and is scaled in place.  g and the row-sum vector v = f^T
+    (f 1) of all L rows are accumulated block by block under a running
+    power-of-two shift 2^k, k the least integer with k ln 2 at least every
+    log weight so far: each block's rows are scaled by exp(log_w_b - k ln
+    2), at most 1 to rounding, and its Gram, while it has rows among the
+    first S, and its part of v are added.  When a block raises k by d, g
+    and v are first multiplied by 2^-2d with np.ldexp.  So f is 2^-k times
+    the rows f_b exp(log_w_b), to the rounding of the weights, and no scaled
+    copy of a whole factor exists: one block, g, v, one reused scratch for
+    a block's Gram and the Cholesky factor are the arrays held.
 
     With u = _U and gamma_n = _gamma(n) of linalg: for a nonnegative factor
-    every Gram entry is a sum of L nonnegative products, and each product
-    meets at most L - 1 additions in whatever order the block GEMMs and the
-    accumulation add them, so |g - f^T f| <= gamma_L f^T f entrywise and in
-    norm (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    sections 3.5 and 4.2).  A rescale by 2^-2d is exact but for underflow.
+    every entry of g is a sum of at most L nonnegative products, and each
+    product meets at most L - 1 additions in whatever order the block GEMMs
+    and the accumulation add them, so |g - f_S^T f_S| <= gamma_L f_S^T f_S
+    entrywise and in norm (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 3.5 and 4.2), and ||f_S^T f_S||_2 <=
+    lambda_max(f^T f).  A rescale by 2^-2d is exact but for underflow.
     lambda_max(f^T f) is at most its largest row sum (Perron-Frobenius),
-    hence at most mu = (1 + 2 gamma_{L+R+4}) times g's computed largest row
-    sum: the widening covers the Gram's rounding, the sum's and the 4
-    roundings that form s.  A successful Cholesky of the computed g - s I
-    gives R^T R = g - s I + D + dA with D the rounding of the diagonal
+    the largest entry of v, in exact arithmetic.  Entry i of v is the sum
+    over the L rows p of f_pi (f 1)_p, and (f 1)_p is a sum of R
+    nonnegative entries, so the computed v is within gamma_{L+R} of v
+    entrywise.  Hence lambda_max(f^T f) <= mu = (1 + 2 gamma_{L+R+4})
+    times v's computed largest entry: the widening covers v's rounding and
+    the 4 roundings that form s.  A successful Cholesky of the computed g -
+    s I gives R^T R = g - s I + D + dA with D the rounding of the diagonal
     subtraction, |D| <= u mu, and |dA| <= gamma_{R+1} |R^T| |R| (ibid.,
     Theorem 10.3).  ||(|R^T| |R|)||_2 is at most its trace, the trace of R^T
     R, so ||dA||_2 <= gamma_{R+1} R mu / (1 - gamma_{R+1}).  Hence
-    lambda_min(f^T f) >= s - (2 u + gamma_L + gamma_{R+1} R / (1 -
-    gamma_{R+1})) mu >= theta mu: eps is that sum, its second u for
-    underflow.  Underflow errs by at most 2^-1074 per product and per
-    rescale, and an entry meets at most L of each, so in a row of g they
-    add to at most 2 L R 2^-1074, below u mu for L R <= 2^51 and mu >=
-    _CERT_MIN_NORM (S. M. Rump, Verification of positive definiteness, BIT
-    46, 2006, uses the same argument).
+    lambda_min(f^T f) >= lambda_min(f_S^T f_S) >= s - (2 u + gamma_L +
+    gamma_{R+1} R / (1 - gamma_{R+1})) mu >= theta mu: eps is that sum, its
+    second u for underflow.  Underflow errs by at most 2^-1074 per product
+    and per rescale, and an entry of g or of v meets at most L of each, so
+    they add to at most 2 L R 2^-1074 in a row of g and 2 L 2^-1074 in an
+    entry of v, below u mu for L R <= 2^51 and mu >= _CERT_MIN_NORM (S. M.
+    Rump, Verification of positive definiteness, BIT 46, 2006, uses the
+    same argument); the widening of mu has room for the latter.
 
     f fails when it has no rows, when a block's largest log weight is not
-    finite, when its Cholesky meets a non-positive pivot, or when g's
-    largest row sum is not finite or is below _CERT_MIN_NORM.  A failure
-    costs the Gram and a Cholesky that stops at its first non-positive
-    pivot."""
+    finite, when its Cholesky meets a non-positive pivot, or when v's
+    largest entry is not finite or is below _CERT_MIN_NORM.  A failure costs
+    the Gram of S rows, the row sums of L and a Cholesky that stops at its
+    first non-positive pivot."""
     theta = RANK_CERT_MARGIN * RANK_REL_TOL
     g, k, ell = None, 0, 0
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite factor's sums
@@ -198,22 +210,31 @@ def _gram_certificate(blocks) -> bool:
             if not np.isfinite(top):
                 return False
             if g is None:
-                k, g = math.ceil(top), np.zeros((f.shape[1],) * 2)
+                r = f.shape[1]
+                k, g, sums = math.ceil(top), np.zeros((r, r)), np.zeros(r)
                 gram = np.empty_like(g)
             elif top > k:
                 old, k = k, math.ceil(top)
                 # every double times 2^-2200 is 0, and ldexp takes a C int
-                np.ldexp(g, max(2 * (old - k), -2200), out=g)
+                shift = max(2 * (old - k), -2200)
+                np.ldexp(g, shift, out=g)
+                np.ldexp(sums, shift, out=sums)
             f *= np.exp(log_w - k * _LN2)[:, None]
-            np.add(g, np.matmul(f.T, f, out=gram), out=g)
+            # the first 2R rows enter g: on the desk cap's input sets 0-9
+            # (L = 4096, R = 1024) 2048 rows certify both factors and 1536
+            # rows 4 of 10, and on a 2-core host the key factor's
+            # certificate took 59-60 ms against 65-74 ms with all rows
+            head = f[:max(2 * r - ell, 0)]
+            if len(head):
+                np.add(g, np.matmul(head.T, head, out=gram), out=g)
+            sums += f.T @ f.sum(axis=1)
             ell += len(f)
-            del f, log_w  # not held while the next block is made
+            del f, log_w, head  # not held while the next block is made
         if g is None:
             return False
         del gram  # not held through the Cholesky
-        r = g.shape[0]
         eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
-        row_sum = g.sum(axis=1).max()
+        row_sum = sums.max()
     if not _CERT_MIN_NORM <= row_sum < np.inf:
         return False
     # s = (theta + eps) mu, with the factor below 1 taken first
@@ -292,14 +313,13 @@ def _factored_rank(r: int, stream, left, right) -> int:
     stream yields left's once, as a loop doing other work may.  r when both
     pass _gram_certificate, right first; stream is read to its end all the
     same.  Else the count of the SVD of the R x R core of the thin QRs of
-    the whole factors, made once each, right first.  No left rows: 0."""
+    the whole factors, made once each, right first."""
     certified = _gram_certificate(right()) and _gram_certificate(stream)
     collections.deque(stream, maxlen=0)  # the rest of stream's work
     if certified:
         return r
     r_right = np.linalg.qr(_whole(right()), mode="r")
-    blocks = list(left())
-    return numerical_rank(np.linalg.qr(_whole(blocks), mode="r") @ r_right.T) if blocks else 0
+    return numerical_rank(np.linalg.qr(_whole(left()), mode="r") @ r_right.T)
 
 
 def _whole(blocks) -> np.ndarray:
@@ -310,12 +330,20 @@ def _whole(blocks) -> np.ndarray:
     return f
 
 
-# Rows of the attention and of a_lowrank made together in _lowrank_branch.
-# At L = 4096, R = 1024 on a 2-core OpenBLAS host (cap input sets 1-3, a
-# process each, 3 runs), a reconstruct took 0.63-0.65 s and the process
-# peaked at 133 MB in blocks of 512 rows, 0.63-0.67 s and 174 MB in blocks
-# of 1024, and 0.66-0.70 s and 114 MB in blocks of 256.
+# Rows of the query features made together in _lowrank_branch, and yielded
+# together to the left factor's Gram certificate.  At L = 4096, R = 1024 on a
+# 2-core OpenBLAS host (cap input sets 1-3, a process each, 3 runs), a
+# reconstruct took 0.63-0.65 s and the process peaked at 133 MB in blocks of
+# 512 rows, 0.63-0.67 s and 174 MB in blocks of 1024, and 0.66-0.70 s and
+# 114 MB in blocks of 256, each block's attention and a_lowrank made whole.
 PRODUCT_BLOCK_ROWS = 512
+# Rows of the attention and of a_lowrank made together, a PRODUCT_BLOCK_ROWS
+# block in tiles: the logits, softmax, spikes, product and error fold.  On
+# that host (cap input sets 0-9, one call in a process each) the process
+# peaked at 108.4-108.6 MB in tiles of 128 rows against 135.0-135.1 in
+# tiles of 512, and a call took 0.62-0.77 s against 0.66-0.82 s; in tiles
+# of 64 rows it peaked at 104.4-104.5 MB but took 0.69-0.79 s (sets 0-5).
+PRODUCT_TILE_ROWS = 128
 # Rows of the key features added to their Gram together in the right
 # factor's certificate.  At L = 4096, R = 1024 on that host it took 69-73 ms
 # in blocks of 1024 rows and 84-90 ms in blocks of 512 (best and median of
@@ -346,64 +374,78 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
     a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j) of
     the truncated factors.  The stabilised features are at most 1 and the
     exponent is a log attention weight, so neither side overflows.  fk is
-    made whole; each block featurises its rows of q_fac once, into fq.
-    Every block is bitwise those rows of the whole matrices.
+    made whole; each block of PRODUCT_BLOCK_ROWS rows featurises its rows of
+    q_fac once, into fq, and makes its attention and a_lowrank in tiles of
+    PRODUCT_TILE_ROWS rows.  Every tile is those rows of the whole matrices,
+    bitwise wherever logit_rows' rows are bitwise those of logit_matrix.
 
     a_lowrank = c left @ right.T, c > 0, with left and right fq and fk scaled
     by their sides of the exponent, each shifted by one constant; the row
     scaling must be there, as the rank threshold is not invariant under it.
-    Only the rows of fq whose row of a_lowrank does not underflow to zero
-    enter left, so the rank is that of the nonzero rows, unrounded (when its
-    entries are subnormal, a_lowrank's own rank can be lower).  A certificate of
-    RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R) singular values above
-    the threshold: when R < L from a shifted Cholesky of each factor's Gram,
-    fk's in CERT_BLOCK_ROWS row blocks before the pass and fq's as the pass
-    yields it; when R >= L from a QR of a_lowrank.  The fallbacks, the SVD
-    of the QR core (fq made whole once more) or of a_lowrank, err by a small
-    multiple of sqrt(L R) eps sigma_1 (5e-13 sigma_1 at L = 4096, R = 1024),
-    so with the margin's 1e-9 sigma_1 of room they count min(L, R) too."""
+    A certificate of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R)
+    singular values above the threshold: when R < L from a shifted Cholesky
+    of each factor's Gram, fk's in CERT_BLOCK_ROWS row blocks before the
+    pass and fq's as the pass yields it; when R >= L from a QR of a_lowrank.
+    The fallbacks, the SVD of the QR core (fq made whole once more) or of
+    a_lowrank, err by a small multiple of sqrt(L R) eps sigma_1 (5e-13
+    sigma_1 at L = 4096, R = 1024), so with the margin's 1e-9 sigma_1 of
+    room they count min(L, R) too.
+
+    At R < L that is the rank of the unrounded product.  An entry of
+    a_lowrank that underflows errs by at most R 2^-1074, as the features
+    are at most 1; when a_lowrank's largest entry is at least _CERT_MIN_NORM
+    = 2^-1022 / u that is below u times it for R <= 2^52, as small as the
+    rounding of the normal entries, so the unrounded product's rank is
+    a_lowrank's.  Below it the rounding to multiples of 2^-1074 can lower
+    the rank, so the pass keeps copies of a_lowrank's nonzero rows until an
+    entry reaches _CERT_MIN_NORM, and if none does, the rank is the SVD
+    count of those rows: 0 when a_lowrank underflows to all zero."""
     ell = q_fac.shape[0]
     log_r = math.log(favor_dim)
     omegas = favor_map(q_fac.shape[1], favor_dim, seed)
     fk, mk = _stabilised_features_rows(k_fac, omegas)
     whole = favor_dim >= ell  # the QR certificate reads a_lowrank whole
     product = np.empty((ell, ell)) if whole else None
-    log_z, nonzero = np.empty(ell), np.empty(ell, dtype=bool)
+    log_z = np.empty(ell)
     folded, nnz = (0.0, True, 0.0), 0
+    faint = None if whole else []  # a_lowrank's nonzero rows while all are faint
 
     def stream():  # its blocks are freed when it ends
-        nonlocal folded, nnz
-        attention = np.empty((min(ell, PRODUCT_BLOCK_ROWS), ell))
+        nonlocal folded, nnz, faint
+        attention = np.empty((min(ell, PRODUCT_TILE_ROWS), ell))
         lr_rows = product if whole else np.empty_like(attention)
         for start in range(0, ell, PRODUCT_BLOCK_ROWS):
-            rows = slice(start, start + PRODUCT_BLOCK_ROWS)
-            fq, mq = _stabilised_features_rows(q_fac[rows], omegas)
-            n = len(fq)
-            a_blk, log_z[rows] = row_softmax(as_matrix(logit_rows(rq[rows], rk, cfg,
-                                                                  out=attention[:n])))
-            spikes = a_blk > tau
-            nnz += int(np.count_nonzero(spikes))
-            lr_blk = np.matmul(fq, fk.T, out=lr_rows[rows] if whole else lr_rows[:n])
-            row_log = mq - log_z[rows] - log_r
-            for sub in range(0, n, SPLIT_BLOCK_ROWS):
-                part = slice(sub, sub + SPLIT_BLOCK_ROWS)
-                lr = lr_blk[part]
-                scale = np.add.outer(row_log[part], mk)
-                lr *= np.exp(scale, out=scale)
-                del scale  # not held through the fold
-                # lr >= 0, and a row max takes half the time of a row any
-                nonzero[start + sub:start + sub + SPLIT_BLOCK_ROWS] = lr.max(axis=1) > 0.0
-                folded = _error_fields(folded, a_blk[part], lr, spikes[part])
-            keep = nonzero[rows]
-            if keep.any():
-                yield (fq, row_log) if keep.all() else (fq[keep], row_log[keep])
+            fq, mq = _stabilised_features_rows(q_fac[start:start + PRODUCT_BLOCK_ROWS], omegas)
+            row_log = np.empty_like(mq)
+            for t in range(0, len(fq), PRODUCT_TILE_ROWS):
+                tile = slice(t, t + PRODUCT_TILE_ROWS)
+                rows = slice(start + t, start + t + PRODUCT_TILE_ROWS)
+                n = len(mq[tile])
+                a_blk, log_z[rows] = row_softmax(as_matrix(logit_rows(rq[rows], rk, cfg,
+                                                                      out=attention[:n])))
+                spikes = a_blk > tau
+                nnz += int(np.count_nonzero(spikes))
+                lr_blk = np.matmul(fq[tile], fk.T, out=lr_rows[rows] if whole else lr_rows[:n])
+                row_log[tile] = mq[tile] - log_z[rows] - log_r
+                for sub in range(0, n, SPLIT_BLOCK_ROWS):
+                    part = slice(sub, sub + SPLIT_BLOCK_ROWS)
+                    lr = lr_blk[part]
+                    scale = np.add.outer(row_log[tile][part], mk)
+                    lr *= np.exp(scale, out=scale)
+                    del scale  # not held through the fold
+                    if faint is not None:
+                        top = lr.max(axis=1)  # lr >= 0
+                        if top.max() < _CERT_MIN_NORM:
+                            faint.append(lr[top > 0.0])
+                        else:
+                            faint = None
+                    folded = _error_fields(folded, a_blk[part], lr, spikes[part])
+            yield fq, row_log
             del fq  # not held while the next block is made
 
     def left():
-        kept = np.flatnonzero(nonzero)
-        if kept.size:
-            fq, mq = _stabilised_features_rows(q_fac[kept], omegas)
-            yield fq, mq - log_z[kept] - log_r
+        fq, mq = _stabilised_features_rows(q_fac, omegas)
+        yield fq, mq - log_z - log_r
 
     def right():  # copies, as the certificate scales its blocks in place
         return ((fk[s:s + CERT_BLOCK_ROWS].copy(), mk[s:s + CERT_BLOCK_ROWS])
@@ -416,6 +458,8 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
         rank = ell if certified else numerical_rank(product)
     else:
         rank = _factored_rank(favor_dim, stream(), left, right)
+        if faint is not None:
+            rank = numerical_rank(np.concatenate(faint))
     max_bg, support, max_spike = folded
     return dict(rank_lowrank=rank, nnz_sparse=nnz, max_err_spike=float(max_spike),
                 max_err_bg=float(max_bg), support_matches_spikes=support)

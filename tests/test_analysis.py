@@ -84,7 +84,8 @@ def test_gram_spectral_of_a_rank_one_output_and_bad_inputs():
 
 @pytest.mark.parametrize("energy", [0.5, 0.9])
 def test_stable_rank_sweep_rows_are_the_stable_rank_of_the_unkept_entries(energy):
-    grids = [GridShape(2, 2, 2), GridShape(3, 3, 3)]
+    # L = 125 is split in blocks of SPLIT_BLOCK_ROWS rows, the last partial
+    grids = [GridShape(2, 2, 2), GridShape(3, 3, 3), GridShape(5, 5, 5)]
     rows = residual_stable_rank_sweep(grids, CFG, energy=energy, seed=5)
     for i, (grid, row) in enumerate(zip(grids, rows)):
         a = synthetic_attention(grid, CFG, 5 + i)
@@ -112,7 +113,9 @@ def test_stable_rank_sweep_holds_one_attention_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * grids[-1].size ** 2 * 8, peak
+    # the attention and stable_rank's vectors; the sweep's L x L keep mask
+    # brought it to 1.33
+    assert peak <= 1.3 * grids[-1].size ** 2 * 8, peak
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -61,10 +61,13 @@ MUTANTS = [
            "eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))",
            "eps = 0.0", GRAM_TESTS),
     Mutant("no running-shift rescale", LOWRANK,
-           "np.ldexp(g, max(2 * (old - k), -2200), out=g)", "g", GRAM_TESTS),
+           "shift = max(2 * (old - k), -2200)", "shift = 0", GRAM_TESTS),
     Mutant("rescale by 2^-d", LOWRANK,
-           "np.ldexp(g, max(2 * (old - k), -2200), out=g)",
-           "np.ldexp(g, max(old - k, -2200), out=g)", GRAM_TESTS),
+           "shift = max(2 * (old - k), -2200)", "shift = max(old - k, -2200)", GRAM_TESTS),
+    Mutant("row sums not rescaled", LOWRANK,
+           "np.ldexp(sums, shift, out=sums)", "sums", GRAM_TESTS),
+    Mutant("mu from the subset rows only", LOWRANK,
+           "sums += f.T @ f.sum(axis=1)", "sums += head.T @ head.sum(axis=1)", GRAM_TESTS),
     Mutant("_CERT_MIN_NORM = 0", LOWRANK,
            "_CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53",
            "_CERT_MIN_NORM = 0.0", GRAM_TESTS),
@@ -73,8 +76,8 @@ MUTANTS = [
            "certified = _gram_certificate(right()) and _gram_certificate(stream)",
            "certified = _gram_certificate(right())", FACTORED_TESTS),
     Mutant("fallback reads the left QR alone", LOWRANK,
-           'numerical_rank(np.linalg.qr(_whole(blocks), mode="r") @ r_right.T)',
-           'numerical_rank(np.linalg.qr(_whole(blocks), mode="r"))', FACTORED_TESTS),
+           'numerical_rank(np.linalg.qr(_whole(left()), mode="r") @ r_right.T)',
+           'numerical_rank(np.linalg.qr(_whole(left()), mode="r"))', FACTORED_TESTS),
     Mutant("no fallback", LOWRANK,
            "    if certified:\n        return r\n", "    return r\n", FACTORED_TESTS),
     Mutant("stream not read to its end", LOWRANK,
@@ -86,11 +89,19 @@ MUTANTS = [
            "max_bg = np.max(np.abs(err, out=err), where=background, initial=0.0)",
            BLOCK_TESTS),
     Mutant("fold restarts each block", LOWRANK,
-           "            row_log = mq - log_z[rows] - log_r\n",
-           "            row_log = mq - log_z[rows] - log_r\n"
+           "            row_log = np.empty_like(mq)\n",
+           "            row_log = np.empty_like(mq)\n"
            "            folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
-    Mutant("every row enters the left factor", LOWRANK,
-           "= lr.max(axis=1) > 0.0", "= True", UNDERFLOW_TESTS),
+    Mutant("fold restarts each tile", LOWRANK,
+           "                row_log[tile] = mq[tile] - log_z[rows] - log_r\n",
+           "                row_log[tile] = mq[tile] - log_z[rows] - log_r\n"
+           "                folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
+    Mutant("last partial tile skipped", LOWRANK,
+           "for t in range(0, len(fq), PRODUCT_TILE_ROWS):",
+           "for t in range(0, len(fq) - len(fq) % PRODUCT_TILE_ROWS, PRODUCT_TILE_ROWS):",
+           BLOCK_TESTS),
+    Mutant("faint rows never ranked", LOWRANK,
+           "rank = numerical_rank(np.concatenate(faint))", "rank = rank", UNDERFLOW_TESTS),
     # the other certificates
     Mutant("QR bound x 1.001", LOWRANK,
            "return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_t) - delta)",
