@@ -18,16 +18,17 @@ dense L x L SVD; when R >= L by a QR of the L x L matrix.
 
 The attention, its spikes, a_lowrank and a_final are made in one pass over
 tiles of PRODUCT_TILE_ROWS rows, in two reused tiles, and the errors are
-folded as they go.  When R < L the pass yields the query features of each
-block of PRODUCT_BLOCK_ROWS rows to the left factor's Gram certificate, so
-no L x L array is made; each certificate adds the Gram of its factor's
-first 2R rows and the row sums of all.  When R >= L the QR certificate
+folded as they go.  When R < L no L x L array is made, and each Gram
+certificate reads its factor twice: the row sums of all rows as they go by,
+the key features' as they are made in blocks of CERT_BLOCK_ROWS rows before
+the pass and the query features' at the end of each block of
+PRODUCT_BLOCK_ROWS rows of the pass; then, after the pass, the Gram of the
+first 2R rows, remade in the same blocks.  When R >= L the QR certificate
 reads a_lowrank, written whole by the pass.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -146,29 +147,72 @@ _CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53
 _LN2 = math.log(2.0)
 
 
-def _gram_certificate(blocks) -> bool:
-    """Whether lambda_min / lambda_max of f^T f, for a nonnegative L x R
-    factor f given in row blocks, is proved to be at least theta =
-    RANK_CERT_MARGIN * RANK_REL_TOL: with g the computed Gram f_S^T f_S of
-    the first S = min(2R, L) rows of f, mu bounds lambda_max(f^T f) and
-    np.linalg.cholesky(g - s I) succeeds at s = (theta + eps) mu.  The rows
-    after S, f_T, never enter g: f^T f - f_S^T f_S = f_T^T f_T is positive
-    semidefinite, so lambda_min(f^T f) >= lambda_min(f_S^T f_S) (Weyl's
-    monotonicity theorem; Horn and Johnson, Matrix Analysis, section 4.3).
-    When both factors of left @ right.T pass, sigma_R / sigma_1 >= 1 /
-    (kappa(left) kappa(right)) >= theta.
+def _rescale(old: int, k: int) -> int:
+    """The exponent that takes a Gram or row sums from shift 2^old to 2^k."""
+    return max(2 * (old - k), -2200)  # every double times 2^-2200 is 0, and ldexp takes a C int
 
-    blocks yields pairs (f_b, log_w_b): f_b holds rows that stand for f_b
-    exp(log_w_b), and is scaled in place.  g and the row-sum vector v = f^T
-    (f 1) of all L rows are accumulated block by block under a running
-    power-of-two shift 2^k, k the least integer with k ln 2 at least every
-    log weight so far: each block's rows are scaled by exp(log_w_b - k ln
-    2), at most 1 to rounding, and its Gram, while it has rows among the
-    first S, and its part of v are added.  When a block raises k by d, g
-    and v are first multiplied by 2^-2d with np.ldexp.  So f is 2^-k times
-    the rows f_b exp(log_w_b), to the rounding of the weights, and no scaled
-    copy of a whole factor exists: one block, g, v, one reused scratch for
-    a block's Gram and the Cholesky factor are the arrays held.
+
+class _Factor:
+    """A nonnegative L x R factor f in row blocks, and the part of its Gram
+    certificate that must read every row.  make() yields the blocks (f_b,
+    log_w_b) afresh on each call: f_b holds rows that stand for f_b
+    exp(log_w_b).  add folds one block as it goes by, in order: it scales
+    f_b in place by exp(log_w_b - k ln 2), k the running shift (the least
+    integer with k ln 2 at least every log weight so far), and adds its part
+    of the row-sum vector v = f^T (f 1), first multiplied by 2^-2d with
+    np.ldexp when the block raises k by d.  blocks lists (k, row count) of
+    each block added, so that _gram_certificate can remake the first rows
+    and scale each block by the shift it had; it is None once a block's
+    largest log weight is not finite."""
+
+    def __init__(self, make):
+        self.make, self.blocks, self.sums, self.rows = make, [], None, 0
+
+    def add(self, f, log_w) -> None:
+        if self.blocks is None:
+            return
+        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite factor's sums
+            top = np.max(log_w) / _LN2
+            if not np.isfinite(top):
+                self.blocks = None
+                return
+            if not self.blocks:
+                k, self.sums = math.ceil(top), np.zeros(f.shape[1])
+            else:
+                k = self.blocks[-1][0]
+                if top > k:
+                    old, k = k, math.ceil(top)
+                    np.ldexp(self.sums, _rescale(old, k), out=self.sums)
+            f *= np.exp(log_w - k * _LN2)[:, None]
+            self.sums += f.T @ f.sum(axis=1)
+        self.blocks.append((k, len(f)))
+        self.rows += len(f)
+
+
+def _gram_certificate(factor: _Factor) -> bool:
+    """Whether lambda_min / lambda_max of f^T f, for the nonnegative L x R
+    factor f of a _Factor whose every block was added, is proved to be at
+    least theta = RANK_CERT_MARGIN * RANK_REL_TOL: with g the computed Gram
+    f_S^T f_S of the first S = min(2R, L) rows of f, mu bounds
+    lambda_max(f^T f) and np.linalg.cholesky(g - s I) succeeds at s = (theta
+    + eps) mu.  The rows after S, f_T, never enter g: f^T f - f_S^T f_S =
+    f_T^T f_T is positive semidefinite, so lambda_min(f^T f) >=
+    lambda_min(f_S^T f_S) (Weyl's monotonicity theorem; Horn and Johnson,
+    Matrix Analysis, section 4.3).  When both factors of left @ right.T
+    pass, sigma_R / sigma_1 >= 1 / (kappa(left) kappa(right)) >= theta.
+
+    Here f is 2^-k times the rows f_b exp(log_w_b), k the final shift, to
+    the rounding of the weights.  mu comes from the row sums v that
+    _Factor.add folded over all L rows; g reads only the blocks of make()
+    that hold rows among the first S, remade after every row was added.
+    Each is scaled in place by exp(log_w_b - k_b ln 2), k_b the shift it
+    was added under, and its Gram, while it has rows among the first S, is
+    added to g; g is multiplied by 2^-2d wherever add raised the shift by d,
+    the blocks after S too.  So g is bitwise the Gram a single pass that
+    added each block's Gram beside its row sums would hold, and no scaled
+    copy of a whole factor exists: one remade block, g, one reused scratch
+    for a block's Gram and the Cholesky factor are the arrays held, after
+    whatever made the blocks has let them go.
 
     With u = _U and gamma_n = _gamma(n) of linalg: for a nonnegative factor
     every entry of g is a sum of at most L nonnegative products, and each
@@ -198,45 +242,37 @@ def _gram_certificate(blocks) -> bool:
     same argument); the widening of mu has room for the latter.
 
     f fails when it has no rows, when a block's largest log weight is not
-    finite, when its Cholesky meets a non-positive pivot, or when v's
-    largest entry is not finite or is below _CERT_MIN_NORM.  A failure costs
-    the Gram of S rows, the row sums of L and a Cholesky that stops at its
-    first non-positive pivot."""
+    finite, when v's largest entry is not finite or is below _CERT_MIN_NORM,
+    or when its Cholesky meets a non-positive pivot.  Only the last costs
+    the Gram of S rows, and a Cholesky stops at its first non-positive
+    pivot."""
     theta = RANK_CERT_MARGIN * RANK_REL_TOL
-    g, k, ell = None, 0, 0
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite factor's sums
-        for f, log_w in blocks:
-            top = np.max(log_w) / _LN2
-            if not np.isfinite(top):
-                return False
-            if g is None:
-                r = f.shape[1]
-                k, g, sums = math.ceil(top), np.zeros((r, r)), np.zeros(r)
-                gram = np.empty_like(g)
-            elif top > k:
-                old, k = k, math.ceil(top)
-                # every double times 2^-2200 is 0, and ldexp takes a C int
-                shift = max(2 * (old - k), -2200)
-                np.ldexp(g, shift, out=g)
-                np.ldexp(sums, shift, out=sums)
-            f *= np.exp(log_w - k * _LN2)[:, None]
-            # the first 2R rows enter g: on the desk cap's input sets 0-9
-            # (L = 4096, R = 1024) 2048 rows certify both factors and 1536
-            # rows 4 of 10, and on a 2-core host the key factor's
-            # certificate took 59-60 ms against 65-74 ms with all rows
-            head = f[:max(2 * r - ell, 0)]
-            if len(head):
-                np.add(g, np.matmul(head.T, head, out=gram), out=g)
-            sums += f.T @ f.sum(axis=1)
-            ell += len(f)
-            del f, log_w, head  # not held while the next block is made
-        if g is None:
-            return False
-        del gram  # not held through the Cholesky
-        eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
-        row_sum = sums.max()
-    if not _CERT_MIN_NORM <= row_sum < np.inf:
+    if not factor.blocks:
         return False
+    r, ell = len(factor.sums), factor.rows
+    eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite factor's Gram
+        row_sum = factor.sums.max()
+        if not _CERT_MIN_NORM <= row_sum < np.inf:
+            return False
+        g, gram, blocks, start = np.zeros((r, r)), np.empty((r, r)), factor.make(), 0
+        prev = factor.blocks[0][0]
+        # the first 2R rows enter g: on the desk cap's input sets 0-9
+        # (L = 4096, R = 1024) 2048 rows certify both factors and 1536
+        # rows 4 of 10, and on a 2-core host the key factor's
+        # certificate took 59-60 ms against 65-74 ms with all rows
+        for k, n in factor.blocks:
+            if k > prev:
+                np.ldexp(g, _rescale(prev, k), out=g)
+            prev = k
+            if start < 2 * r:
+                f, log_w = next(blocks)
+                f *= np.exp(log_w - k * _LN2)[:, None]
+                head = f[:2 * r - start]
+                np.add(g, np.matmul(head.T, head, out=gram), out=g)
+                del f, log_w, head  # not held while the next block is made
+            start += n
+        del blocks, gram  # not held through the Cholesky
     # s = (theta + eps) mu, with the factor below 1 taken first
     g[np.diag_indices(r)] -= (theta + eps) * (1.0 + 2.0 * _gamma(ell + r + 4)) * row_sum
     try:
@@ -307,19 +343,16 @@ def _qr_rank_certificate(m) -> float:
     return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_t) - delta)
 
 
-def _factored_rank(r: int, stream, left, right) -> int:
+def _factored_rank(r: int, left: _Factor, right: _Factor) -> int:
     """Numerical rank of c left @ right.T, c > 0, for nonnegative L x R
-    factors with R = r < L in row blocks: right() and left() make them, and
-    stream yields left's once, as a loop doing other work may.  r when both
-    pass _gram_certificate, right first; stream is read to its end all the
-    same.  Else the count of the SVD of the R x R core of the thin QRs of
-    the whole factors, made once each, right first."""
-    certified = _gram_certificate(right()) and _gram_certificate(stream)
-    collections.deque(stream, maxlen=0)  # the rest of stream's work
-    if certified:
+    factors with R = r < L, each a _Factor whose every block was added: r
+    when both pass _gram_certificate, right first.  Else the count of the
+    SVD of the R x R core of the thin QRs of the whole factors, made once
+    each from their blocks, right first."""
+    if _gram_certificate(right) and _gram_certificate(left):
         return r
-    r_right = np.linalg.qr(_whole(right()), mode="r")
-    return numerical_rank(np.linalg.qr(_whole(left()), mode="r") @ r_right.T)
+    r_right = np.linalg.qr(_whole(right.make()), mode="r")
+    return numerical_rank(np.linalg.qr(_whole(left.make()), mode="r") @ r_right.T)
 
 
 def _whole(blocks) -> np.ndarray:
@@ -330,12 +363,14 @@ def _whole(blocks) -> np.ndarray:
     return f
 
 
-# Rows of the query features made together in _lowrank_branch, and yielded
-# together to the left factor's Gram certificate.  At L = 4096, R = 1024 on a
-# 2-core OpenBLAS host (cap input sets 1-3, a process each, 3 runs), a
-# reconstruct took 0.63-0.65 s and the process peaked at 133 MB in blocks of
-# 512 rows, 0.63-0.67 s and 174 MB in blocks of 1024, and 0.66-0.70 s and
-# 114 MB in blocks of 256, each block's attention and a_lowrank made whole.
+# Rows of the query features made together in _lowrank_branch's pass, and
+# added to the left factor's row sums together at the end of each block; the
+# left Gram certificate remakes its first 2R rows in these blocks after the
+# pass.  At L = 4096, R = 1024 on a 2-core OpenBLAS host (cap input sets
+# 1-3, a process each, 3 runs), a reconstruct took 0.63-0.65 s and the
+# process peaked at 133 MB in blocks of 512 rows, 0.63-0.67 s and 174 MB in
+# blocks of 1024, and 0.66-0.70 s and 114 MB in blocks of 256, each block's
+# attention and a_lowrank made whole.
 PRODUCT_BLOCK_ROWS = 512
 # Rows of the attention and of a_lowrank made together, a PRODUCT_BLOCK_ROWS
 # block in tiles: the logits, softmax, spikes, product and error fold.  On
@@ -344,10 +379,12 @@ PRODUCT_BLOCK_ROWS = 512
 # tiles of 512, and a call took 0.62-0.77 s against 0.66-0.82 s; in tiles
 # of 64 rows it peaked at 104.4-104.5 MB but took 0.69-0.79 s (sets 0-5).
 PRODUCT_TILE_ROWS = 128
-# Rows of the key features added to their Gram together in the right
-# factor's certificate.  At L = 4096, R = 1024 on that host it took 69-73 ms
-# in blocks of 1024 rows and 84-90 ms in blocks of 512 (best and median of
-# 8), with the same process peak.
+# Rows of the key features made together: fk is built from blocks of this
+# many rows, each added to the right factor's row sums as it is made, and
+# the right Gram certificate remakes its first 2R rows in these blocks after
+# the pass.  At L = 4096, R = 1024 on that host the certificate took 69-73
+# ms in blocks of 1024 rows and 84-90 ms in blocks of 512 (best and median
+# of 8), with the same process peak.
 CERT_BLOCK_ROWS = 1024
 
 
@@ -357,12 +394,14 @@ def _error_fields(folded, a_blk, lr_blk, spikes) -> tuple:
     a_blk over its background.  The compensator a - a_lowrank is nonzero on
     a spike exactly when the two differ there, so support reads the spikes."""
     max_bg, support, max_spike = folded
-    background = ~spikes
     err = np.subtract(lr_blk, a_blk)
-    max_bg = np.maximum(max_bg, np.max(np.abs(err, out=err), where=background, initial=0.0))
+    np.abs(err, out=err)
+    err[spikes] = 0.0  # the errors are >= 0, so initial=0.0 leaves the background's max
+    max_bg = np.maximum(max_bg, np.max(err, initial=0.0))
     a_spikes = a_blk[spikes]
     support = support and bool(np.all(a_spikes != lr_blk[spikes]))
-    np.copyto(a_blk, lr_blk, where=background)
+    np.copyto(a_blk, lr_blk)
+    a_blk[spikes] = a_spikes
     max_spike = np.maximum(max_spike, np.max(np.abs(a_blk[spikes] - a_spikes), initial=0.0))
     return max_bg, support, max_spike
 
@@ -374,19 +413,26 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
     a_lowrank[p, j] = fq[p] . fk[j] exp(mq_p - log z_p - log R + mk_j) of
     the truncated factors.  The stabilised features are at most 1 and the
     exponent is a log attention weight, so neither side overflows.  fk is
-    made whole; each block of PRODUCT_BLOCK_ROWS rows featurises its rows of
-    q_fac once, into fq, and makes its attention and a_lowrank in tiles of
-    PRODUCT_TILE_ROWS rows.  Every tile is those rows of the whole matrices,
-    bitwise wherever logit_rows' rows are bitwise those of logit_matrix.
+    made whole from blocks of CERT_BLOCK_ROWS rows; each block of
+    PRODUCT_BLOCK_ROWS rows of the pass featurises its rows of q_fac once,
+    into fq, and makes its attention and a_lowrank in tiles of
+    PRODUCT_TILE_ROWS rows.  Every tile is those rows of the whole matrices
+    to the rounding of logit_rows and _stabilised_features_rows, which
+    compute each row as the whole product does, though BLAS may add its
+    terms in another order: bitwise at the benchmark's grids, where the
+    tests pin the row blocks to the whole calls.
 
     a_lowrank = c left @ right.T, c > 0, with left and right fq and fk scaled
     by their sides of the exponent, each shifted by one constant; the row
     scaling must be there, as the rank threshold is not invariant under it.
     A certificate of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R)
     singular values above the threshold: when R < L from a shifted Cholesky
-    of each factor's Gram, fk's in CERT_BLOCK_ROWS row blocks before the
-    pass and fq's as the pass yields it; when R >= L from a QR of a_lowrank.
-    The fallbacks, the SVD of the QR core (fq made whole once more) or of
+    of each factor's Gram, when R >= L from a QR of a_lowrank.  At R < L
+    each _Factor adds its blocks' row sums as they go by, fk's as fk is
+    built and fq's at the end of each block of the pass; the two Gram
+    certificates run after the pass, when fk and the tiles are freed, and
+    remake the first 2R rows of each factor by the same calls.  The
+    fallbacks, the SVD of the QR core (both factors remade whole) or of
     a_lowrank, err by a small multiple of sqrt(L R) eps sigma_1 (5e-13
     sigma_1 at L = 4096, R = 1024), so with the margin's 1e-9 sigma_1 of
     room they count min(L, R) too.
@@ -403,61 +449,67 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
     ell = q_fac.shape[0]
     log_r = math.log(favor_dim)
     omegas = favor_map(q_fac.shape[1], favor_dim, seed)
-    fk, mk = _stabilised_features_rows(k_fac, omegas)
-    whole = favor_dim >= ell  # the QR certificate reads a_lowrank whole
-    product = np.empty((ell, ell)) if whole else None
     log_z = np.empty(ell)
-    folded, nnz = (0.0, True, 0.0), 0
-    faint = None if whole else []  # a_lowrank's nonzero rows while all are faint
 
-    def stream():  # its blocks are freed when it ends
-        nonlocal folded, nnz, faint
-        attention = np.empty((min(ell, PRODUCT_TILE_ROWS), ell))
-        lr_rows = product if whole else np.empty_like(attention)
-        for start in range(0, ell, PRODUCT_BLOCK_ROWS):
-            fq, mq = _stabilised_features_rows(q_fac[start:start + PRODUCT_BLOCK_ROWS], omegas)
-            row_log = np.empty_like(mq)
-            for t in range(0, len(fq), PRODUCT_TILE_ROWS):
-                tile = slice(t, t + PRODUCT_TILE_ROWS)
-                rows = slice(start + t, start + t + PRODUCT_TILE_ROWS)
-                n = len(mq[tile])
-                a_blk, log_z[rows] = row_softmax(as_matrix(logit_rows(rq[rows], rk, cfg,
-                                                                      out=attention[:n])))
-                spikes = a_blk > tau
-                nnz += int(np.count_nonzero(spikes))
-                lr_blk = np.matmul(fq[tile], fk.T, out=lr_rows[rows] if whole else lr_rows[:n])
-                row_log[tile] = mq[tile] - log_z[rows] - log_r
-                for sub in range(0, n, SPLIT_BLOCK_ROWS):
-                    part = slice(sub, sub + SPLIT_BLOCK_ROWS)
-                    lr = lr_blk[part]
-                    scale = np.add.outer(row_log[tile][part], mk)
-                    lr *= np.exp(scale, out=scale)
-                    del scale  # not held through the fold
-                    if faint is not None:
-                        top = lr.max(axis=1)  # lr >= 0
-                        if top.max() < _CERT_MIN_NORM:
-                            faint.append(lr[top > 0.0])
-                        else:
-                            faint = None
-                    folded = _error_fields(folded, a_blk[part], lr, spikes[part])
-            yield fq, row_log
+    def keys():
+        for s in range(0, ell, CERT_BLOCK_ROWS):
+            yield _stabilised_features_rows(k_fac[s:s + CERT_BLOCK_ROWS], omegas)
+
+    def queries():  # after the pass, which writes log_z
+        for s in range(0, ell, PRODUCT_BLOCK_ROWS):
+            fq, mq = _stabilised_features_rows(q_fac[s:s + PRODUCT_BLOCK_ROWS], omegas)
+            yield fq, mq - log_z[s:s + PRODUCT_BLOCK_ROWS] - log_r
             del fq  # not held while the next block is made
 
-    def left():
-        fq, mq = _stabilised_features_rows(q_fac, omegas)
-        yield fq, mq - log_z - log_r
-
-    def right():  # copies, as the certificate scales its blocks in place
-        return ((fk[s:s + CERT_BLOCK_ROWS].copy(), mk[s:s + CERT_BLOCK_ROWS])
-                for s in range(0, ell, CERT_BLOCK_ROWS))
-
+    whole = favor_dim >= ell  # the QR certificate reads a_lowrank whole
+    left, right = (None, None) if whole else (_Factor(queries), _Factor(keys))
+    fk, mk, s = np.empty((ell, favor_dim)), np.empty(ell), 0
+    for f, m in keys():  # no zip, whose tuple would hold a block while the next is made
+        fk[s:s + len(f)], mk[s:s + len(f)] = f, m
+        s += len(f)
+        if right is not None:
+            right.add(f, m)
+        del f, m  # not held while the next block is made
+    product = np.empty((ell, ell)) if whole else None
+    folded, nnz = (0.0, True, 0.0), 0
+    faint = None if whole else []  # a_lowrank's nonzero rows while all are faint
+    attention = np.empty((min(ell, PRODUCT_TILE_ROWS), ell))
+    lr_rows = product if whole else np.empty_like(attention)
+    for start in range(0, ell, PRODUCT_BLOCK_ROWS):
+        fq, mq = _stabilised_features_rows(q_fac[start:start + PRODUCT_BLOCK_ROWS], omegas)
+        row_log = np.empty_like(mq)
+        for t in range(0, len(fq), PRODUCT_TILE_ROWS):
+            tile = slice(t, t + PRODUCT_TILE_ROWS)
+            rows = slice(start + t, start + t + PRODUCT_TILE_ROWS)
+            n = len(mq[tile])
+            a_blk, log_z[rows] = row_softmax(as_matrix(logit_rows(rq[rows], rk, cfg,
+                                                                  out=attention[:n])))
+            spikes = a_blk > tau
+            nnz += int(np.count_nonzero(spikes))
+            lr_blk = np.matmul(fq[tile], fk.T, out=lr_rows[rows] if whole else lr_rows[:n])
+            row_log[tile] = mq[tile] - log_z[rows] - log_r
+            for sub in range(0, n, SPLIT_BLOCK_ROWS):
+                part = slice(sub, sub + SPLIT_BLOCK_ROWS)
+                lr = lr_blk[part]
+                scale = np.add.outer(row_log[tile][part], mk)
+                lr *= np.exp(scale, out=scale)
+                del scale  # not held through the fold
+                if faint is not None:
+                    top = lr.max(axis=1)  # lr >= 0
+                    if top.max() < _CERT_MIN_NORM:
+                        faint.append(lr[top > 0.0])
+                    else:
+                        faint = None
+                folded = _error_fields(folded, a_blk[part], lr, spikes[part])
+        if left is not None:
+            left.add(fq, row_log)
+        del fq  # not held while the next block is made
+    del fk, attention, lr_rows, a_blk, lr_blk, lr  # not held through the certificates
     if whole:
-        collections.deque(stream(), maxlen=0)
-        del fk  # not held through the QR certificate
         certified = _qr_rank_certificate(product) >= RANK_CERT_MARGIN * RANK_REL_TOL
         rank = ell if certified else numerical_rank(product)
     else:
-        rank = _factored_rank(favor_dim, stream(), left, right)
+        rank = _factored_rank(favor_dim, left, right)
         if faint is not None:
             rank = numerical_rank(np.concatenate(faint))
     max_bg, support, max_spike = folded

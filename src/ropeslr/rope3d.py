@@ -173,7 +173,12 @@ def logit_matrix(q_mat, k_mat, grid: GridShape, cfg: RopeConfig) -> np.ndarray:
 
 def logit_rows(rq, rk, cfg: RopeConfig, out=None) -> np.ndarray:
     """rq @ rk.T / sqrt(d_h) for rotated query rows rq and keys rk, into out
-    when given: each row is bitwise that row of the whole logit_matrix."""
+    when given.  Each row is the same dot products as that row of the whole
+    logit_matrix, but BLAS may add their terms in another order for a block
+    of rows than for the whole, so a row can differ in its last bits: at L =
+    693, 700, 726 and 729 (rope 4,4,4) blocks of 64, 128 and 512 rows do.
+    At the benchmark's grids, L = 64, 125, 216, 512, 1000, 1728 and 4096,
+    such blocks are bitwise the whole matrix's rows, and the tests pin it."""
     s = np.matmul(rq, rk.T, out=out)
     s /= math.sqrt(cfg.d_h)
     return s

@@ -41,19 +41,22 @@ GRAM_TESTS = (T + "test_rank_certificate_decides_either_side_of_theta",
               T + "test_rank_certificate_keeps_its_rounding_allowance",
               T + "test_rank_certificate_of_underflowing_factors_is_no_without_warnings",
               T + "test_rank_certificate_rescales_its_gram_when_a_later_block_weighs_more",
-              T + "test_gram_certificate_holds_against_the_svd")
+              T + "test_gram_certificate_holds_against_the_svd",
+              T + "test_gram_certificate_is_the_one_pass_certificate")
 BLOCK_TESTS = (T + "test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle",
-               T + "test_error_fields_write_a_final_into_the_attention_buffer")
+               T + "test_error_fields_write_a_final_into_the_attention_buffer",
+               T + "test_error_fields_are_the_masked_reductions")
 FACTORED_TESTS = (T + "test_rank_certificate_of_factors_with_known_condition",
+                  T + "test_rank_certificate_fires_only_above_its_margin",
                   T + "test_rank_certificate_falls_back_below_full_rank",
                   T + "test_factored_rank_makes_one_factor_at_a_time",
-                  T + "test_factored_rank_reads_its_stream_to_the_end",
+                  T + "test_gram_certificate_remakes_only_the_blocks_of_its_first_2r_rows",
                   T + "test_factored_rank_is_the_rank_of_the_product")
 UNDERFLOW_TESTS = (T + "test_rank_of_an_underflowing_product_is_that_of_a_lowrank",
                    T + "test_reconstruct_is_the_whole_matrix_oracle_at_any_scale")
 
 MUTANTS = [
-    # _gram_certificate
+    # _Factor and _gram_certificate
     Mutant("theta/4", LOWRANK,
            "    theta = RANK_CERT_MARGIN * RANK_REL_TOL\n",
            "    theta = RANK_CERT_MARGIN * RANK_REL_TOL / 4.0\n", GRAM_TESTS),
@@ -61,41 +64,52 @@ MUTANTS = [
            "eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))",
            "eps = 0.0", GRAM_TESTS),
     Mutant("no running-shift rescale", LOWRANK,
-           "shift = max(2 * (old - k), -2200)", "shift = 0", GRAM_TESTS),
+           "return max(2 * (old - k), -2200)", "return 0", GRAM_TESTS),
     Mutant("rescale by 2^-d", LOWRANK,
-           "shift = max(2 * (old - k), -2200)", "shift = max(old - k, -2200)", GRAM_TESTS),
+           "return max(2 * (old - k), -2200)", "return max(old - k, -2200)", GRAM_TESTS),
     Mutant("row sums not rescaled", LOWRANK,
-           "np.ldexp(sums, shift, out=sums)", "sums", GRAM_TESTS),
+           "np.ldexp(self.sums, _rescale(old, k), out=self.sums)", "self.sums", GRAM_TESTS),
     Mutant("mu from the subset rows only", LOWRANK,
-           "sums += f.T @ f.sum(axis=1)", "sums += head.T @ head.sum(axis=1)", GRAM_TESTS),
+           "            self.sums += f.T @ f.sum(axis=1)\n",
+           "            head = f[:max(2 * f.shape[1] - self.rows, 0)]\n"
+           "            self.sums += head.T @ head.sum(axis=1)\n", GRAM_TESTS),
+    Mutant("row sums from the replayed head only", LOWRANK,
+           "* (1.0 + 2.0 * _gamma(ell + r + 4)) * row_sum",
+           "* (1.0 + 2.0 * _gamma(ell + r + 4)) * g.sum(axis=1).max()", GRAM_TESTS),
+    Mutant("head replayed under the final shift instead of each block's", LOWRANK,
+           "                f *= np.exp(log_w - k * _LN2)[:, None]\n",
+           "                f *= np.exp(log_w - factor.blocks[-1][0] * _LN2)[:, None]\n",
+           GRAM_TESTS),
+    Mutant("head replay one block short", LOWRANK,
+           "if start < 2 * r:", "if start + n < 2 * r:", GRAM_TESTS),
     Mutant("_CERT_MIN_NORM = 0", LOWRANK,
            "_CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53",
            "_CERT_MIN_NORM = 0.0", GRAM_TESTS),
     # _factored_rank
     Mutant("right certificate alone", LOWRANK,
-           "certified = _gram_certificate(right()) and _gram_certificate(stream)",
-           "certified = _gram_certificate(right())", FACTORED_TESTS),
+           "_gram_certificate(right) and _gram_certificate(left)",
+           "_gram_certificate(right)", FACTORED_TESTS),
     Mutant("fallback reads the left QR alone", LOWRANK,
-           'numerical_rank(np.linalg.qr(_whole(left()), mode="r") @ r_right.T)',
-           'numerical_rank(np.linalg.qr(_whole(left()), mode="r"))', FACTORED_TESTS),
+           'numerical_rank(np.linalg.qr(_whole(left.make()), mode="r") @ r_right.T)',
+           'numerical_rank(np.linalg.qr(_whole(left.make()), mode="r"))', FACTORED_TESTS),
     Mutant("no fallback", LOWRANK,
-           "    if certified:\n        return r\n", "    return r\n", FACTORED_TESTS),
-    Mutant("stream not read to its end", LOWRANK,
-           "collections.deque(stream, maxlen=0)", "stream", FACTORED_TESTS + BLOCK_TESTS),
-    # the streamed pass and its error fold
+           "    if _gram_certificate(right) and _gram_certificate(left):\n        return r\n",
+           "    return r\n", FACTORED_TESTS),
+    # the pass and its error fold
+    Mutant("left row sums of the first block only", LOWRANK,
+           "        if left is not None:\n",
+           "        if left is not None and start == 0:\n", FACTORED_TESTS + BLOCK_TESTS),
     Mutant("last block's background error only", LOWRANK,
-           "max_bg = np.maximum(max_bg, np.max(np.abs(err, out=err), where=background, "
-           "initial=0.0))",
-           "max_bg = np.max(np.abs(err, out=err), where=background, initial=0.0)",
-           BLOCK_TESTS),
+           "max_bg = np.maximum(max_bg, np.max(err, initial=0.0))",
+           "max_bg = np.max(err, initial=0.0)", BLOCK_TESTS),
     Mutant("fold restarts each block", LOWRANK,
-           "            row_log = np.empty_like(mq)\n",
-           "            row_log = np.empty_like(mq)\n"
-           "            folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
+           "        row_log = np.empty_like(mq)\n",
+           "        row_log = np.empty_like(mq)\n"
+           "        folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
     Mutant("fold restarts each tile", LOWRANK,
-           "                row_log[tile] = mq[tile] - log_z[rows] - log_r\n",
-           "                row_log[tile] = mq[tile] - log_z[rows] - log_r\n"
-           "                folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
+           "            row_log[tile] = mq[tile] - log_z[rows] - log_r\n",
+           "            row_log[tile] = mq[tile] - log_z[rows] - log_r\n"
+           "            folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
     Mutant("last partial tile skipped", LOWRANK,
            "for t in range(0, len(fq), PRODUCT_TILE_ROWS):",
            "for t in range(0, len(fq) - len(fq) % PRODUCT_TILE_ROWS, PRODUCT_TILE_ROWS):",
