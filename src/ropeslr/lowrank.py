@@ -14,7 +14,7 @@ space, so any finite logits work: no partition value exp(log_z) is formed.
 The rank of the low-rank matrix diag(1/z) phi(Q) phi(K)^T, a product of two
 L x R factors, is certified: when R < L by a shifted Cholesky of each
 factor's R x R Gram, with the SVD of a QR core as the fallback, never a
-dense L x L SVD; when R >= L by a QR of the L x L matrix.
+dense L x L SVD; when R >= L by an approximate inverse of the L x L matrix.
 
 The attention, its spikes, a_lowrank and a_final are made in one pass over
 tiles of PRODUCT_TILE_ROWS rows, in two reused tiles, and the errors are
@@ -23,8 +23,8 @@ certificate reads its factor twice: the row sums of all rows as they go by,
 the key features' as they are made in blocks of CERT_BLOCK_ROWS rows before
 the pass and the query features' at the end of each block of
 PRODUCT_BLOCK_ROWS rows of the pass; then, after the pass, the Gram of the
-first 2R rows, remade in the same blocks.  When R >= L the QR certificate
-reads a_lowrank, written whole by the pass.
+first 2R rows, remade in the same blocks.  When R >= L the inverse
+certificate reads a_lowrank, written whole by the pass.
 """
 
 from __future__ import annotations
@@ -282,65 +282,65 @@ def _gram_certificate(factor: _Factor) -> bool:
     return True
 
 
-# Blocks of at most this many rows are inverted by np.linalg.inv; see
-# _triangular_inverse.  On a 2-core OpenBLAS host 32 was faster than 16, 64
-# or 128 at L = 64 and at L = 512.
-TRI_INV_LEAF = 32
+# _block_inverse's np.linalg.inv leaf size: at L = 512 on a 2-core OpenBLAS
+# host, leaves of 32, 64 and 128 rows took 6.7, 5.5 and 7.3 ms an inverse.
+INV_LEAF = 64
 
 
-def _triangular_inverse(t) -> np.ndarray:
-    """Inverse of an upper triangular t with a nonzero diagonal, by halves:
-    [[A, B], [0, C]]^-1 = [[A^-1, -(A^-1 B) C^-1], [0, C^-1]], with
-    np.linalg.inv at blocks of TRI_INV_LEAF rows or fewer.  About L^3 / 3
-    multiply-adds, nearly all of them in GEMMs."""
-    n = t.shape[0]
-    if n <= TRI_INV_LEAF:
-        return np.linalg.inv(t)
+def _block_inverse(m) -> np.ndarray:
+    """Inverse of a square m = [[A, B], [C, D]] by unpivoted Schur blocks:
+    with S = D - C A^-1 B, m^-1 = [[A^-1 + A^-1 B S^-1 C A^-1, -A^-1 B S^-1],
+    [-S^-1 C A^-1, S^-1]], np.linalg.inv at INV_LEAF rows or fewer: about L^3
+    multiply-adds, nearly all GEMMs.  A singular leaf raises LinAlgError."""
+    n = m.shape[0]
+    if n <= INV_LEAF:
+        return np.linalg.inv(m)
     h = n // 2
-    x = np.zeros_like(t)
-    x[:h, :h] = _triangular_inverse(t[:h, :h])
-    x[h:, h:] = _triangular_inverse(t[h:, h:])
-    x[:h, h:] = -(x[:h, :h] @ t[:h, h:]) @ x[h:, h:]
-    return x
+    a_inv = _block_inverse(m[:h, :h])
+    ab, ca = a_inv @ m[:h, h:], m[h:, :h] @ a_inv
+    s_inv = _block_inverse(m[h:, h:] - m[h:, :h] @ ab)
+    x12 = -(ab @ s_inv)
+    return np.block([[a_inv - x12 @ ca, x12], [-(s_inv @ ca), s_inv]])
 
 
-def _qr_rank_certificate(m) -> float:
+def _inverse_rank_certificate(m) -> float:
     """A lower bound on sigma_L / sigma_1 of a square L x L matrix m, or 0.0.
 
-    Householder QR gives the triangular factor t of m + dm exactly, with
-    ||dm||_F <= delta ||m||_F and delta = 8 L^2 u (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, Theorem 19.4).  So sigma_1(m)
-    <= ||m||_F <= ||t||_F / (1 - delta) and sigma_L(m) >= sigma_L(t) -
-    delta ||m||_F.  With X the blocked inverse of t, sigma_L(t) >= (1 - rho)
-    / ||X||_F, where rho = ||X t - I||_F + gamma_{L+1} (||X||_F ||t||_F +
-    sqrt(L)) is the computed residual plus the rounding of its GEMM and of
-    the subtraction of I (ibid., sections 3.5 and 14.1).  Together:
-    (1 - delta)(1 - rho) / (||X||_F ||t||_F) - delta.  A second factor
-    1 - delta and a factor 1 + delta on rho cover the rounding of the
-    computed norms, each within L^2 u relative.  t is first scaled by a power
-    of two, which is exact and keeps the norms finite.  A zero or non-finite
-    pivot, a non-finite ||X||_F or rho >= 1 gives 0.0."""
+    For any X, ||X m - I||_2 <= rho < 1 gives sigma_L(m) >= (1 - rho) /
+    ||X||_F, and sigma_1(m) <= ||m||_F, so a poor X from the unpivoted
+    _block_inverse only lowers the bound or fails rho < 1.  m is first
+    scaled by 2^-e into m_s, e the exponent of its largest |entry|, which
+    keeps the norms finite and the ratio as it is: exact but for underflow
+    when e > 0, at most 2^-1075 an entry, so ||m_s - 2^-e m||_F <= u
+    ||m_s||_F.  The computed residual X m_s - I is within gamma_{L+1} (|X|
+    |m_s| + I) of the exact one entrywise (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.5), so rho = ||resid||_F +
+    gamma_{L+2} (||X||_F ||m_s||_F + sqrt(L)) bounds ||X 2^-e m - I||_F: the
+    extra u covers the scaling's underflow and that in the GEMM and the
+    residual's norm, at most L^2 2^-1074 and L 2^-537 (Rump, BIT 46, 2006).
+    A computed Frobenius norm errs by at most (L^2 / 2 + 2) u relative; rho
+    < 1 needs a diagonal entry of the computed X m_s of at least u / 2, so
+    ||X||_F >= u / (4 L) and its squares' underflow is far inside that.  So
+    delta = (L^2 + 8) u covers the norms' rounding in rho, widened by 1 +
+    delta, and twice in (1 - delta)^2 (1 - rho) / (||X||_F ||m_s||_F), with
+    ||2^-e m||_F <= (1 + u) ||m_s||_F and the last few roundings.  A
+    LinAlgError or rho >= 1, as when ||X||_F is not finite, gives 0.0."""
     ell = m.shape[0]
-    delta = 8.0 * ell * ell * _U
-    gamma = _gamma(ell + 1)
-    t = np.linalg.qr(m, mode="r")
+    delta, gamma = (ell * ell + 8.0) * _U, _gamma(ell + 2)
     with np.errstate(all="ignore"):
-        np.ldexp(t, -np.frexp(max(t.max(), -t.min()))[1], out=t)
-        pivots = np.abs(np.diagonal(t))
-        if not (np.all(np.isfinite(pivots)) and pivots.min() > 0.0):
+        m = np.ldexp(m, -np.frexp(max(m.max(), -m.min()))[1])
+        try:
+            x = _block_inverse(m)
+        except np.linalg.LinAlgError:
             return 0.0
-        x = _triangular_inverse(t)
-        norm_x = np.linalg.norm(x)
-        if not np.isfinite(norm_x):
-            return 0.0
-        norm_t = np.linalg.norm(t)
-        resid = x @ t
+        norm_x, norm_m = np.linalg.norm(x), np.linalg.norm(m)
+        resid = x @ m
         resid[np.diag_indices(ell)] -= 1.0
-        rho = np.linalg.norm(resid) + gamma * (norm_x * norm_t + math.sqrt(ell))
+        rho = np.linalg.norm(resid) + gamma * (norm_x * norm_m + math.sqrt(ell))
         rho *= 1.0 + delta
     if not rho < 1.0:
         return 0.0
-    return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_t) - delta)
+    return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_m))
 
 
 def _factored_rank(r: int, left: _Factor, right: _Factor) -> int:
@@ -427,7 +427,7 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
     scaling must be there, as the rank threshold is not invariant under it.
     A certificate of RANK_CERT_MARGIN * RANK_REL_TOL puts all min(L, R)
     singular values above the threshold: when R < L from a shifted Cholesky
-    of each factor's Gram, when R >= L from a QR of a_lowrank.  At R < L
+    of each factor's Gram, when R >= L from an inverse of a_lowrank.  At R < L
     each _Factor adds its blocks' row sums as they go by, fk's as fk is
     built and fq's at the end of each block of the pass; the two Gram
     certificates run after the pass, when fk and the tiles are freed, and
@@ -461,7 +461,7 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
             yield fq, mq - log_z[s:s + PRODUCT_BLOCK_ROWS] - log_r
             del fq  # not held while the next block is made
 
-    whole = favor_dim >= ell  # the QR certificate reads a_lowrank whole
+    whole = favor_dim >= ell  # the inverse certificate reads a_lowrank whole
     left, right = (None, None) if whole else (_Factor(queries), _Factor(keys))
     fk, mk, s = np.empty((ell, favor_dim)), np.empty(ell), 0
     for f, m in keys():  # no zip, whose tuple would hold a block while the next is made
@@ -506,7 +506,7 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
         del fq  # not held while the next block is made
     del fk, attention, lr_rows, a_blk, lr_blk, lr  # not held through the certificates
     if whole:
-        certified = _qr_rank_certificate(product) >= RANK_CERT_MARGIN * RANK_REL_TOL
+        certified = _inverse_rank_certificate(product) >= RANK_CERT_MARGIN * RANK_REL_TOL
         rank = ell if certified else numerical_rank(product)
     else:
         rank = _factored_rank(favor_dim, left, right)

@@ -21,19 +21,19 @@ from ropeslr import linalg, lowrank
 from ropeslr.linalg import RANK_REL_TOL, numerical_rank, singular_values
 from ropeslr.lowrank import (
     _CERT_MIN_NORM,
+    INV_LEAF,
     PRODUCT_BLOCK_ROWS,
     PRODUCT_TILE_ROWS,
     RANK_CERT_MARGIN,
-    TRI_INV_LEAF,
     Reconstruction,
     _Factor,
+    _block_inverse,
     _error_fields,
     _factored_rank,
     _gram_certificate,
+    _inverse_rank_certificate,
     _lowrank_branch,
-    _qr_rank_certificate,
     _stabilised_features_rows,
-    _triangular_inverse,
     _truncated_svd_factors,
     _whole,
     approx_kernel,
@@ -640,19 +640,19 @@ def test_gram_certificate_remakes_only_the_blocks_of_its_first_2r_rows(sizes, re
     assert read == (list(range(remade)) if weights == "finite" else [])
 
 
-@pytest.mark.parametrize("ell", [1, 5, TRI_INV_LEAF, TRI_INV_LEAF + 1, 200])
-def test_triangular_inverse_matches_the_dense_inverse(ell):
+@pytest.mark.parametrize("ell", [1, 5, INV_LEAF, INV_LEAF + 1, 200, 513])
+def test_block_inverse_matches_the_dense_inverse(ell):
+    # odd sizes split unevenly: 65 into leaves of 32 and 33 rows, 513 into
+    # leaves of 32, 33 and 64
     rng = np.random.default_rng(ell)
-    t = np.triu(rng.standard_normal((ell, ell))) + 4.0 * np.eye(ell)
-    x = _triangular_inverse(t)
-    np.testing.assert_allclose(x, np.linalg.inv(t), rtol=0, atol=1e-12)
-    assert np.all(np.tril(x, -1) == 0.0)
+    m = rng.standard_normal((ell, ell)) / math.sqrt(ell) + 4.0 * np.eye(ell)
+    np.testing.assert_allclose(_block_inverse(m), np.linalg.inv(m), rtol=0, atol=1e-12)
 
 
 def built_matrix(ell, ratio, seed=0):
     """m = U diag(s) V^T, s = (1, 1e-4, ..., 1e-4, ratio) for random
     orthogonal U and V: sigma_1 and sigma_L are isolated, so near the margin
-    ||t||_F ||X||_F is within 1e-5 relative of sigma_1 / sigma_L and the
+    ||m||_F ||X||_F is within 1e-5 relative of sigma_1 / sigma_L and the
     certificate nearly reaches the ratio."""
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
@@ -662,10 +662,11 @@ def built_matrix(ell, ratio, seed=0):
     return (u * s) @ v.T
 
 
-def qr_rank(m) -> int:
-    """The R >= L rank rule of _lowrank_branch: L when _qr_rank_certificate
-    clears RANK_CERT_MARGIN * RANK_REL_TOL, else the count of m's SVD."""
-    if _qr_rank_certificate(m) >= RANK_CERT_MARGIN * RANK_REL_TOL:
+def inverse_rank(m) -> int:
+    """The R >= L rank rule of _lowrank_branch: L when
+    _inverse_rank_certificate clears RANK_CERT_MARGIN * RANK_REL_TOL, else
+    the count of m's SVD."""
+    if _inverse_rank_certificate(m) >= RANK_CERT_MARGIN * RANK_REL_TOL:
         return m.shape[0]
     return numerical_rank(m)
 
@@ -677,38 +678,52 @@ def quietly(certificate, m):
         return certificate(m)
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def svd_ratio(m) -> float:
+    """sigma_L / sigma_1 of m's SVD plus 4 L eps, the reference's own
+    rounding: its singular values are within a small multiple of L eps
+    sigma_1 of m's.  The certificate's bound must not exceed it."""
+    sv = singular_values(m)
+    return sv[-1] / sv[0] + 4.0 * m.shape[0] * EPS
+
+
 # (L, sigma_L / sigma_1, scale) with R = L; the certificate fires at 2e-9
-QR_RANK_CASES = [(ell, ratio, scale)
-                 for ell in (8, 64, 200)
-                 for ratio in (1e-3, 2.5e-9, 1.5e-9, 5e-10, 0.0)
-                 for scale in (1.0, 1e150, 1e-150)]
+INVERSE_RANK_CASES = [(ell, ratio, scale)
+                      for ell in (8, 64, 200)
+                      for ratio in (1e-3, 2.5e-9, 1.5e-9, 5e-10, 0.0)
+                      for scale in (1.0, 1e150, 1e-150)]
 
 
-def qr_room(ell) -> float:
-    """8 L^2 u: the bound holds for every matrix the QR could have factored,
-    m + dm with ||dm||_F <= 8 L^2 u ||m||_F, so it stays that far below the
-    ratio; the rounding of a built matrix's own product is far inside it."""
-    return 8.0 * ell * ell * np.finfo(np.float64).eps / 2.0
-
-
-@pytest.mark.parametrize("ell,ratio,scale", QR_RANK_CASES)
-def test_qr_rank_certificate_of_matrices_with_known_condition(ell, ratio, scale):
+@pytest.mark.parametrize("ell,ratio,scale", INVERSE_RANK_CASES)
+def test_inverse_rank_certificate_of_matrices_with_known_condition(ell, ratio, scale):
     m = built_matrix(ell, ratio) * scale
-    bound = quietly(_qr_rank_certificate, m)
+    bound = quietly(_inverse_rank_certificate, m)
     if ratio == 0.0:
-        assert bound == 0.0  # rho >= 1: no bound on a singular matrix
+        assert bound == 0.0  # no inverse, or rho >= 1: no bound on a singular matrix
     else:
-        assert bound <= ratio - qr_room(ell)
+        assert bound <= svd_ratio(m)
     assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == (ratio >= 2e-9), bound
-    assert qr_rank(m) == numerical_rank(m)
+    assert inverse_rank(m) == numerical_rank(m)
     assert numerical_rank(m) == (ell if ratio > RANK_REL_TOL else ell - 1)
 
 
-def test_qr_rank_certificate_of_a_one_by_one_matrix():
+def test_inverse_rank_certificate_of_a_one_by_one_matrix():
     m = np.array([[3.0]])
-    bound = quietly(_qr_rank_certificate, m)
-    assert RANK_CERT_MARGIN * RANK_REL_TOL <= bound <= 1.0 - qr_room(1)
-    assert qr_rank(m) == 1
+    bound = quietly(_inverse_rank_certificate, m)
+    assert RANK_CERT_MARGIN * RANK_REL_TOL <= bound <= svd_ratio(m)
+    assert inverse_rank(m) == 1
+
+
+@pytest.mark.parametrize("above,certified", [(1e-6, True), (1e-8, False)])
+def test_inverse_rank_certificate_keeps_the_rounding_of_its_residual(above, certified):
+    # diag(1, r) is inverted and its residual computed to within a few u, but
+    # the residual's rounding allowance gamma_4 ||X||_F ||m||_F is 2.2e-7 at
+    # r near theta: a ratio 1e-8 above theta is one the rounding could fake
+    m = np.diag([1.0, THETA * (1.0 + above)])
+    assert (quietly(_inverse_rank_certificate, m) >= THETA) is certified
+    assert inverse_rank(m) == numerical_rank(m) == 2
 
 
 @pytest.mark.parametrize("m,rank", [
@@ -716,20 +731,22 @@ def test_qr_rank_certificate_of_a_one_by_one_matrix():
     (np.array([[0.0]]), 0),  # a zero pivot
     (np.diag([1.0, 1e-300]), 1),  # ||X||_F overflows
     (np.diag([1.0, 1e-3, 5e-324]), 2),  # the pivot 5e-324 has no inverse
+    # [[0, I], [I, 0]] at L = 200: its unpivoted leading block is singular
+    (np.roll(np.eye(200), 100, axis=1), 200),
 ])
-def test_qr_rank_certificate_is_zero_without_a_finite_inverse(m, rank):
-    assert quietly(_qr_rank_certificate, m) == 0.0
-    assert qr_rank(m) == numerical_rank(m) == rank
+def test_inverse_rank_certificate_is_zero_without_a_finite_inverse(m, rank):
+    assert quietly(_inverse_rank_certificate, m) == 0.0
+    assert inverse_rank(m) == numerical_rank(m) == rank
 
 
-def test_qr_rank_certificate_of_non_finite_matrices_is_zero():
+def test_inverse_rank_certificate_of_non_finite_matrices_is_zero():
     for bad in (np.inf, np.nan):
         m = np.eye(3)
         m[1, 1] = bad
-        assert quietly(_qr_rank_certificate, m) == 0.0
+        assert quietly(_inverse_rank_certificate, m) == 0.0
         m = np.eye(3)
         m[0, 2] = bad
-        assert quietly(_qr_rank_certificate, m) == 0.0
+        assert quietly(_inverse_rank_certificate, m) == 0.0
 
 
 # Main-schedule sweep matrices, grid 8^3, R = 1024: seed 81 has sigma_L /
@@ -740,18 +757,17 @@ def test_qr_rank_certificate_of_non_finite_matrices_is_zero():
     (81, False, 511), (157, False, 512), (176, False, 512), (196, False, 512),
     (32, True, 512), (0, True, 512),
 ])
-def test_qr_rank_certificate_on_sweep_matrices(seed, certified, rank):
+def test_inverse_rank_certificate_on_sweep_matrices(seed, certified, rank):
     tau = 0.5 / math.sqrt(512)
     a_lowrank, got, _, _ = lowrank_branch(GridShape(8, 8, 8), 1024, None, seed,
                                           tau=tau, e_tol=tau / 2.0)
-    bound = _qr_rank_certificate(a_lowrank)
+    bound = _inverse_rank_certificate(a_lowrank)
     sv = singular_values(a_lowrank)
     assert bound <= sv[-1] / sv[0]
     assert (bound >= RANK_CERT_MARGIN * RANK_REL_TOL) == certified, bound
     assert got == numerical_rank(a_lowrank) == rank
 
 
-EPS = np.finfo(np.float64).eps
 PROPERTY = hypothesis.settings(derandomize=True, database=None, deadline=None,
                                max_examples=60)
 # sigma_min / sigma_1 (or lambda_min / lambda_max) drawn around theta: a
@@ -760,10 +776,12 @@ NEAR_THETA = st.one_of(st.floats(-6.0, 6.0).map(lambda e: THETA * 2.0 ** e),
                        st.floats(-1e-6, 1e-6).map(lambda d: THETA * (1.0 + d)))
 
 
+# leaves of 1 and 4 rows take these small matrices through the Schur splits
+@pytest.mark.parametrize("leaf", [INV_LEAF, 1, 4])
 @PROPERTY
 @hypothesis.given(ell=st.integers(1, 24), ratio=NEAR_THETA, exp2=st.integers(-600, 600),
                   seed=st.integers(0, 2 ** 32 - 1))
-def test_qr_rank_certificate_is_below_the_svd_ratio(ell, ratio, exp2, seed):
+def test_inverse_rank_certificate_is_below_the_svd_ratio(leaf, ell, ratio, exp2, seed):
     # m = U diag(s) V^T at scale 2^exp2, with s from 1 down to ratio
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
@@ -771,13 +789,10 @@ def test_qr_rank_certificate_is_below_the_svd_ratio(ell, ratio, exp2, seed):
     s = np.sort(ratio ** rng.random(ell))[::-1]
     s[0], s[-1] = 1.0, (ratio if ell > 1 else 1.0)
     m = np.ldexp((u * s) @ v.T, exp2)
-    bound = quietly(_qr_rank_certificate, m)
-    sv = singular_values(m)
-    # the reference's own rounding: its singular values are within a small
-    # multiple of L eps sigma_1 of m's
-    svd_ratio = sv[-1] / sv[0] + 4.0 * ell * EPS
-    assert bound <= svd_ratio
-    assert bound < THETA or svd_ratio >= THETA
+    with mock.patch.object(lowrank, "INV_LEAF", leaf):
+        bound = quietly(_inverse_rank_certificate, m)
+    assert bound <= svd_ratio(m)
+    assert bound < THETA or svd_ratio(m) >= THETA
 
 
 @PROPERTY
@@ -995,12 +1010,12 @@ def test_certificates_are_quiet_on_non_finite_or_underflowing_inputs(rows, extra
     else:
         f.flat[where % (rows * rows)] = bad  # in the square's rows too
     square = f[:rows]
-    qr_bound = quietly(_qr_rank_certificate, square)
+    inverse_bound = quietly(_inverse_rank_certificate, square)
     certified = quietly(certificate, f)
     energy = quietly(linalg._certified_spectral_energy, f)
     assert not certified
     if bad != "underflow" or not np.any(square):
-        assert qr_bound == 0.0
+        assert inverse_bound == 0.0
     if bad != "underflow":
         assert energy is None
 

@@ -52,6 +52,9 @@ FACTORED_TESTS = (T + "test_rank_certificate_of_factors_with_known_condition",
                   T + "test_factored_rank_makes_one_factor_at_a_time",
                   T + "test_gram_certificate_remakes_only_the_blocks_of_its_first_2r_rows",
                   T + "test_factored_rank_is_the_rank_of_the_product")
+INVERSE_TESTS = (T + "test_inverse_rank_certificate_of_matrices_with_known_condition",
+                 T + "test_inverse_rank_certificate_keeps_the_rounding_of_its_residual",
+                 T + "test_inverse_rank_certificate_is_below_the_svd_ratio")
 UNDERFLOW_TESTS = (T + "test_rank_of_an_underflowing_product_is_that_of_a_lowrank",
                    T + "test_reconstruct_is_the_whole_matrix_oracle_at_any_scale")
 
@@ -117,11 +120,16 @@ MUTANTS = [
     Mutant("faint rows never ranked", LOWRANK,
            "rank = numerical_rank(np.concatenate(faint))", "rank = rank", UNDERFLOW_TESTS),
     # the other certificates
-    Mutant("QR bound x 1.001", LOWRANK,
-           "return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_t) - delta)",
-           "return 1.001 * float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_t) - delta)",
-           (T + "test_qr_rank_certificate_of_matrices_with_known_condition",
-            T + "test_qr_rank_certificate_is_below_the_svd_ratio")),
+    Mutant("inverse bound x 1.001", LOWRANK,
+           "return float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_m))",
+           "return 1.001 * float((1.0 - delta) ** 2 * (1.0 - rho) / (norm_x * norm_m))",
+           INVERSE_TESTS),
+    Mutant("Schur complement sign flipped", LOWRANK,
+           "m[h:, h:] - m[h:, :h] @ ab", "m[h:, h:] + m[h:, :h] @ ab",
+           (T + "test_block_inverse_matches_the_dense_inverse",) + INVERSE_TESTS),
+    Mutant("rounding term dropped from rho", LOWRANK,
+           "rho = np.linalg.norm(resid) + gamma * (norm_x * norm_m + math.sqrt(ell))",
+           "rho = np.linalg.norm(resid)", INVERSE_TESTS),
     Mutant("sigma_1^2 tolerance 1e-4", "src/ropeslr/linalg.py",
            "(1.0 + SPECTRAL_CERT_TOL) * rayleigh", "(1.0 + 1e-4) * rayleigh",
            ("tests/test_linalg.py::test_certified_energy_is_within_its_tolerance_of_the_svd",
