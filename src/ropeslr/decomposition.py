@@ -103,23 +103,18 @@ def row_energy_split(a: np.ndarray, energy: float) -> np.ndarray:
     entries of each row whose mass reaches the energy fraction; the entries
     off the mask are the residual."""
     check_energy(energy)
-    keep = np.empty_like(a, dtype=bool)
-    for start in range(0, a.shape[0], SPLIT_BLOCK_ROWS):
-        block = a[start:start + SPLIT_BLOCK_ROWS]
-        # Each row's values in descending order.  Tied values are equal, so
-        # their order cannot change the cumulative sums that count_for_mass
-        # takes, and a plain value sort gives the same counts as an argsort.
-        desc = np.sort(-block, axis=1)
-        desc = np.negative(desc, out=desc)
-        n_keep = count_for_mass(desc, energy)
-        cut = desc[np.arange(block.shape[0]), n_keep - 1][:, None]
-        # keep everything above the smallest kept value, then the entries
-        # tied with it from the lowest column up, as a stable sort would
-        tied = block == cut
-        room = n_keep - np.count_nonzero(block > cut, axis=1)
-        keep[start:start + SPLIT_BLOCK_ROWS] = (block > cut) | (
-            tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return keep
+    # Each row's values in descending order.  Tied values are equal, so
+    # their order cannot change the cumulative sums that count_for_mass
+    # takes, and a plain value sort gives the same counts as an argsort.
+    desc = np.sort(-a, axis=1)
+    desc = np.negative(desc, out=desc)
+    n_keep = count_for_mass(desc, energy)
+    cut = desc[np.arange(a.shape[0]), n_keep - 1][:, None]
+    # keep everything above the smallest kept value, then the entries tied
+    # with it from the lowest column up, as a stable sort would
+    tied = a == cut
+    room = n_keep - np.count_nonzero(a > cut, axis=1)
+    return (a > cut) | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
 
 
 def synthetic_qk(grid: GridShape, cfg: RopeConfig, seed: int,

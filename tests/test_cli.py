@@ -402,8 +402,8 @@ def test_shape_check_raises_a_plain_value_error(name):
 def test_a_shape_check_in_a_handler_is_a_library_fault(monkeypatch, capsys):
     # a non-finite factor trips as_matrix's check inside reconstruct, a plain
     # ValueError that must propagate, not exit 2
-    def non_finite(q_mat, k_mat, grid, cfg, cutoffs):
-        return np.full((grid.size, 1), np.nan), np.ones((grid.size, 1))
+    def non_finite(rq, rk, cfg, cutoffs):
+        return np.full((len(rq), 1), np.nan), np.ones((len(rq), 1))
 
     monkeypatch.setattr(lowrank, "_truncated_svd_factors", non_finite)
     with pytest.raises(ValueError, match="finite") as raised:

@@ -22,20 +22,19 @@ from ropeslr.linalg import RANK_REL_TOL, numerical_rank, singular_values
 from ropeslr.lowrank import (
     _CERT_MIN_NORM,
     INV_LEAF,
-    PRODUCT_BLOCK_ROWS,
     PRODUCT_TILE_ROWS,
     RANK_CERT_MARGIN,
     Reconstruction,
-    _Factor,
     _block_inverse,
     _error_fields,
     _factored_rank,
+    _gram_bound,
     _gram_certificate,
     _inverse_rank_certificate,
     _lowrank_branch,
     _stabilised_features_rows,
     _truncated_svd_factors,
-    _whole,
+    _weighted,
     approx_kernel,
     favor_features_rows,
     favor_map,
@@ -338,7 +337,8 @@ def test_log_space_lowrank_matches_the_direct_normalisation():
     q, k = synthetic_qk(grid, CFG, 5)
     with streamed() as arrays:
         rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, 32, 5)
-    q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, rec.cutoffs)
+    q_fac, k_fac = _truncated_svd_factors(rotate_rows(q, grid, CFG), rotate_rows(k, grid, CFG),
+                                          CFG, rec.cutoffs)
     _, log_z = softmax_attention(logit_matrix(q, k, grid, CFG))
     direct = normalize_rows(approx_kernel(q_fac, k_fac, favor_map(q_fac.shape[1], 32, 5)),
                             np.exp(log_z))
@@ -368,42 +368,43 @@ def lowrank_branch(grid, favor_dim, row_norm, seed, tau=0.05, e_tol=0.02, favor_
     a_lowrank is checked to be bitwise the one the branch streamed.
     favor_seed defaults to seed."""
     q, k = synthetic_qk(grid, CFG, seed, row_norm=row_norm)
+    rq, rk = rotate_rows(q, grid, CFG), rotate_rows(k, grid, CFG)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
-    q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
+    q_fac, k_fac = _truncated_svd_factors(rq, rk, CFG, cutoffs)
     _, log_z = softmax_attention(logit_matrix(q, k, grid, CFG))
     favor_seed = seed if favor_seed is None else favor_seed
     a_lowrank, left, right = lowrank_branch_whole(q_fac, k_fac, log_z, favor_dim, favor_seed)
     with streamed() as arrays:
-        fields = _lowrank_branch(rotate_rows(q, grid, CFG), rotate_rows(k, grid, CFG), CFG, tau,
-                                 q_fac, k_fac, favor_dim, favor_seed)
+        fields = _lowrank_branch(rq, rk, CFG, tau, q_fac, k_fac, favor_dim, favor_seed)
     assert arrays().a_lowrank.tobytes() == a_lowrank.tobytes()
     return a_lowrank, fields["rank_lowrank"], left, right
 
 
-def folded(make) -> _Factor:
-    """The _Factor of a maker of row blocks with every block of one make()
-    added, as _lowrank_branch adds each block as it goes by."""
-    factor = _Factor(make)
-    for f, log_w in make():
-        factor.add(f, log_w)
-        del f, log_w  # not held while the next block is made
-    return factor
+def weighted(f, exp2=None) -> np.ndarray:
+    """A fresh whole factor of f's rows as _lowrank_branch weights one: row
+    p stored as f_p 2^-exp2[p] with log weight exp2[p] ln 2 (0 by default)
+    and scaled by _weighted, so that it stands for f's rows times 2^-max
+    exp2, to the rounding of their weights; with unit weights it is f."""
+    exp2 = np.zeros(len(f), dtype=np.int64) if exp2 is None else np.asarray(exp2)
+    return _weighted(np.ldexp(f, -exp2[:, None]), exp2 * math.log(2.0))
 
 
-def gram_certificate(make) -> bool:
-    """_gram_certificate of the factor whose row blocks make() yields."""
-    return _gram_certificate(folded(make))
+def maker(f, exp2=None):
+    """A maker of the whole factor weighted(f, exp2), afresh on each call,
+    as _factored_rank takes one."""
+    return lambda: weighted(f, exp2)
+
+
+def certificate(f, exp2=None) -> bool:
+    """_gram_certificate of the whole factor weighted(f, exp2); with unit
+    weights its Gram is f^T f."""
+    return _gram_certificate(_gram_bound(weighted(f, exp2)))
 
 
 def factored_rank(r, left, right) -> int:
-    """_factored_rank of two makers of row blocks, each folded first."""
-    return _factored_rank(r, folded(left), folded(right))
-
-
-def certificate(f) -> bool:
-    """_gram_certificate of the whole factor f as one block of unit
-    weights, whose Gram is f^T f."""
-    return gram_certificate(factor_blocks(f))
+    """_factored_rank of two makers of whole factors, with the right
+    factor's certificate decided first, as _lowrank_branch decides it."""
+    return _factored_rank(r, _gram_certificate(_gram_bound(right())), left, right)
 
 
 def certifies(left, right) -> bool:
@@ -412,31 +413,8 @@ def certifies(left, right) -> bool:
     return certificate(left) and certificate(right)
 
 
-def factor_blocks(f, sizes=None, exp2=None):
-    """A maker of row blocks of f, as a _Factor takes them: row p is
-    stored as f_p 2^-exp2[p] with log weight exp2[p] ln 2 (0 by default),
-    so the blocks stand for f's rows to the rounding of their weights.  The
-    blocks have the row counts sizes (one block by default) and are copied
-    afresh on every call, as the certificate scales them in place."""
-    exp2 = np.zeros(len(f), dtype=np.int64) if exp2 is None else np.asarray(exp2)
-    stored = np.ldexp(f, -exp2[:, None])
-    log_w = exp2 * math.log(2.0)
-    bounds = np.cumsum([0, *([len(f)] if sizes is None else sizes)])
-
-    def make():
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            yield stored[start:stop].copy(), log_w[start:stop]
-    return make
-
-
-def row_cuts(rng, ell, blocks):
-    """Row counts of min(blocks, ell) blocks of ell rows, cut at random rows."""
-    cuts = np.sort(rng.choice(np.arange(1, ell), min(blocks, ell) - 1, replace=False))
-    return np.diff(np.concatenate(([0], cuts, [ell])))
-
-
 def feature_exponents(rng, f):
-    """Row weight exponents for factor_blocks that store each row of a
+    """Row weight exponents for weighted that store each row of a
     nonnegative f as a featurised row is, its largest entry in [1/2, 1): the
     exponent of that entry.  A zero row takes another row's at random."""
     top = f.max(axis=1)
@@ -474,14 +452,31 @@ def test_reconstruct_rank_matches_the_dense_rank(shape, favor_dim, row_norm, see
 ])
 def test_rank_certificate_fires_only_above_its_margin(shape, favor_dim, row_norm,
                                                       certified, rank):
-    # the branch, which adds the row sums of every block and remakes the
-    # first 2R rows, decides as the whole factors do: it falls back to the
-    # whole factors' QR core only when they fail
-    with mock.patch.object(lowrank, "_whole", wraps=_whole) as whole:
+    # the branch, which weights the two whole factors after the pass, decides
+    # as the whole factors do: it weights them once more, for the QR-core
+    # fallback, only when they fail
+    with mock.patch.object(lowrank, "_weighted", wraps=_weighted) as weighting:
         _, got, left, right = lowrank_branch(GridShape(*shape), favor_dim, row_norm, 0)
-    assert whole.called is not certified
+    assert (weighting.call_count > 2) is not certified
     assert certifies(left, right) is certified
-    assert got == factored_rank(favor_dim, factor_blocks(left), factor_blocks(right)) == rank
+    assert got == factored_rank(favor_dim, maker(left), maker(right)) == rank
+
+
+def test_gram_certificates_read_the_scaled_factors_of_a_lowrank():
+    # R = 256 < L = 512, and both factors certify: the right certificate
+    # reads the key features and the left the query features, bitwise the
+    # oracle's, each scaled by exp of its side of a_lowrank's exponent less
+    # its largest, so that their product is a_lowrank times one constant
+    read, bound = [], _gram_bound
+
+    def recording(f):
+        read.append(f.copy())
+        return bound(f)
+
+    with mock.patch.object(lowrank, "_gram_bound", recording):
+        _, rank, left, right = lowrank_branch(GridShape(8, 8, 8), 256, None, 0)
+    assert rank == 256
+    assert [f.tobytes() for f in read] == [right.tobytes(), left.tobytes()]
 
 
 THETA = RANK_CERT_MARGIN * RANK_REL_TOL
@@ -509,7 +504,7 @@ def test_rank_certificate_of_factors_with_known_condition(s, bound, rank):
     # the certificate fires when that bound clears theta
     left = diagonal_factor(8, 2, s)
     assert certifies(left, left) is (bound >= THETA)
-    assert factored_rank(2, factor_blocks(left), factor_blocks(left)) == rank
+    assert factored_rank(2, maker(left), maker(left)) == rank
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
@@ -577,67 +572,36 @@ def test_rank_certificate_falls_back_below_full_rank(seed, rank):
 
 @pytest.mark.parametrize("fails", [None, "right", "left"])
 def test_factored_rank_makes_one_factor_at_a_time(fails):
-    # every block of both factors was added as it went by; then each
-    # certificate remakes the blocks of its factor's first 2R = 4 rows, two
-    # of the three, right first, and holds no block when the next is made;
-    # the left factor is not remade when the right certificate fails; the
-    # QR-core fallback makes each factor whole once more, right first, and
-    # drops it before the other is made
+    # the right factor is certified first, as the pass leaves it; then the
+    # left certificate makes the left factor whole, only when the right one
+    # passed, and the QR-core fallback makes each factor whole once more,
+    # right first.  No factor is made while another is still referenced,
+    # and none is held through a Cholesky
     good = diagonal_factor(9, 2, 0.5)
     bad = diagonal_factor(9, 2, 0.0)
-    made, live, fallback = [], [], []
+    made, live, cholesky = [], [], np.linalg.cholesky
 
-    def maker(name, f):
-        inner = factor_blocks(f, (3, 3, 3))
-
+    def factor(name, f):
         def make():
             assert all(ref() is None for ref in live), (name, made)
-            made.append([name, 0])
-            for block in inner():
-                # no earlier block is still referenced
-                assert fallback or all(ref() is None for ref in live), (name, made)
-                live.append(weakref.ref(block[0]))
-                made[-1][1] += 1
-                yield block
+            made.append(name)
+            out = weighted(f)
+            live.append(weakref.ref(out))
+            return out
         return make
 
-    def whole(blocks):
-        fallback.append(True)
-        return _whole(blocks)
+    def recording(g):
+        assert all(ref() is None for ref in live), made
+        return cholesky(g)
 
-    left = folded(maker("left", bad if fails == "left" else good))
-    right = folded(maker("right", bad if fails == "right" else good))
-    made.clear()
-    with mock.patch.object(lowrank, "_whole", whole):
-        assert _factored_rank(2, left, right) == (2 if fails is None else 1)
-    assert made == {None: [["right", 2], ["left", 2]],
-                    "right": [["right", 2], ["right", 3], ["left", 3]],
-                    "left": [["right", 2], ["left", 2], ["right", 3], ["left", 3]]}[fails]
-
-
-@pytest.mark.parametrize("sizes,remade", [((3, 3, 3), 2), ((4, 5), 1), ((1, 2, 1, 5), 3),
-                                          ((9,), 1)])
-@pytest.mark.parametrize("weights", ["finite", "non-finite"])
-def test_gram_certificate_remakes_only_the_blocks_of_its_first_2r_rows(sizes, remade,
-                                                                       weights):
-    # the row sums of every block were added as the blocks went by, so the
-    # certificate remakes only the blocks with rows among the first 2R = 4;
-    # a non-finite log weight in a later block fails it before any block is
-    # remade
-    good = diagonal_factor(9, 2, 0.5)
-    read = []
-
-    def make():
-        for i, (f, log_w) in enumerate(factor_blocks(good, sizes)()):
-            read.append(i)
-            yield f, (log_w + np.inf if weights == "non-finite" and i == len(sizes) - 1
-                      else log_w)
-
-    factor = folded(make)
-    assert read == list(range(len(sizes)))
-    read.clear()
-    assert quietly(_gram_certificate, factor) is (weights == "finite")
-    assert read == (list(range(remade)) if weights == "finite" else [])
+    left = factor("left", bad if fails == "left" else good)
+    right = factor("right", bad if fails == "right" else good)
+    with mock.patch.object(np.linalg, "cholesky", recording):
+        right_certified = _gram_certificate(_gram_bound(right()))
+        assert _factored_rank(2, right_certified, left, right) == (2 if fails is None else 1)
+    assert made == {None: ["right", "left"],
+                    "right": ["right", "right", "left"],
+                    "left": ["right", "left", "right", "left"]}[fails]
 
 
 @pytest.mark.parametrize("ell", [1, 5, INV_LEAF, INV_LEAF + 1, 200, 513])
@@ -671,11 +635,11 @@ def inverse_rank(m) -> int:
     return numerical_rank(m)
 
 
-def quietly(certificate, m):
-    """certificate(m), with every warning an error."""
+def quietly(certificate, *args):
+    """certificate(*args), with every warning an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return certificate(m)
+        return certificate(*args)
 
 
 EPS = np.finfo(np.float64).eps
@@ -798,24 +762,23 @@ def test_inverse_rank_certificate_is_below_the_svd_ratio(leaf, ell, ratio, exp2,
 @PROPERTY
 # a heavy last row after the first 2R: it sets lambda_max, which mu must
 # bound although the Gram reads only the first 2R rows
-@hypothesis.example(r=2, extra=3, ratio=0.5, noise=1.0, exp2=0, blocks=1, featurised=False,
-                    seed=0, tail=30)
+@hypothesis.example(r=2, extra=3, ratio=0.5, noise=1.0, exp2=0, featurised=False, seed=0,
+                    tail=30)
 @hypothesis.given(r=st.integers(1, 12), extra=st.integers(1, 20), ratio=NEAR_THETA,
                   noise=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]),
-                  exp2=st.integers(-500, 500), blocks=st.integers(1, 5),
-                  featurised=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-                  tail=st.sampled_from([0, 4, 30]))
-def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, blocks,
-                                                featurised, seed, tail):
+                  exp2=st.integers(-500, 500), featurised=st.booleans(),
+                  seed=st.integers(0, 2 ** 32 - 1), tail=st.sampled_from([0, 4, 30]))
+def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, featurised,
+                                                seed, tail):
     # a nonnegative L x R factor, R < L, whose Gram has lambda_min / lambda_max
     # about ratio before its nonnegative noise, its rows and columns shuffled,
-    # its rows after the first 2R times 2^tail and all at scale 2^exp2, read
-    # in random row blocks.  With unit weights the blocks hold f's rows at
-    # that scale (below 2^-484 its Gram is under _CERT_MIN_NORM); featurised,
-    # as a featurised factor is read, each row's largest entry in [1/2, 1)
-    # and its scale in its weight, so that the running shift rescales the
-    # Gram and the row sums.  The certificate reads only the first 2R rows
-    # into its Gram, and must hold for the whole factor
+    # its rows after the first 2R times 2^tail and all at scale 2^exp2.  With
+    # unit weights the factor holds f's rows at that scale (below 2^-484 its
+    # Gram is under _CERT_MIN_NORM); featurised, as a featurised factor is
+    # stored, each row's largest entry in [1/2, 1) and its scale in its
+    # weight, so that the weighting shifts the rows by their largest weight.
+    # The certificate reads only the first 2R rows into its Gram, and must
+    # hold for the whole factor
     ell = r + extra
     rng = np.random.default_rng(seed)
     f = diagonal_factor(ell, r, ratio) + noise * rng.random((ell, r))
@@ -823,43 +786,25 @@ def test_gram_certificate_holds_against_the_svd(r, extra, ratio, noise, exp2, bl
     f[2 * r:] *= 2.0 ** tail
     f = np.ldexp(f, exp2)
     exp2_rows = feature_exponents(rng, f) if featurised else None
-    make = factor_blocks(f, row_cuts(rng, ell, blocks), exp2_rows)
-    certified = quietly(gram_certificate, make)
+    certified = quietly(certificate, f, exp2_rows)
     if certified:
         sv = singular_values(f)
         slack = 4.0 * ell * EPS * sv[0]  # the reference's own rounding
         assert ((sv[-1] + slack) / (sv[0] - slack)) ** 2 >= THETA
 
 
-def one_pass_certificate(blocks) -> bool:
-    """The oracle of _gram_certificate: one pass over the row blocks that
-    scales each under the running shift and adds its Gram, while it has
-    rows among the first 2R, beside its row sums; then the shifted
-    Cholesky."""
-    ln2 = math.log(2.0)
-    g = None
+def stated_certificate(f, log_w) -> bool:
+    """The oracle of _gram_certificate, as its docstring states it: f scaled
+    by exp(log_w - max log_w), the row sums of all its rows, the Gram of its
+    first min(2R, L) rows and the shifted Cholesky."""
+    r, ell = f.shape[1], len(f)
+    f = f * np.exp(log_w - log_w.max())[:, None]
     with np.errstate(invalid="ignore"):
-        for f, log_w in blocks:
-            top = np.max(log_w) / ln2
-            if not np.isfinite(top):
-                return False
-            if g is None:
-                r, k, ell = f.shape[1], math.ceil(top), 0
-                g, sums = np.zeros((r, r)), np.zeros(r)
-            elif top > k:
-                old, k = k, math.ceil(top)
-                g, sums = (np.ldexp(x, max(2 * (old - k), -2200)) for x in (g, sums))
-            f = f * np.exp(log_w - k * ln2)[:, None]
-            head = f[:max(2 * r - ell, 0)]
-            if len(head):
-                g = g + head.T @ head
-            sums = sums + f.T @ f.sum(axis=1)
-            ell += len(f)
-        if g is None:
-            return False
-        row_sum = sums.max()
+        row_sum = (f.T @ f.sum(axis=1)).max()
     if not _CERT_MIN_NORM <= row_sum < np.inf:
         return False
+    head = f[:2 * r]
+    g = head.T @ head
     g[np.diag_indices(r)] -= stated_threshold(ell, r) * row_sum
     try:
         np.linalg.cholesky(g)
@@ -868,8 +813,8 @@ def one_pass_certificate(blocks) -> bool:
     return True
 
 
-def cholesky_inputs(certificate, blocks):
-    """(certificate(blocks), the matrices it passed to np.linalg.cholesky)."""
+def cholesky_inputs(certificate, *args):
+    """(certificate(*args), the matrices it passed to np.linalg.cholesky)."""
     seen, cholesky = [], np.linalg.cholesky
 
     def recording(g):
@@ -877,24 +822,22 @@ def cholesky_inputs(certificate, blocks):
         return cholesky(g)
 
     with mock.patch.object(np.linalg, "cholesky", recording):
-        return quietly(certificate, blocks), seen
+        return quietly(certificate, *args), seen
 
 
 @PROPERTY
 @hypothesis.given(r=st.integers(1, 12), extra=st.integers(1, 30), ratio=NEAR_THETA,
                   noise=st.sampled_from([0.0, 1e-6, 1.0]), exp2=st.integers(-1100, 1100),
-                  spread=st.sampled_from([0, 3, 40, 1500]), blocks=st.integers(1, 6),
-                  featurised=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_gram_certificate_is_the_one_pass_certificate(r, extra, ratio, noise, exp2, spread,
-                                                      blocks, featurised, seed):
-    # the certificate adds the row sums as the blocks go by and remakes the
-    # blocks of the first 2R rows afterwards, each scaled by the shift it
-    # was added under; its decision and the shifted Gram it passes to the
-    # Cholesky must be bitwise a single pass's, which adds each block's Gram
-    # beside its row sums.  Featurised, each row's largest entry is 1 and
-    # its log weight (exp2 + a spread) ln 2, so that the shift rises and
-    # falls between blocks by up to 2^3000, past the rescale's floor of
-    # 2^-2200; with unit weights the rows are at scale 2^exp2, within +-500
+                  spread=st.sampled_from([0, 3, 40, 1500]), featurised=st.booleans(),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_certificate_is_the_stated_certificate(r, extra, ratio, noise, exp2, spread,
+                                                    featurised, seed):
+    # the certificate of a weighted whole factor must decide as the stated
+    # one, and pass it bitwise the shifted Gram the stated one factors.
+    # Featurised, each row's largest entry is 1 and its log weight (exp2 + a
+    # spread) ln 2, so that rows up to 2^1500 below the largest weight
+    # underflow to zero rows; with unit weights the rows are at scale
+    # 2^exp2, within +-500
     ell = r + extra
     rng = np.random.default_rng(seed)
     f = diagonal_factor(ell, r, ratio) + noise * rng.random((ell, r))
@@ -905,14 +848,13 @@ def test_gram_certificate_is_the_one_pass_certificate(r, extra, ratio, noise, ex
         log_w = (exp2 + rng.integers(-spread, spread + 1, ell)) * math.log(2.0)
     else:
         f, log_w = np.ldexp(f, max(-500, min(500, exp2))), np.zeros(ell)
-    bounds = np.cumsum([0, *row_cuts(rng, ell, blocks)])
+    f = np.ascontiguousarray(f)  # in row order, as the branch's factors are
 
-    def make():
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            yield f[start:stop].copy(), log_w[start:stop]
+    def weighted_certificate():
+        return _gram_certificate(_gram_bound(_weighted(f.copy(), log_w)))
 
-    got, got_grams = cholesky_inputs(gram_certificate, make)
-    want, want_grams = cholesky_inputs(one_pass_certificate, make())
+    got, got_grams = cholesky_inputs(weighted_certificate)
+    want, want_grams = cholesky_inputs(stated_certificate, f, log_w)
     assert got is want
     assert [g.tobytes() for g in got_grams] == [g.tobytes() for g in want_grams]
 
@@ -923,20 +865,19 @@ def test_gram_certificate_is_the_one_pass_certificate(r, extra, ratio, noise, ex
                   ratios=st.one_of(st.none(), NEAR_THETA.map(lambda x: (x, x)),
                                    st.tuples(NEAR_THETA, NEAR_THETA)),
                   exp2=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
-                  blocks=st.integers(1, 5), featurised=st.booleans(),
-                  seed=st.integers(0, 2 ** 32 - 1))
-def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2, blocks,
-                                                  featurised, seed):
+                  featurised=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2, featurised,
+                                                  seed):
     # nonnegative L x R factors, R < L, each at scale 2^exp2: diagonal ones
     # with Gram ratios about theta (equal ratios put the product's there
     # too), whose product's singular values both paths compute exactly, so
     # they may sit at the rank threshold; or products of nonnegative L x k
     # and k x R factors, of rank k <= R, whose nonzero singular values lie
-    # far above the threshold and the others far below.  Each is read in
-    # random row blocks.  With unit weights the blocks hold the scaled
-    # factors' rows as they are, and the rank is that of their product;
-    # featurised, each row's scale is in its weight, and the rank is that of
-    # the product of the whole factors the QR-core fallback ranks
+    # far above the threshold and the others far below.  With unit weights
+    # the whole factors hold the scaled factors' rows as they are, and the
+    # rank is that of their product; featurised, each row's scale is in its
+    # weight, and the rank is that of the product of the weighted factors
+    # the QR-core fallback ranks
     ell = r + extra
     rng = np.random.default_rng(seed)
     if ratios is None:
@@ -947,12 +888,10 @@ def test_factored_rank_is_the_rank_of_the_product(r, extra, ranks, ratios, exp2,
                    for ratio in ratios]
     left_raw, right_raw = (np.ldexp(f, e) for f, e in zip(factors, exp2))
     if featurised:
-        left, right = (factor_blocks(f, row_cuts(rng, ell, blocks), feature_exponents(rng, f))
-                       for f in (left_raw, right_raw))
-        product = _whole(left()) @ _whole(right()).T
+        left, right = (maker(f, feature_exponents(rng, f)) for f in (left_raw, right_raw))
+        product = left() @ right().T
     else:
-        left, right = (factor_blocks(f, row_cuts(rng, ell, blocks))
-                       for f in (left_raw, right_raw))
+        left, right = maker(left_raw), maker(right_raw)
         product = left_raw @ right_raw.T
     assert factored_rank(r, left, right) == numerical_rank(product)
 
@@ -966,31 +905,7 @@ def test_gram_certificate_reads_the_first_2r_rows_into_its_gram(r):
     singular_head = np.vstack([np.zeros((2 * r, r)), good])
     assert not certificate(singular_head)
     assert certificate(singular_head[r:])
-    assert factored_rank(r, factor_blocks(singular_head), factor_blocks(good)) == r
-
-
-@pytest.mark.parametrize("ell,blocks", [(11, 3), (13, 4)])
-@pytest.mark.parametrize("top", [300, -300])
-@pytest.mark.parametrize("ratio,certified", [
-    (THETA * (1.0 + 1e-5), True), (THETA * (1.0 - 1e-5), False),
-])
-def test_rank_certificate_rescales_its_gram_when_a_later_block_weighs_more(
-        ell, blocks, top, ratio, certified):
-    # a diagonal factor at scale 2^top, stored as featurised rows are, with
-    # its largest row last and so in the last block, whose row count the
-    # block count does not divide; zero row p has weight 2^(top - 600 + p).
-    # It has ceil(ell / 2) columns, so that its Gram reads every row.  The
-    # Gram and the row sums of the rows before the last block are
-    # accumulated under a shift 2^15 below the last block's, and must be
-    # rescaled by 2^-30 to decide as the whole scaled factor does on either
-    # side of theta
-    near = np.ldexp(diagonal_factor(ell, (ell + 1) // 2, ratio), top)[np.r_[1:ell, 0]]
-    exp2 = np.frexp(near.max(axis=1))[1]
-    zero = np.flatnonzero(~near.any(axis=1))
-    exp2[zero] = top - 600 + zero
-    make = factor_blocks(near, [len(b) for b in np.array_split(near, blocks)], exp2)
-    assert quietly(gram_certificate, make) is certified
-    assert certificate(_whole(make())) is certified
+    assert factored_rank(r, maker(singular_head), maker(good)) == r
 
 
 BAD_ENTRIES = [np.inf, -np.inf, np.nan]
@@ -1057,7 +972,8 @@ def reconstruct_whole(q, k, grid, tau, e_tol, favor_dim, seed):
     a, log_z = softmax_attention(logit_matrix(q, k, grid, CFG))
     mask = energy_split(a, tau)
     cutoffs = choose_truncation(q, k, CFG, e_tol / (4.0 * tau))
-    q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG, cutoffs)
+    q_fac, k_fac = _truncated_svd_factors(rotate_rows(q, grid, CFG), rotate_rows(k, grid, CFG),
+                                          CFG, cutoffs)
     a_lowrank, _, _ = lowrank_branch_whole(q_fac, k_fac, log_z, favor_dim, seed)
     errors = error_fields_whole(a, a_lowrank, mask)
     arrays = SimpleNamespace(a=a, spike_mask=mask, a_lowrank=a_lowrank,
@@ -1090,7 +1006,8 @@ def assert_bitwise_the_oracle(rec, got, want, whole):
 
 # (grid, row_norm, favor_dim, seed, what the case covers); L = 105 is not a
 # multiple of SPLIT_BLOCK_ROWS, L = 8 is below it; L = 576, 520 and 728 are
-# above PRODUCT_BLOCK_ROWS and not multiples of PRODUCT_TILE_ROWS.
+# above BLOCK_CASE_ROWS and not multiples of PRODUCT_TILE_ROWS.
+BLOCK_CASE_ROWS = 4 * PRODUCT_TILE_ROWS
 BLOCK_CASES = [
     ((5, 3, 7), None, 64, 0, "edge"),  # spikes in the rows on both sides of row 64
     ((5, 3, 7), 8.0, 64, 1, "edge"),
@@ -1098,11 +1015,11 @@ BLOCK_CASES = [
     ((5, 3, 7), 80.0, 256, 2, "edge"),  # logits past exp overflow
     ((2, 2, 2), None, 16, 0, "one block"),
     ((2, 2, 2), 8.0, 64, 1, "one block"),
-    ((9, 8, 8), None, 256, 0, "R < L"),  # product blocks of 512 and 64 rows
+    ((9, 8, 8), None, 256, 0, "R < L"),  # 4 full tiles and one of 64 rows
     ((9, 8, 8), 8.0, 256, 1, "R < L"),  # rank below R, from the QR core
     ((13, 8, 7), 8.0, 256, 0, "tile edge"),  # and a last tile of 88 rows
     ((9, 8, 8), None, 1024, 0, "R >= L"),
-    ((13, 8, 5), 8.0, 1024, 2, "R >= L"),  # a last product block of 8 rows
+    ((13, 8, 5), 8.0, 1024, 2, "R >= L"),  # a last tile of 8 rows
 ]
 
 
@@ -1116,9 +1033,9 @@ def test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle(shape, row_n
     want, whole = reconstruct_whole(q, k, grid, 0.05, 0.02, favor_dim, seed)
     assert_bitwise_the_oracle(rec, arrays(), want, whole)
     edge = whole.spike_mask[SPLIT_BLOCK_ROWS - 1:SPLIT_BLOCK_ROWS + 1].any(axis=1)
-    blocks = grid.size > PRODUCT_BLOCK_ROWS and grid.size % PRODUCT_TILE_ROWS != 0
-    # a tile edge inside the second block of PRODUCT_BLOCK_ROWS rows
-    tile_edge = PRODUCT_BLOCK_ROWS + PRODUCT_TILE_ROWS
+    blocks = grid.size > BLOCK_CASE_ROWS and grid.size % PRODUCT_TILE_ROWS != 0
+    # a tile edge past the first BLOCK_CASE_ROWS rows
+    tile_edge = BLOCK_CASE_ROWS + PRODUCT_TILE_ROWS
     spiked = whole.spike_mask[tile_edge - 1:tile_edge + 1].any(axis=1)
     assert {"edge": edge.all() and grid.size % SPLIT_BLOCK_ROWS != 0,
             "no spikes": rec.nnz_sparse == 0 and grid.size > SPLIT_BLOCK_ROWS,
@@ -1263,7 +1180,7 @@ BENCHMARK_GRIDS = [(4, 4, 4), (5, 5, 5), (6, 6, 6), (8, 8, 8), (10, 10, 10), (12
 
 @pytest.mark.parametrize("shape", BENCHMARK_GRIDS)
 def test_row_blocks_are_bitwise_the_whole_calls_at_the_benchmark_grids(shape):
-    # the pass's tiles and blocks, and fk built from blocks, are bitwise the
+    # the pass's tiles and the left factor made in them are bitwise the
     # whole matrices only where logit_rows and _stabilised_features_rows of
     # a row block are bitwise those rows of the whole call; so are the
     # benchmark's digests.  It fails for logit_rows at L = 693, 700, 726 and
@@ -1276,7 +1193,7 @@ def test_row_blocks_are_bitwise_the_whole_calls_at_the_benchmark_grids(shape):
         for s in range(0, grid.size, rows):
             assert logit_rows(rq[s:s + rows], rk, CFG).tobytes() == whole[s:s + rows].tobytes()
     del whole
-    q_fac, k_fac = _truncated_svd_factors(q, k, grid, CFG,
+    q_fac, k_fac = _truncated_svd_factors(rq, rk, CFG,
                                           choose_truncation(q, k, CFG, 0.02 / (4.0 * 0.05)))
     omegas = favor_map(q_fac.shape[1], 1024, 0)
     for fac in (q_fac, k_fac):
@@ -1288,34 +1205,44 @@ def test_row_blocks_are_bitwise_the_whole_calls_at_the_benchmark_grids(shape):
                 assert mb.tobytes() == m[s:s + rows].tobytes()
 
 
-def test_no_r_by_r_array_is_made_while_the_key_features_live():
-    # R = 256 < L = 512: the Grams, their scratch and the Cholesky factors,
-    # R x R each, are made after the pass has freed the key features fk,
-    # the first L x R array _lowrank_branch makes
+@pytest.mark.parametrize("row_norm,certified", [(None, True), (8.0, False)])
+def test_certificates_hold_one_factor_and_one_gram_at_a_time(row_norm, certified):
+    # R = 256 < L = 512: after the pass each whole factor _weighted returns
+    # is made while no earlier factor or Gram lives, _gram_bound reads it
+    # with no Gram alive, and the factor is gone before the Cholesky, where
+    # only its Gram lives.  At row norm 8 both factors are made once more for
+    # the QR-core fallback, one at a time
     grid, favor_dim = GridShape(8, 8, 8), 256
-    q, k = synthetic_qk(grid, CFG, 0)
-    fk, fk_live = [], []
-    empty, zeros, cholesky = np.empty, np.zeros, np.linalg.cholesky
+    q, k = synthetic_qk(grid, CFG, 0, row_norm=row_norm)
+    factors, grams = [], []
+    weighting, bound, cholesky = _weighted, _gram_bound, np.linalg.cholesky
 
-    def watched(make):
-        def call(shape, *args, **kwargs):
-            out = make(shape, *args, **kwargs)
-            if shape == (grid.size, favor_dim) and not fk:
-                fk.append(weakref.ref(out))
-            if shape == (favor_dim, favor_dim):
-                fk_live.append(fk[0]() is not None)
-            return out
-        return call
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def watched_weighted(f, log_w):
+        assert (alive(factors), alive(grams)) == (0, 0)
+        f = weighting(f, log_w)
+        factors.append(weakref.ref(f))
+        return f
+
+    def watched_bound(f):
+        assert (alive(factors), alive(grams)) == (1, 0)
+        g = bound(f)
+        if g is not None:
+            grams.append(weakref.ref(g))
+        return g
 
     def recording(g):
-        fk_live.append(fk[0]() is not None)
+        assert (alive(factors), alive(grams)) == (0, 1)
         return cholesky(g)
 
-    with mock.patch.object(np, "empty", watched(empty)), \
-            mock.patch.object(np, "zeros", watched(zeros)), \
+    with mock.patch.object(lowrank, "_weighted", watched_weighted), \
+            mock.patch.object(lowrank, "_gram_bound", watched_bound), \
             mock.patch.object(np.linalg, "cholesky", recording):
-        reconstruct(q, k, grid, CFG, 0.05, 0.02, favor_dim, 0)
-    assert fk and len(fk_live) >= 3 and not any(fk_live), fk_live
+        rec = reconstruct(q, k, grid, CFG, 0.05, 0.02, favor_dim, 0)
+    assert (rec.rank_lowrank == favor_dim) is certified
+    assert len(factors) == (2 if certified else len(grams) + 2) and grams, (factors, grams)
 
 
 def reconstruct_peak(grid, favor_dim) -> float:
@@ -1334,11 +1261,11 @@ def reconstruct_peak(grid, favor_dim) -> float:
 def test_reconstruct_peaks_below_three_attention_matrices():
     # R = 64 < L = 1728: no L x L array is made; the two reused tiles of
     # PRODUCT_TILE_ROWS rows, the attention's and a_lowrank's, are 0.15
-    # L^2 doubles, and 0.277 with the key features and the fold's
-    # temporaries (0.280 with the left Gram beside them in the pass, 0.75
-    # with tiles of PRODUCT_BLOCK_ROWS rows, 1.52 with the attention whole,
-    # 2.26 with a_lowrank whole as well, and 4.26 with the L x L exponent
-    # and error matrices too)
+    # L^2 doubles, and 0.27 with the key features and the fold's
+    # temporaries (0.277 with blocks of 512 rows of query features, 0.280
+    # with the left Gram beside them in the pass, 0.75 with tiles of 512
+    # rows, 1.52 with the attention whole, 2.26 with a_lowrank whole as
+    # well, and 4.26 with the L x L exponent and error matrices too)
     peak = reconstruct_peak(GridShape(12, 12, 12), 64)
     assert peak < 0.30, peak
 
@@ -1346,20 +1273,21 @@ def test_reconstruct_peaks_below_three_attention_matrices():
 @pytest.mark.parametrize("favor_dim,bound", [(512, 0.68), (1024, 1.2)])
 def test_reconstruct_never_holds_the_query_features_beside_a_lowrank(favor_dim, bound):
     # R = 512 < L = 1728: the pass holds the two reused tiles (0.15 L^2
-    # doubles), the key features (R / L = 0.30), a block of query features
-    # (0.09) and the fold's temporaries, 0.615 in all, and no R x R array:
-    # the certificates after it peak at 0.39.  With the left Gram and its
-    # scratch (0.18) in the pass it was 0.79, 1.26 with tiles of
-    # PRODUCT_BLOCK_ROWS rows as well, 1.83 with the attention whole, 2.41
-    # with a_lowrank whole as well, and 2.78 with the whole query features
+    # doubles), the key features (R / L = 0.30), a tile of query features
+    # and the fold's temporaries, 0.55 in all, and no R x R array; each
+    # certificate after it holds one whole factor and its Gram (0.09), 0.42.
+    # With blocks of 512 rows of query features in the pass it was 0.615,
+    # 0.79 with the left Gram and its scratch (0.18) beside them, 1.26 with
+    # tiles of 512 rows as well, 1.83 with the attention whole, 2.41 with
+    # a_lowrank whole as well, and 2.78 with the whole query features
     # beside it.
     # R = 1024 < L = 1728, and seed 0 certifies: the pass, with the key
-    # features (0.59), the tiles and a block of query features (0.18),
-    # reaches 1.00; the right certificate after it, with the Gram, its
-    # scratch and one remade block of key features (0.35 each), 1.10.  With
-    # the Gram and its scratch (0.70) beside the key features it was 1.70,
-    # 2.18 with tiles of PRODUCT_BLOCK_ROWS rows as well, with the attention
-    # whole the certificate reached 2.56, and 2.91 with scaled copies of
-    # whole factors.
+    # features (0.59), the tiles and a tile of query features, reaches 0.85;
+    # each certificate after it, one whole factor and its Gram (0.35), 0.98.
+    # With 512-row blocks of query features, and the first 2R rows remade
+    # in blocks beside the Gram and a scratch, it was 1.10; 1.70 with the
+    # Gram and its scratch (0.70) beside the key features, 2.18 with tiles
+    # of 512 rows as well, with the attention whole the certificate reached
+    # 2.56, and 2.91 with scaled copies of whole factors.
     peak = reconstruct_peak(GridShape(12, 12, 12), favor_dim)
     assert peak < bound, peak

@@ -40,9 +40,9 @@ T = "tests/test_lowrank.py::"
 GRAM_TESTS = (T + "test_rank_certificate_decides_either_side_of_theta",
               T + "test_rank_certificate_keeps_its_rounding_allowance",
               T + "test_rank_certificate_of_underflowing_factors_is_no_without_warnings",
-              T + "test_rank_certificate_rescales_its_gram_when_a_later_block_weighs_more",
               T + "test_gram_certificate_holds_against_the_svd",
-              T + "test_gram_certificate_is_the_one_pass_certificate")
+              T + "test_gram_certificate_is_the_stated_certificate",
+              T + "test_gram_certificate_reads_the_first_2r_rows_into_its_gram")
 BLOCK_TESTS = (T + "test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle",
                T + "test_error_fields_write_a_final_into_the_attention_buffer",
                T + "test_error_fields_are_the_masked_reductions")
@@ -50,8 +50,12 @@ FACTORED_TESTS = (T + "test_rank_certificate_of_factors_with_known_condition",
                   T + "test_rank_certificate_fires_only_above_its_margin",
                   T + "test_rank_certificate_falls_back_below_full_rank",
                   T + "test_factored_rank_makes_one_factor_at_a_time",
-                  T + "test_gram_certificate_remakes_only_the_blocks_of_its_first_2r_rows",
                   T + "test_factored_rank_is_the_rank_of_the_product")
+BRANCH_TESTS = (T + "test_gram_certificates_read_the_scaled_factors_of_a_lowrank",
+                T + "test_reconstruct_rank_matches_the_dense_rank",
+                T + "test_rank_certificate_fires_only_above_its_margin",
+                T + "test_rank_certificate_falls_back_below_full_rank")
+LIFETIME_TESTS = (T + "test_certificates_hold_one_factor_and_one_gram_at_a_time",)
 INVERSE_TESTS = (T + "test_inverse_rank_certificate_of_matrices_with_known_condition",
                  T + "test_inverse_rank_certificate_keeps_the_rounding_of_its_residual",
                  T + "test_inverse_rank_certificate_is_below_the_svd_ratio")
@@ -59,63 +63,57 @@ UNDERFLOW_TESTS = (T + "test_rank_of_an_underflowing_product_is_that_of_a_lowran
                    T + "test_reconstruct_is_the_whole_matrix_oracle_at_any_scale")
 
 MUTANTS = [
-    # _Factor and _gram_certificate
+    # _gram_bound and _gram_certificate
     Mutant("theta/4", LOWRANK,
            "    theta = RANK_CERT_MARGIN * RANK_REL_TOL\n",
            "    theta = RANK_CERT_MARGIN * RANK_REL_TOL / 4.0\n", GRAM_TESTS),
     Mutant("no rounding allowance", LOWRANK,
            "eps = 2.0 * _U + _gamma(ell) + _gamma(r + 1) * r / (1.0 - _gamma(r + 1))",
            "eps = 0.0", GRAM_TESTS),
-    Mutant("no running-shift rescale", LOWRANK,
-           "return max(2 * (old - k), -2200)", "return 0", GRAM_TESTS),
-    Mutant("rescale by 2^-d", LOWRANK,
-           "return max(2 * (old - k), -2200)", "return max(old - k, -2200)", GRAM_TESTS),
-    Mutant("row sums not rescaled", LOWRANK,
-           "np.ldexp(self.sums, _rescale(old, k), out=self.sums)", "self.sums", GRAM_TESTS),
     Mutant("mu from the subset rows only", LOWRANK,
-           "            self.sums += f.T @ f.sum(axis=1)\n",
-           "            head = f[:max(2 * f.shape[1] - self.rows, 0)]\n"
-           "            self.sums += head.T @ head.sum(axis=1)\n", GRAM_TESTS),
+           "row_sum = (f.T @ f.sum(axis=1)).max()",
+           "row_sum = (f[:2 * r].T @ f[:2 * r].sum(axis=1)).max()", GRAM_TESTS),
     Mutant("row sums from the replayed head only", LOWRANK,
            "* (1.0 + 2.0 * _gamma(ell + r + 4)) * row_sum",
            "* (1.0 + 2.0 * _gamma(ell + r + 4)) * g.sum(axis=1).max()", GRAM_TESTS),
-    Mutant("head replayed under the final shift instead of each block's", LOWRANK,
-           "                f *= np.exp(log_w - k * _LN2)[:, None]\n",
-           "                f *= np.exp(log_w - factor.blocks[-1][0] * _LN2)[:, None]\n",
-           GRAM_TESTS),
-    Mutant("head replay one block short", LOWRANK,
-           "if start < 2 * r:", "if start + n < 2 * r:", GRAM_TESTS),
+    Mutant("Gram of the first 2R - 1 rows", LOWRANK,
+           "head = f[:2 * r]", "head = f[:2 * r - 1]", GRAM_TESTS),
     Mutant("_CERT_MIN_NORM = 0", LOWRANK,
            "_CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53",
            "_CERT_MIN_NORM = 0.0", GRAM_TESTS),
     # _factored_rank
     Mutant("right certificate alone", LOWRANK,
-           "_gram_certificate(right) and _gram_certificate(left)",
-           "_gram_certificate(right)", FACTORED_TESTS),
+           "right_certified and _gram_certificate(_gram_bound(left()))",
+           "right_certified", FACTORED_TESTS),
     Mutant("fallback reads the left QR alone", LOWRANK,
-           'numerical_rank(np.linalg.qr(_whole(left.make()), mode="r") @ r_right.T)',
-           'numerical_rank(np.linalg.qr(_whole(left.make()), mode="r"))', FACTORED_TESTS),
+           'numerical_rank(np.linalg.qr(left(), mode="r") @ r_right.T)',
+           'numerical_rank(np.linalg.qr(left(), mode="r"))', FACTORED_TESTS),
     Mutant("no fallback", LOWRANK,
-           "    if _gram_certificate(right) and _gram_certificate(left):\n        return r\n",
+           "    if right_certified and _gram_certificate(_gram_bound(left())):\n"
+           "        return r\n",
            "    return r\n", FACTORED_TESTS),
+    # the factors after the pass
+    Mutant("left factor not weighted", LOWRANK,
+           "return _weighted(fq, mq - log_z - log_r)", "return fq", BRANCH_TESTS),
+    Mutant("right factor not weighted", LOWRANK,
+           "shifted = _gram_bound(_weighted(fk, mk))", "shifted = _gram_bound(fk)", BRANCH_TESTS),
+    Mutant("right factor held through its Cholesky", LOWRANK,
+           "        del fk  # the right factor is not held through its Cholesky\n", "",
+           LIFETIME_TESTS),
+    Mutant("right Gram held while the left factor is made", LOWRANK,
+           "        del shifted  # nor its Gram while the left factor is made\n", "",
+           LIFETIME_TESTS),
     # the pass and its error fold
-    Mutant("left row sums of the first block only", LOWRANK,
-           "        if left is not None:\n",
-           "        if left is not None and start == 0:\n", FACTORED_TESTS + BLOCK_TESTS),
     Mutant("last block's background error only", LOWRANK,
            "max_bg = np.maximum(max_bg, np.max(err, initial=0.0))",
            "max_bg = np.max(err, initial=0.0)", BLOCK_TESTS),
-    Mutant("fold restarts each block", LOWRANK,
-           "        row_log = np.empty_like(mq)\n",
-           "        row_log = np.empty_like(mq)\n"
-           "        folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
     Mutant("fold restarts each tile", LOWRANK,
-           "            row_log[tile] = mq[tile] - log_z[rows] - log_r\n",
-           "            row_log[tile] = mq[tile] - log_z[rows] - log_r\n"
-           "            folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
+           "        row_log = mq - log_z[rows] - log_r\n",
+           "        row_log = mq - log_z[rows] - log_r\n"
+           "        folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
     Mutant("last partial tile skipped", LOWRANK,
-           "for t in range(0, len(fq), PRODUCT_TILE_ROWS):",
-           "for t in range(0, len(fq) - len(fq) % PRODUCT_TILE_ROWS, PRODUCT_TILE_ROWS):",
+           "for start in range(0, ell, PRODUCT_TILE_ROWS):",
+           "for start in range(0, ell - ell % PRODUCT_TILE_ROWS, PRODUCT_TILE_ROWS):",
            BLOCK_TESTS),
     Mutant("faint rows never ranked", LOWRANK,
            "rank = numerical_rank(np.concatenate(faint))", "rank = rank", UNDERFLOW_TESTS),

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # The reconstruct stages whose calls are the phase boundaries, in the order
 # of their first call at R < L.
 PHASES = ("choose_truncation", "_truncated_svd_factors", "_lowrank_branch",
-          "_gram_certificate", "_factored_rank")
+          "_gram_bound", "_gram_certificate", "_factored_rank")
 
 
 def rss_mb() -> float:
