@@ -146,8 +146,11 @@ _CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53
 
 def _weighted(f, log_w) -> np.ndarray:
     """f with row p scaled in place by exp(log_w_p - max log_w): the rows f_p
-    exp(log_w_p), to the rounding of the weights, shifted by one constant."""
-    f *= np.exp(log_w - log_w.max())[:, None]
+    exp(log_w_p), to the rounding of the weights, shifted by one constant.
+    A weight of +inf or NaN, or weights all -inf, put NaN rows in f, quietly,
+    and _gram_bound then fails it."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        f *= np.exp(log_w - log_w.max())[:, None]
     return f
 
 

@@ -908,6 +908,57 @@ def test_gram_certificate_reads_the_first_2r_rows_into_its_gram(r):
     assert factored_rank(r, maker(singular_head), maker(good)) == r
 
 
+@pytest.mark.parametrize("ell,r", [(9, 2), (9, 4), (8, 4), (5, 4)])
+@pytest.mark.parametrize("weight", ["finite", "inf", "nan"])
+def test_gram_bound_grams_the_first_2r_weighted_rows_and_sums_them_all(ell, r, weight):
+    # the Gram is of the first min(2R, L) weighted rows, so the rows after
+    # them change only its diagonal's shift; mu reads every row, so a
+    # non-finite log weight of the last row, after the first 2R where L >
+    # 2R, fails the certificate, quietly, with no Gram returned
+    rng = np.random.default_rng(ell * r)
+    f = rng.random((ell, r))
+    log_w = rng.integers(-40, 41, ell) * math.log(2.0)
+    log_w[-1] = {"finite": log_w[-1], "inf": np.inf, "nan": np.nan}[weight]
+
+    def bound(f):
+        return quietly(lambda: _gram_bound(_weighted(f.copy(), log_w)))
+
+    shifted = bound(f)
+    if weight != "finite":
+        assert shifted is None
+        assert not quietly(_gram_certificate, shifted)
+        return
+    head = (f * np.exp(log_w - log_w.max())[:, None])[:2 * r]
+    off = ~np.eye(r, dtype=bool)
+    assert shifted[off].tobytes() == (head.T @ head)[off].tobytes()
+    later = f.copy()
+    later[2 * r:] = rng.random((max(0, ell - 2 * r), r))
+    assert bound(later)[off].tobytes() == shifted[off].tobytes()
+
+
+@pytest.mark.parametrize("ell", [11, 13])
+@pytest.mark.parametrize("top", [1100, -1100])
+@pytest.mark.parametrize("ratio,certified", [
+    (THETA * (1.0 + 1e-5), True), (THETA * (1.0 - 1e-5), False),
+])
+def test_rank_certificate_weights_rows_beyond_the_double_range(ell, top, ratio, certified):
+    # a diagonal factor stored as featurised rows are, each row's largest
+    # entry in [1/2, 1) and its scale 2^(top + e) in its log weight, with its
+    # largest row last; zero row p has weight 2^(top - 600 + p).  It has
+    # ceil(ell / 2) columns, so that its Gram reads every row.  Its rows
+    # times their weights lie outside the double range, so the weighting
+    # must shift the log weights by their largest to decide as the factor at
+    # unit scale does on either side of theta
+    near = diagonal_factor(ell, (ell + 1) // 2, ratio)[np.r_[1:ell, 0]]
+    exp2 = np.frexp(near.max(axis=1))[1]
+    zero = np.flatnonzero(~near.any(axis=1))
+    exp2[zero] = -600 + zero
+    stored = np.ldexp(near, -exp2[:, None])
+    log_w = (top + exp2) * math.log(2.0)
+    assert quietly(lambda: _gram_certificate(_gram_bound(_weighted(stored, log_w)))) is certified
+    assert certificate(near) is certified
+
+
 BAD_ENTRIES = [np.inf, -np.inf, np.nan]
 
 

@@ -59,6 +59,9 @@ LIFETIME_TESTS = (T + "test_certificates_hold_one_factor_and_one_gram_at_a_time"
 INVERSE_TESTS = (T + "test_inverse_rank_certificate_of_matrices_with_known_condition",
                  T + "test_inverse_rank_certificate_keeps_the_rounding_of_its_residual",
                  T + "test_inverse_rank_certificate_is_below_the_svd_ratio")
+WEIGHT_TESTS = (T + "test_gram_bound_grams_the_first_2r_weighted_rows_and_sums_them_all",
+                T + "test_rank_certificate_weights_rows_beyond_the_double_range",
+                T + "test_gram_certificate_is_the_stated_certificate")
 UNDERFLOW_TESTS = (T + "test_rank_of_an_underflowing_product_is_that_of_a_lowrank",
                    T + "test_reconstruct_is_the_whole_matrix_oracle_at_any_scale")
 
@@ -81,6 +84,14 @@ MUTANTS = [
     Mutant("_CERT_MIN_NORM = 0", LOWRANK,
            "_CERT_MIN_NORM = np.finfo(np.float64).tiny * 2.0 ** 53",
            "_CERT_MIN_NORM = 0.0", GRAM_TESTS),
+    # _weighted
+    Mutant("weights not shifted by their largest", LOWRANK,
+           "f *= np.exp(log_w - log_w.max())[:, None]", "f *= np.exp(log_w)[:, None]",
+           WEIGHT_TESTS),
+    Mutant("weighting not quiet on a non-finite weight", LOWRANK,
+           '    with np.errstate(invalid="ignore"):  # inf - inf\n'
+           "        f *= np.exp(log_w - log_w.max())[:, None]\n",
+           "    f *= np.exp(log_w - log_w.max())[:, None]\n", WEIGHT_TESTS),
     # _factored_rank
     Mutant("right certificate alone", LOWRANK,
            "right_certified and _gram_certificate(_gram_bound(left()))",
