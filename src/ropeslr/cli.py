@@ -171,6 +171,13 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: Sequence[Sequenc
         raise InvalidInput(f"cannot write {out}: {exc}") from exc
 
 
+def _failed(command: str, place: str, name: str, value, must: str) -> None:
+    """Name one failed check on stderr: the check, its worst value, the
+    bound it must meet and where it failed."""
+    print(f"{command}: {place}: check failed: {name} = {_fmt(value)}, must be {must}",
+          file=sys.stderr)
+
+
 def _check_writable(path: str) -> None:
     """Refuse an output path that is a directory, whose directory is missing,
     or that cannot be written; the file is neither created nor truncated."""
@@ -218,17 +225,21 @@ def cmd_fourier_verify(v, out: Optional[str]) -> int:
 
     coords = grid.coords()
     rows = []
-    max_err = 0.0
+    max_err, worst = 0.0, None
     for p, qpos in pairs:
         direct = rope3d.logit_direct(q_mat[p], k_mat[qpos], p, qpos, grid, rope_cfg)
         coeffs = rope3d.fourier_coeffs(q_mat[p], k_mat[qpos], rope_cfg)
         delta = coords[p] - coords[qpos]
         four = rope3d.logit_fourier(coeffs, tuple(delta), rope_cfg)
         err = abs(direct - four)
-        max_err = max(max_err, err)
+        if err > max_err:
+            max_err, worst = err, f"{p}-{qpos}"
         rows.append((f"{p}-{qpos}", direct, four, err))
     _write_csv(out, ["pair", "direct", "fourier", "abs_err"], rows)
-    return 0 if max_err <= v["tol"] else 1
+    if max_err <= v["tol"]:
+        return 0
+    _failed("fourier-verify", f"pair={worst}", "abs_err", max_err, f"<= {_fmt(v['tol'])}")
+    return 1
 
 
 @_command("decompose-sweep", grids="4,4,4;8,8,8;12,12,12", rope="4,4,4", base="10000",
@@ -238,7 +249,11 @@ def cmd_decompose_sweep(v, out: Optional[str]) -> int:
     rows = [(r["L"], r["tau"], r["nnz"], r["nnz_bound"], r["bg_inf_norm"], r["holds"])
             for r in points]
     _write_csv(out, ["L", "tau", "nnz", "nnz_bound", "bg_inf_norm", "holds"], rows)
-    return 0 if all(r["holds"] for r in points) else 1
+    failed = [r for r in points if not r["holds"]]
+    for r in failed:
+        _failed("decompose-sweep", f"L={r['L']}", "row_nnz", r["row_nnz"],
+                f"<= {r['nnz_bound'] // r['L']}")
+    return 1 if failed else 0
 
 
 @_command("reconstruct", grid="6,6,6", rope="4,4,4", base="10000", tau="0.05",
@@ -259,8 +274,7 @@ def cmd_reconstruct(v, out: Optional[str]) -> int:
                   ("support_matches_spikes", rec.support_matches_spikes, "true"))
         for name, ok, must in checks:
             if not ok:
-                print(f"reconstruct: favor_R={r_dim}: check failed: {name} = "
-                      f"{_fmt(getattr(rec, name))}, must be {must}", file=sys.stderr)
+                _failed("reconstruct", f"favor_R={r_dim}", name, getattr(rec, name), must)
         return ((grid.size, tau, e_tol, r_dim, rec.rank_lowrank,
                  rec.nnz_sparse, rec.max_err_spike, rec.max_err_bg),
                 all(ok for _, ok, _ in checks))
@@ -410,7 +424,10 @@ def cmd_grad_check(v, out: Optional[str]) -> int:
         devs.append(mechanism.grad_check(params, x, target, grid, rope_cfg, task.backbone,
                                          settings, v["epsilon"]))
     _write_csv(out, ["instance", "deviation"], list(enumerate(devs)))
-    return 0 if all(d <= v["tol"] for d in devs) else 1
+    failed = [(i, d) for i, d in enumerate(devs) if not d <= v["tol"]]
+    for i, d in failed:
+        _failed("grad-check", f"instance={i}", "deviation", d, f"<= {_fmt(v['tol'])}")
+    return 1 if failed else 0
 
 
 @_command("flops", b="1", h="1", l="118800", d_h="128", s="0.9", r="64")

@@ -157,7 +157,8 @@ def scaling_sweep_point(grid: GridShape, cfg: RopeConfig, c: float, seed: int) -
     """One sweep row at threshold tau = c / sqrt(L) on synthetic attention.
     The attention is made, checked finite and split SPLIT_BLOCK_ROWS rows at
     a time in one reused block, and the counts and the background max are
-    folded as it goes, so no L x L array is made."""
+    folded as it goes, so no L x L array is made.  holds is whether row_nnz,
+    the most spikes in a row, is at most floor(1 / tau)."""
     ell = grid.size
     tau = c / math.sqrt(ell)
     q, k = synthetic_qk(grid, cfg, seed)
@@ -180,6 +181,7 @@ def scaling_sweep_point(grid: GridShape, cfg: RopeConfig, c: float, seed: int) -
         "nnz": nnz,
         "nnz_bound": ell * bound,
         "bg_inf_norm": bg_inf_norm,
+        "row_nnz": row_nnz,
         "holds": row_nnz <= bound,
     }
 

@@ -17,14 +17,17 @@ factor's R x R Gram, with the SVD of a QR core as the fallback, never a
 dense L x L SVD; when R >= L by an approximate inverse of the L x L matrix.
 
 The attention, its spikes, a_lowrank and a_final are made in one pass over
-tiles of PRODUCT_TILE_ROWS rows, in two reused tiles, and the errors are
-folded as they go.  When R < L no L x L array is made, and no certificate
-state crosses the pass: after it, each Gram certificate reads one whole,
-weighted factor, the row sums of all its rows and the Gram of its first 2R,
-and drops it before its Cholesky; the key features made before the pass
-are the right factor, and the query features, made again in the pass's
-tiles, the left.  When R >= L the inverse certificate reads a_lowrank,
-written whole by the pass.
+tiles of PRODUCT_TILE_ROWS rows, the attention in one reused tile, and the
+errors are folded as they go.  When R < L no L x L array is made: a_lowrank
+is made only in the square subtiles that could hold max_err_bg, that hold a
+spike, or while every entry made so far underflows past _CERT_MIN_NORM, one
+reused subtile at a time, and the others are skipped by a rounding-safe
+bound of their entries.  No certificate state crosses the pass: after it,
+each Gram certificate reads one whole, weighted factor, the row sums of all
+its rows and the Gram of its first 2R, and drops it before its Cholesky;
+the key features made before the pass are the right factor, and the query
+features, made again in the pass's tiles, the left.  When R >= L the
+inverse certificate reads a_lowrank, written whole by the pass.
 """
 
 from __future__ import annotations
@@ -297,19 +300,26 @@ def _factored_rank(r: int, right_certified: bool, left, right) -> int:
     return numerical_rank(np.linalg.qr(left(), mode="r") @ r_right.T)
 
 
-# Rows of the attention and of a_lowrank made together in _lowrank_branch's
-# pass: the query features, logits, softmax, spikes, product and error
-# fold.  At L = 4096, R = 1024 on a 2-core OpenBLAS host (cap input sets
-# 0-9, one call in a process each) the process peaked at 108.4-108.6 MB in
-# tiles of 128 rows against 135.0-135.1 in tiles of 512, and a call took
-# 0.62-0.77 s against 0.66-0.82 s; in tiles of 64 rows it peaked at
-# 104.4-104.5 MB but took 0.69-0.79 s (sets 0-5).
+# Rows of the attention made together in _lowrank_branch's pass: the query
+# features, logits, softmax and spikes of a tile.  It is also the side of the
+# square subtiles in which the R < L pass multiplies, scales and folds the
+# product; at R >= L the product is made a tile at a time.  At L = 4096, R =
+# 1024 on a 2-core OpenBLAS host (cap input sets 0-9, one call in a process
+# each), when the R < L pass still made every tile's product whole, the
+# process peaked at 108.4-108.6 MB in tiles of 128 rows against 135.0-135.1
+# in tiles of 512, and a call took 0.62-0.77 s against 0.66-0.82 s; in tiles
+# of 64 rows it peaked at 104.4-104.5 MB but took 0.69-0.79 s (sets 0-5).
 PRODUCT_TILE_ROWS = 128
+# The error of np.exp that _block_bound allows, in ulps of the exact value:
+# numpy's accuracy tests hold its float64 exp to 1 ulp
+# (numpy/_core/tests/data/umath-validation-set-exp.csv); 4 leaves room for
+# another libm.
+EXP_ULPS = 4
 
 
 def _error_fields(folded, a_blk, lr_blk, spikes) -> tuple:
     """folded, (max_err_bg, support_matches_spikes, max_err_spike) over the
-    rows so far, with one more block folded in, and a_final written into
+    blocks so far, with one more block folded in, and a_final written into
     a_blk over its background.  The compensator a - a_lowrank is nonzero on
     a spike exactly when the two differ there, so support reads the spikes."""
     max_bg, support, max_spike = folded
@@ -325,6 +335,141 @@ def _error_fields(folded, a_blk, lr_blk, spikes) -> tuple:
     return max_bg, support, max_spike
 
 
+def _scaled(lr, row_log, mk) -> np.ndarray:
+    """lr, the block fq @ fk.T of some rows p and key rows j, scaled in place
+    by exp(row_log_p + mk_j): that block of a_lowrank."""
+    scale = np.add.outer(row_log, mk)
+    lr *= np.exp(scale, out=scale)
+    return lr
+
+
+def _tiles(rq, rk, cfg: RopeConfig, tau: float, q_fac, omegas, attention, log_z, log_r):
+    """The pass's tiles of PRODUCT_TILE_ROWS rows, in order, each (rows, fq,
+    a_blk, spikes, row_log): the slice of the rows, their stabilised query
+    features fq, their attention a_blk in the reused buffer attention, its
+    spikes a_blk > tau, and row_log = mq - log z - log R.  Each tile writes
+    its rows of log_z."""
+    ell = len(q_fac)
+    for start in range(0, ell, PRODUCT_TILE_ROWS):
+        rows = slice(start, start + PRODUCT_TILE_ROWS)
+        fq, mq = _stabilised_features_rows(q_fac[rows], omegas)
+        a_blk, log_z[rows] = row_softmax(as_matrix(logit_rows(rq[rows], rk, cfg,
+                                                              out=attention[:len(fq)])))
+        yield rows, fq, a_blk, a_blk > tau, mq - log_z[rows] - log_r
+
+
+def _whole_pass(tiles, fk, mk) -> tuple:
+    """The R >= L pass over tiles: (a_lowrank, folded, nnz), a_lowrank made
+    whole, a tile at a time, for the inverse certificate, and folded a
+    SPLIT_BLOCK_ROWS block of rows at a time."""
+    ell = len(fk)
+    product = np.empty((ell, ell))
+    folded, nnz = (0.0, True, 0.0), 0
+    for rows, fq, a_blk, spikes, row_log in tiles:
+        nnz += int(np.count_nonzero(spikes))
+        lr_blk = np.matmul(fq, fk.T, out=product[rows])
+        for sub in range(0, len(fq), SPLIT_BLOCK_ROWS):
+            part = slice(sub, sub + SPLIT_BLOCK_ROWS)
+            folded = _error_fields(folded, a_blk[part],
+                                   _scaled(lr_blk[part], row_log[part], mk), spikes[part])
+    return product, folded, nnz
+
+
+def _block_bound(fq, row_log, k_max, m_max) -> np.ndarray:
+    """For each block J of key rows, a bound on every entry of the computed
+    a_lowrank in the tile's rows p and J's columns: k_max[J] the entrywise
+    max of J's key features fk_j, m_max[J] the max of their log weights
+    mk_j, and the pass's entry lr_pj = fl(fl(fq_p . fk_j) fl(exp(fl(row_log_p
+    + mk_j)))).
+
+    In exact arithmetic lr_pj <= b_pJ = (fq_p . k_max[J]) exp(row_log_p +
+    m_max[J]), as the features are >= 0.  The widening covers the rounding,
+    with u = _U, gamma_n = _gamma(n) of linalg, R features, c = EXP_ULPS and
+    gradual underflow (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 2.1 and 3.5).
+    - The dot products: d_pj = fq_p . fk_j <= D_pJ = fq_p . k_max[J].  A
+      computed sum of R nonnegative products, in any order, is within gamma_R
+      of the exact one, relative, plus at most R 2^-1074 absolute for the
+      products' underflow, so fl(d_pj) <= (1 + gamma_R) / (1 - gamma_R)
+      (fl(D_pJ) + 2 R 2^-1074).
+    - The exponent sums: s = fl(row_log_p + mk_j) and x = fl(row_log_p +
+      m_max[J]) are each one rounding of sums with row_log_p + mk_j <=
+      row_log_p + m_max[J], so s <= x + 3 u |x| whatever their signs, and
+      exp(s) <= exp(x) exp(3 u X) with X the largest |x| of the tile.
+    - np.exp is taken to be within c ulps of the exact value: relative 2 c u
+      for a normal result, c 2^-1074 absolute for a subnormal one.  So
+      fl(exp(s)) <= (1 + 2 c u) / (1 - 2 c u) exp(3 u X) (fl(exp(x)) + 2 c
+      2^-1074).
+    - The product lr_pj = fl(fl(d) fl(exp(s))) is within u relative and
+      2^-1075 absolute of the exact product of its operands.
+    With eta = 2 (R + c) 2^-1074 added to fl(D_pJ) and to fl(exp(x)) and
+    their product T_pJ formed in three roundings, T_pJ >= (1 - u)^3 (fl(D_pJ)
+    + eta) (fl(exp(x)) + eta) - 2^-1075, so lr_pj <= w T_pJ + 2^-1073 for
+    every w >= (1 + u) (1 - u)^-3 times the three ratios above, which
+    (Higham, Lemma 3.3) is at most (1 + gamma_{2R+4c+6}) exp(3 u X).  The
+    bound is fl(fl(w max_p T_pJ) + 2^-1072), rounding monotone, with w =
+    (1 + 2 gamma_{2R+4c+6}) exp(4 u X) computed: the doubled gamma and the
+    extra u X cover the roundings of w and of the two last operations.
+    A NaN or an overflow anywhere in a block's bound makes it NaN or +inf,
+    quietly."""
+    r = fq.shape[1]
+    eta = 2.0 * (r + EXP_ULPS) * 2.0 ** -1074
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.add.outer(row_log, m_max)
+        widen = (1.0 + 2.0 * _gamma(2 * r + 4 * EXP_ULPS + 6)) * np.exp(4.0 * _U * np.abs(x).max())
+        top = ((fq @ k_max.T + eta) * (np.exp(x, out=x) + eta)).max(axis=0)
+        return top * widen + 2.0 ** -1072
+
+
+def _pruned_pass(tiles, fk, mk) -> tuple:
+    """The R < L pass over tiles: (folded, nnz, faint), with a_lowrank made,
+    scaled and folded only in the square subtiles of PRODUCT_TILE_ROWS rows
+    and key rows that could change a field.  faint is the list of a_lowrank's
+    nonzero rows, tile by tile, when every entry is below _CERT_MIN_NORM,
+    else None.
+
+    Both a and a_lowrank are >= 0, and the computed |lr - a| is at most
+    max(lr, a), so no entry of a subtile of key block J raises max_err_bg
+    above the running max when the tile's _block_bound of J and the largest
+    a of the subtile are at most that max.  A subtile is made when that
+    bound is not a finite number at most the running max, when it holds a
+    spike (max_err_spike and support_matches_spikes read the spikes), and
+    while faint is alive, so that a faint product's rows are whole; each
+    tile's subtiles are visited in descending bound, so that the max rises
+    early.  The max is order-free, so the fields are bitwise those of the
+    whole fold wherever a subtile's product fq @ fk[J].T, made in one
+    reused contiguous buffer, is bitwise those columns of the tile's: at the
+    benchmark's grids, where the tests pin it."""
+    ell, side = len(fk), PRODUCT_TILE_ROWS
+    starts = np.arange(0, ell, side)
+    k_max, m_max = np.maximum.reduceat(fk, starts), np.maximum.reduceat(mk, starts)
+    buf = np.empty(side * side)
+    folded, nnz = (0.0, True, 0.0), 0
+    faint = []  # a_lowrank's nonzero rows while all are faint
+    for rows, fq, a_blk, spikes, row_log in tiles:
+        nnz += int(np.count_nonzero(spikes))
+        bound = np.maximum(_block_bound(fq, row_log, k_max, m_max),
+                           np.maximum.reduceat(a_blk.max(axis=0), starts))
+        pieces = {}  # the tile's subtiles while faint is alive
+        for j in np.argsort(-bound, kind="stable"):
+            cols = slice(starts[j], starts[j] + side)
+            if (faint is None and bound[j] <= folded[0] and np.isfinite(bound[j])
+                    and not spikes[:, cols].any()):
+                continue  # no entry of the subtile can change a field
+            lr = buf[:len(fq) * len(mk[cols])].reshape(len(fq), -1)
+            _scaled(np.matmul(fq, fk[cols].T, out=lr), row_log, mk[cols])
+            if faint is not None:
+                if lr.max() < _CERT_MIN_NORM:
+                    pieces[j] = lr.copy()
+                else:
+                    faint = None
+            folded = _error_fields(folded, a_blk[:, cols], lr, spikes[:, cols])
+        if faint is not None:  # every subtile of the tile was made
+            tile = np.concatenate([pieces[j] for j in range(len(starts))], axis=1)
+            faint.append(tile[tile.max(axis=1) > 0.0])
+    return folded, nnz, faint
+
+
 def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim: int,
                     seed: int) -> dict:
     """The Reconstruction fields but the cutoffs: of the attention of the
@@ -333,12 +478,16 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
     the truncated factors.  The stabilised features are at most 1 and the
     exponent is a log attention weight, so neither side overflows.  fk is
     made whole before the pass; each tile of PRODUCT_TILE_ROWS rows of the
-    pass featurises its rows of q_fac into fq and makes those rows of the
-    attention and a_lowrank.  Every tile is those rows of the whole matrices
-    to the rounding of logit_rows and _stabilised_features_rows, which
-    compute each row as the whole product does, though BLAS may add its
-    terms in another order: bitwise at the benchmark's grids, where the
-    tests pin the row blocks to the whole calls.
+    pass (_tiles) featurises its rows of q_fac into fq and makes those rows
+    of the attention.  At R >= L it makes those rows of a_lowrank
+    (_whole_pass); at R < L only the subtiles of them that could change a
+    field, those that could hold max_err_bg, hold a spike, or are made while
+    the product is faint (_pruned_pass).  Every tile is those rows of the
+    whole matrices to the rounding of logit_rows and
+    _stabilised_features_rows, which compute each row as the whole product
+    does, though BLAS may add its terms in another order: bitwise at the
+    benchmark's grids, where the tests pin the row and column blocks to the
+    whole calls.
 
     a_lowrank = c left @ right.T, c > 0, with left and right fq and fk scaled
     by their sides of the exponent, each shifted by one constant; the row
@@ -360,9 +509,10 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
     = 2^-1022 / u that is below u times it for R <= 2^52, as small as the
     rounding of the normal entries, so the unrounded product's rank is
     a_lowrank's.  Below it the rounding to multiples of 2^-1074 can lower
-    the rank, so the pass keeps copies of a_lowrank's nonzero rows until an
-    entry reaches _CERT_MIN_NORM, and if none does, the rank is the SVD
-    count of those rows: 0 when a_lowrank underflows to all zero."""
+    the rank, so the pass makes every subtile and keeps copies of
+    a_lowrank's nonzero rows until an entry reaches _CERT_MIN_NORM, and if
+    none does, the rank is the SVD count of those rows: 0 when a_lowrank
+    underflows to all zero."""
     ell = q_fac.shape[0]
     log_r = math.log(favor_dim)
     omegas = favor_map(q_fac.shape[1], favor_dim, seed)
@@ -378,41 +528,20 @@ def _lowrank_branch(rq, rk, cfg: RopeConfig, tau: float, q_fac, k_fac, favor_dim
     def right():
         return _weighted(*_stabilised_features_rows(k_fac, omegas))
 
-    whole = favor_dim >= ell  # the inverse certificate reads a_lowrank whole
     fk, mk = _stabilised_features_rows(k_fac, omegas)
-    product = np.empty((ell, ell)) if whole else None
-    folded, nnz = (0.0, True, 0.0), 0
-    faint = None if whole else []  # a_lowrank's nonzero rows while all are faint
     attention = np.empty((min(ell, PRODUCT_TILE_ROWS), ell))
-    lr_rows = product if whole else np.empty_like(attention)
-    for start in range(0, ell, PRODUCT_TILE_ROWS):
-        rows = slice(start, start + PRODUCT_TILE_ROWS)
-        fq, mq = _stabilised_features_rows(q_fac[rows], omegas)
-        a_blk, log_z[rows] = row_softmax(as_matrix(logit_rows(rq[rows], rk, cfg,
-                                                              out=attention[:len(fq)])))
-        spikes = a_blk > tau
-        nnz += int(np.count_nonzero(spikes))
-        lr_blk = np.matmul(fq, fk.T, out=lr_rows[rows] if whole else lr_rows[:len(fq)])
-        row_log = mq - log_z[rows] - log_r
-        for sub in range(0, len(fq), SPLIT_BLOCK_ROWS):
-            part = slice(sub, sub + SPLIT_BLOCK_ROWS)
-            lr = lr_blk[part]
-            scale = np.add.outer(row_log[part], mk)
-            lr *= np.exp(scale, out=scale)
-            del scale  # not held through the fold
-            if faint is not None:
-                top = lr.max(axis=1)  # lr >= 0
-                if top.max() < _CERT_MIN_NORM:
-                    faint.append(lr[top > 0.0])
-                else:
-                    faint = None
-            folded = _error_fields(folded, a_blk[part], lr, spikes[part])
-    del fq, attention, lr_rows, a_blk, lr_blk, lr  # not held through the certificates
-    if whole:
-        del fk  # nor the key features through the inverse certificate
+    tiles = _tiles(rq, rk, cfg, tau, q_fac, omegas, attention, log_z, log_r)
+    # the pass frees its temporaries as it returns, and the attention tile
+    # only after them: freed first, it left 2 MB of their heap resident
+    # through the certificates (glibc malloc, cap input sets 1 and 4)
+    if favor_dim >= ell:  # the inverse certificate reads a_lowrank whole
+        product, folded, nnz = _whole_pass(tiles, fk, mk)
+        del attention, fk  # neither is held through the inverse certificate
         certified = _inverse_rank_certificate(product) >= RANK_CERT_MARGIN * RANK_REL_TOL
         rank = ell if certified else numerical_rank(product)
     else:
+        folded, nnz, faint = _pruned_pass(tiles, fk, mk)
+        del attention
         shifted = _gram_bound(_weighted(fk, mk))
         del fk  # the right factor is not held through its Cholesky
         right_certified = _gram_certificate(shifted)

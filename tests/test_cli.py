@@ -486,6 +486,59 @@ DIVERGING = ["train-align", "--grid", "2,4,4", "--rope", "4,2,2", "--heads", "2"
              "--steps", "2"]
 
 
+def csv_rows(stdout):
+    """The data rows of a CSV on stdout, each a list of its cells."""
+    return [line.split(",") for line in stdout.splitlines()[1:]]
+
+
+def test_fourier_verify_names_its_worst_pair_on_stderr():
+    rc, clean, stderr = run_cli(["fourier-verify", "--pairs", "200"])
+    assert (rc, stderr) == (0, "")
+    rc, stdout, stderr = run_cli(["fourier-verify", "--pairs", "200", "--tol", "1e-30"])
+    assert (rc, stdout) == (1, clean)  # the CSV bytes are those of a run that passes
+    errs = [float(row[3]) for row in csv_rows(stdout)]
+    worst = csv_rows(stdout)[errs.index(max(errs))]
+    assert max(errs) > 0.0
+    assert stderr == (f"fourier-verify: pair={worst[0]}: check failed: abs_err = {worst[3]}, "
+                      f"must be <= {cli._fmt(1e-30)}\n")
+
+
+def test_grad_check_names_each_failed_instance_on_stderr():
+    argv = ["grad-check", "--instances", "2"]
+    rc, clean, stderr = run_cli(argv)
+    assert (rc, stderr) == (0, "")
+    rc, stdout, stderr = run_cli(argv + ["--tol", "1e-30"])
+    assert (rc, stdout) == (1, clean)
+    assert stderr.splitlines() == [
+        f"grad-check: instance={i}: check failed: deviation = {dev}, "
+        f"must be <= {cli._fmt(1e-30)}" for i, dev in csv_rows(stdout)]
+
+
+def test_decompose_sweep_names_each_failed_grid_on_stderr(monkeypatch):
+    # a spike count over floor(1 / tau) in a row is a library fault, which no
+    # input reaches: the sweep point of L = 64 is patched to report one
+    argv = ["decompose-sweep", "--grids", "4,4,4;5,5,5"]
+    rc, clean, stderr = run_cli(argv)
+    assert (rc, stderr) == (0, "")
+    real = decomposition.scaling_sweep_point
+
+    def failing(grid, cfg, c, seed):
+        point = real(grid, cfg, c, seed)
+        if grid.size == 64:
+            point.update(row_nnz=point["nnz_bound"] // 64 + 3, holds=False)
+        return point
+
+    monkeypatch.setattr(decomposition, "scaling_sweep_point", failing)
+    rc, stdout, stderr = run_cli(argv)
+    assert rc == 1
+    want = [line.split(",") for line in clean.splitlines()]
+    want[1][5] = "false"
+    assert stdout.splitlines() == [",".join(row) for row in want]
+    bound = int(want[1][3]) // 64
+    assert stderr == (f"decompose-sweep: L=64: check failed: row_nnz = {bound + 3}, "
+                      f"must be <= {bound}\n")
+
+
 def test_train_align_names_each_diverged_variant_on_stderr(tmp_path):
     rc, stdout, stderr = run_cli(DIVERGING)
     assert rc == 0

@@ -200,7 +200,7 @@ def test_scaling_sweep_point_is_the_split_of_the_whole_attention(grid, seed):
     assert point == {"L": grid.size, "tau": tau, "nnz": int(mask.sum()),
                      "nnz_bound": grid.size * bound,
                      "bg_inf_norm": background_inf_norm(a, mask),
-                     "holds": max_row_nnz(mask) <= bound}
+                     "row_nnz": max_row_nnz(mask), "holds": max_row_nnz(mask) <= bound}
     assert 0 < point["nnz"] < grid.size ** 2
 
 

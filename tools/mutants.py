@@ -46,6 +46,10 @@ GRAM_TESTS = (T + "test_rank_certificate_decides_either_side_of_theta",
 BLOCK_TESTS = (T + "test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle",
                T + "test_error_fields_write_a_final_into_the_attention_buffer",
                T + "test_error_fields_are_the_masked_reductions")
+PRUNE_TESTS = (T + "test_row_blocked_reconstruct_is_bitwise_the_whole_matrix_oracle",
+               T + "test_pruned_fold_is_the_whole_fold",
+               T + "test_block_bound_is_the_stated_bound_and_holds",
+               T + "test_rank_of_an_underflowing_product_is_that_of_a_lowrank")
 FACTORED_TESTS = (T + "test_rank_certificate_of_factors_with_known_condition",
                   T + "test_rank_certificate_fires_only_above_its_margin",
                   T + "test_rank_certificate_falls_back_below_full_rank",
@@ -119,13 +123,24 @@ MUTANTS = [
            "max_bg = np.maximum(max_bg, np.max(err, initial=0.0))",
            "max_bg = np.max(err, initial=0.0)", BLOCK_TESTS),
     Mutant("fold restarts each tile", LOWRANK,
-           "        row_log = mq - log_z[rows] - log_r\n",
-           "        row_log = mq - log_z[rows] - log_r\n"
-           "        folded = (0.0, True, 0.0)\n", BLOCK_TESTS),
+           "        bound = np.maximum(_block_bound(",
+           "        folded = (0.0, True, 0.0)\n"
+           "        bound = np.maximum(_block_bound(", BLOCK_TESTS),
     Mutant("last partial tile skipped", LOWRANK,
            "for start in range(0, ell, PRODUCT_TILE_ROWS):",
            "for start in range(0, ell - ell % PRODUCT_TILE_ROWS, PRODUCT_TILE_ROWS):",
            BLOCK_TESTS),
+    # the R < L pass's subtiles
+    Mutant("bound from the block's first row", LOWRANK,
+           "k_max, m_max = np.maximum.reduceat(fk, starts), np.maximum.reduceat(mk, starts)",
+           "k_max, m_max = fk[starts], mk[starts]", PRUNE_TESTS),
+    Mutant("bound not widened", LOWRANK,
+           "        return top * widen + 2.0 ** -1072\n", "        return top\n", PRUNE_TESTS),
+    Mutant("spike subtiles skipped", LOWRANK,
+           "\n                    and not spikes[:, cols].any()):", "):", PRUNE_TESTS),
+    Mutant("faint subtiles skipped", LOWRANK,
+           "if (faint is None and bound[j] <= folded[0]", "if (bound[j] <= folded[0]",
+           PRUNE_TESTS),
     Mutant("faint rows never ranked", LOWRANK,
            "rank = numerical_rank(np.concatenate(faint))", "rank = rank", UNDERFLOW_TESTS),
     # the other certificates
